@@ -15,7 +15,21 @@ impl Cholesky {
     ///
     /// Returns [`LinAlgError::NotPositiveDefinite`] if a non-positive pivot
     /// is encountered; callers that work with near-singular kernels should
-    /// prefer [`Cholesky::decompose_with_jitter`].
+    /// prefer [`Cholesky::decompose_with_jitter`]. Only the lower triangle
+    /// of `a` determines the factor.
+    ///
+    /// Left-looking and column by column: the entries of column `j` (rows
+    /// `j..n`) do not depend on one another, so each finished column `k`
+    /// updates a whole tile of them at once (the register-blocked
+    /// `trsm4x8` micro-kernel the multi-RHS solve uses) instead of each
+    /// entry running its own serial dot product.
+    ///
+    /// **Determinism contract:** every entry is still
+    /// `a[i][j] − l[i][0]·l[j][0] − l[i][1]·l[j][1] − …` subtracted in
+    /// ascending `k`, followed by the same `sqrt` or divide, so the factor
+    /// is bit-identical to the textbook row-by-row loop. Pivots are checked
+    /// in ascending order and pivot `j` depends only on rows `0..=j`, so the
+    /// first failing pivot — and the `Err` — match too.
     pub fn decompose(a: &Matrix) -> Result<Self, LinAlgError> {
         if !a.is_square() {
             return Err(LinAlgError::NotSquare { shape: a.shape() });
@@ -26,22 +40,7 @@ impl Cholesky {
             "Cholesky::decompose fed a non-finite matrix entry"
         );
         let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinAlgError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
+        factor_columns(a.data(), n, l.data_mut())?;
         Ok(Cholesky { l })
     }
 
@@ -323,6 +322,123 @@ impl Cholesky {
     }
 }
 
+/// Column-oriented core of [`Cholesky::decompose`]: factors the row-major
+/// `n × n` matrix `a` into `out` (row-major, all zeros on entry).
+///
+/// The strict upper triangle of `out` doubles as the column-major working
+/// copy: column `k` of `L` lives contiguously at `out[k*n + k..(k+1)*n]`,
+/// which is exactly the transposed position of `L[i][k]`. Each finished
+/// entry is also mirrored to its final place `out[i*n + k]`, and the upper
+/// triangle is cleared at the end, so no second `n × n` buffer exists.
+///
+/// Columns are processed in blocks of four. For a block starting at `j`,
+/// every finished column `k < j` is applied to 8-row tiles of all four
+/// columns at once (one [`crate::simd::trsm4x8`] call per tile, four
+/// accumulator rows = four columns); then the block's own columns finish
+/// one after another, each first taking the updates of the block columns
+/// before it. Per entry the subtracts therefore still arrive in ascending
+/// `k`.
+fn factor_columns(a: &[f64], n: usize, out: &mut [f64]) -> Result<(), LinAlgError> {
+    const W: usize = 4;
+    const T: usize = 8;
+    debug_assert_eq!(a.len(), n * n);
+    debug_assert_eq!(out.len(), n * n);
+    // Rows j..j+W of L over the finished columns 0..j, gathered from the
+    // lower triangle so the tiles can read them while `out` is written.
+    let mut lrows = vec![0.0f64; W * n];
+    let mut j = 0;
+    while j < n {
+        let w = W.min(n - j);
+        for r in 0..w {
+            let row = (j + r) * n;
+            lrows[r * n..r * n + j].copy_from_slice(&out[row..row + j]);
+        }
+        let (done, open) = out.split_at_mut(j * n);
+        // `open` row r holds column j + r from offset j + r on.
+        let tile = |i: usize, open: &mut [f64]| {
+            if w == W {
+                let mut acc = [[0.0f64; T]; W];
+                for (t, row) in a[i * n..(i + T) * n].chunks_exact(n).enumerate() {
+                    for (r, slot) in acc.iter_mut().enumerate() {
+                        slot[t] = row[j + r];
+                    }
+                }
+                let l = [
+                    &lrows[..j],
+                    &lrows[n..n + j],
+                    &lrows[2 * n..2 * n + j],
+                    &lrows[3 * n..3 * n + j],
+                ];
+                crate::simd::trsm4x8(l, done, n, i, &mut acc);
+                for (r, slot) in acc.iter().enumerate() {
+                    open[r * n + i..r * n + i + T].copy_from_slice(slot);
+                }
+            } else {
+                for r in 0..w {
+                    let mut acc = [0.0f64; T];
+                    for (t, slot) in acc.iter_mut().enumerate() {
+                        *slot = a[(i + t) * n + j + r];
+                    }
+                    crate::simd::trsm1x8(&lrows[r * n..r * n + j], done, n, i, &mut acc);
+                    open[r * n + i..r * n + i + T].copy_from_slice(&acc);
+                }
+            }
+        };
+        // Updates from the finished columns, 8-row tiles over rows j..n. A
+        // ragged remainder is covered by one more tile ending at row n: the
+        // rows it shares with the previous tile are recomputed with the
+        // same operations, so overwriting them changes nothing. Rows above
+        // the diagonal of a block column (i < j + r) come out as junk that
+        // the mirror writes below overwrite.
+        if n - j >= T {
+            let mut i = j;
+            while i + T <= n {
+                tile(i, open);
+                i += T;
+            }
+            if i < n {
+                tile(n - T, open);
+            }
+        } else {
+            for i in j..n {
+                for r in 0..w {
+                    let mut sum = a[i * n + j + r];
+                    for (k, &ljk) in lrows[r * n..r * n + j].iter().enumerate() {
+                        sum -= done[k * n + i] * ljk;
+                    }
+                    open[r * n + i] = sum;
+                }
+            }
+        }
+        // Finish the block's columns in order: updates from the block
+        // columns before it (still ascending k), then pivot and divide.
+        for r in 0..w {
+            let jj = j + r;
+            for kr in 0..r {
+                let (before, cur) = open.split_at_mut(r * n);
+                let col_k = &before[kr * n + jj..(kr + 1) * n];
+                crate::simd::axpy_sub(col_k[0], col_k, &mut cur[jj..n]);
+            }
+            let pivot = open[r * n + jj];
+            if pivot <= 0.0 || !pivot.is_finite() {
+                return Err(LinAlgError::NotPositiveDefinite);
+            }
+            let d = pivot.sqrt();
+            open[r * n + jj] = d;
+            for i in jj + 1..n {
+                let v = open[r * n + i] / d;
+                open[r * n + i] = v;
+                open[(i - j) * n + jj] = v;
+            }
+        }
+        j += w;
+    }
+    for k in 0..n {
+        out[k * n + k + 1..(k + 1) * n].fill(0.0);
+    }
+    Ok(())
+}
+
 /// Solves a general (small) linear system `A x = b` by Gaussian elimination
 /// with partial pivoting. Used where symmetry is not guaranteed (e.g. the
 /// normal equations of non-symmetric design matrices are avoided, but
@@ -386,6 +502,137 @@ pub fn solve_linear(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
 mod tests {
     use super::*;
     use crate::matrix::dot;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
+
+    /// The textbook row-by-row factorization [`Cholesky::decompose`]
+    /// replaced: each entry one serial dot product. The bit-identity
+    /// reference for the column-oriented kernel.
+    fn decompose_reference(a: &Matrix) -> Result<Matrix, LinAlgError> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(LinAlgError::NotPositiveDefinite);
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// `decompose_with_jitter` over the reference factorization.
+    fn jitter_reference(a: &Matrix, initial: f64, tries: usize) -> Option<(Matrix, f64)> {
+        if let Ok(l) = decompose_reference(a) {
+            return Some((l, 0.0));
+        }
+        let mut jitter = initial.max(f64::MIN_POSITIVE);
+        for _ in 0..tries {
+            let mut aj = a.clone();
+            aj.add_diagonal_mut(jitter);
+            if let Ok(l) = decompose_reference(&aj) {
+                return Some((l, jitter));
+            }
+            jitter *= 10.0;
+        }
+        None
+    }
+
+    fn assert_bitwise(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (idx, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: entry {idx} ({g} vs {w})");
+        }
+    }
+
+    /// Random SPD matrix `BᵀB/n + δI`, stored with an asymmetric upper
+    /// triangle so a kernel that read it would be caught.
+    fn random_spd(n: usize, seed: u64, delta: f64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let b = Matrix::from_fn(n, n, |_, _| rng.random_range(-1.0..1.0));
+        let mut a = b.gram();
+        a.scale_mut(1.0 / n as f64);
+        a.add_diagonal_mut(delta);
+        for i in 0..n {
+            for j in i + 1..n {
+                a[(i, j)] = rng.random_range(-1.0..1.0);
+            }
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn column_factor_matches_row_reference_bitwise(
+            n in 1usize..=130,
+            seed in 0u64..1_000_000,
+            log_delta in -9.0f64..0.0,
+        ) {
+            let a = random_spd(n, seed, 10f64.powf(log_delta));
+            let want = decompose_reference(&a);
+            match (Cholesky::decompose(&a), want) {
+                (Ok(c), Ok(l)) => assert_bitwise(c.l(), &l, "factor"),
+                (Err(e), Err(w)) => prop_assert_eq!(e, w),
+                (got, want) => prop_assert!(false, "got {:?}, want {:?}", got.is_ok(), want.is_ok()),
+            }
+        }
+
+        #[test]
+        fn indefinite_and_nan_inputs_fail_like_the_reference(
+            n in 1usize..=130,
+            seed in 0u64..1_000_000,
+            at in 0usize..130,
+            poison in 0usize..3,
+        ) {
+            // Poison one lower-triangle entry: a negative diagonal (the
+            // pivot fails there), a huge off-diagonal (a later pivot
+            // fails), or a NaN (propagates to a later pivot).
+            let mut a = random_spd(n, seed, 1e-3);
+            let i = at % n;
+            let j = (at / 3) % (i + 1);
+            match poison {
+                0 => a[(i, i)] = -1.0,
+                1 => a[(i, j)] = 1e3,
+                _ => a[(i, j)] = f64::NAN,
+            }
+            let got = if poison == 2 {
+                // The debug-build finiteness assertion guards decompose;
+                // the kernel itself must still agree with the reference.
+                let mut out = Matrix::zeros(n, n);
+                factor_columns(a.data(), n, out.data_mut()).map(|()| out)
+            } else {
+                Cholesky::decompose(&a).map(|c| c.l().clone())
+            };
+            match (got, decompose_reference(&a)) {
+                (Ok(l), Ok(r)) => assert_bitwise(&l, &r, "factor"),
+                (Err(e), Err(w)) => prop_assert_eq!(e, w),
+                (got, want) => prop_assert!(false, "got {:?}, want {:?}", got.is_ok(), want.is_ok()),
+            }
+            if poison != 2 {
+                let got = Cholesky::decompose_with_jitter(&a, 1e-10, 12).ok();
+                match (got, jitter_reference(&a, 1e-10, 12)) {
+                    (Some((c, jg)), Some((l, jw))) => {
+                        prop_assert_eq!(jg.to_bits(), jw.to_bits());
+                        assert_bitwise(c.l(), &l, "jittered factor");
+                    }
+                    (None, None) => {}
+                    (got, want) => prop_assert!(false, "got {:?}, want {:?}", got.is_some(), want.is_some()),
+                }
+            }
+        }
+    }
 
     fn spd_example() -> Matrix {
         Matrix::from_rows(&[

@@ -85,24 +85,6 @@ impl Kernel {
         self.signal_variance * base
     }
 
-    /// Kernel value from precomputed raw per-dimension differences
-    /// `a_d - b_d` (the hyper-search pair cache stores these). The scaled
-    /// squared distance is accumulated in the same dimension order with the
-    /// same divide-square-sum sequence as [`Kernel::r2`], so the result is
-    /// bit-identical to `eval(a, b)`.
-    fn eval_diffs(&self, diffs: &[f64]) -> f64 {
-        debug_assert_eq!(diffs.len(), self.dim());
-        let r2: f64 = diffs
-            .iter()
-            .zip(&self.length_scales)
-            .map(|(d, l)| {
-                let t = d / l;
-                t * t
-            })
-            .sum();
-        self.value_from_r2(r2)
-    }
-
     /// Cross-covariance between a training set (rows) and a query pool
     /// (columns): the `n × m` matrix with entry `(i, j) = eval(xs[i],
     /// queries[j])`, noise excluded. Column `j` is exactly the `k*` vector
@@ -225,81 +207,126 @@ pub(crate) struct CrossCovScratch {
 /// re-reading the `n × d` training matrix, hoisting the subtraction out of
 /// the `O(n² · d)` inner loop of every marginal-likelihood evaluation.
 ///
+/// Stored dimension-major (`diffs[d * pairs + p]`, pairs in lexicographic
+/// order), so the pairs `(i, i+1..n)` of one matrix row are contiguous in
+/// every dimension: their scaled squared distances build up as one vector
+/// sweep `acc[p] += (diff / l_d)²` per dimension, and the kernel tail runs
+/// as one [`Kernel::fill_row_from_r2`] sweep straight into the row.
+///
 /// Determinism contract: the stored difference for pair `(i, j)` is the
-/// same `x_i[d] - x_j[d]` subtraction [`Kernel::r2`] performs, and
-/// [`Kernel::eval_diffs`] consumes it with the identical
-/// divide-square-sum sequence, so a covariance built from the cache is
-/// bit-identical to [`Kernel::covariance`]. (The ‖a‖² + ‖b‖² − 2a·b
-/// expansion would be faster still, but rounds differently — it would
-/// silently perturb every seeded tuner trajectory.)
+/// same `x_i[d] - x_j[d]` subtraction [`Kernel::r2`] performs, and each
+/// pair's r2 is built from it with the same divide-square-add sequence, in
+/// the same ascending-dimension order — only the loop nest differs — so a
+/// covariance built from the cache is bit-identical to
+/// [`Kernel::covariance`]. (The ‖a‖² + ‖b‖² − 2a·b expansion would be
+/// faster still, but rounds differently — it would silently perturb every
+/// seeded tuner trajectory.)
 struct PairwiseDiffs {
     n: usize,
-    dim: usize,
-    /// Pair `(i, j)`, `i < j`, in lexicographic order; `dim` values each.
+    pairs: usize,
     diffs: Vec<f64>,
+    /// One row's r2 and the Matérn tail's scratch, reused across rows and
+    /// across the search's evaluations (fully overwritten before use).
+    r2: Vec<f64>,
+    tail: Vec<f64>,
 }
 
 impl PairwiseDiffs {
     fn new(xs: &[Vec<f64>]) -> Self {
         let n = xs.len();
         let dim = xs.first().map_or(0, Vec::len);
-        let mut diffs = Vec::with_capacity(n * n.saturating_sub(1) / 2 * dim);
+        let pairs = n * n.saturating_sub(1) / 2;
+        let mut diffs = vec![0.0; pairs * dim];
+        let mut p = 0;
         for i in 0..n {
             for j in (i + 1)..n {
-                diffs.extend(xs[i].iter().zip(&xs[j]).map(|(a, b)| a - b));
+                for (d, (a, b)) in xs[i].iter().zip(&xs[j]).enumerate() {
+                    diffs[d * pairs + p] = a - b;
+                }
+                p += 1;
             }
         }
-        PairwiseDiffs { n, dim, diffs }
+        PairwiseDiffs {
+            n,
+            pairs,
+            diffs,
+            r2: vec![0.0; n],
+            tail: vec![0.0; n],
+        }
     }
 
     /// Writes the covariance matrix for `kernel` over the cached training
     /// set into `out` (noise added on the diagonal), overwriting every
     /// entry. Bit-identical to `kernel.covariance(xs)`: off-diagonals go
-    /// through the shared `value_from_r2` tail, and the diagonal `eval(x, x)`
-    /// is exactly `signal_variance` for both kernel kinds (`x - x` is
-    /// `+0.0`, and `exp(-0.0) == 1.0`), to which `add_diagonal_mut` adds
-    /// the noise — reproduced here as one `sv + nv` addition.
-    fn covariance_into(&self, kernel: &Kernel, out: &mut Matrix) {
-        debug_assert_eq!(kernel.dim(), self.dim);
+    /// through the shared `value_from_r2` arithmetic, and the diagonal
+    /// `eval(x, x)` is exactly `signal_variance` for both kernel kinds
+    /// (`x - x` is `+0.0`, and `exp(-0.0) == 1.0`), to which
+    /// `add_diagonal_mut` adds the noise — reproduced here as one `sv + nv`
+    /// addition.
+    fn covariance_into(&mut self, kernel: &Kernel, out: &mut Matrix) {
+        debug_assert_eq!(self.diffs.len(), self.pairs * kernel.dim());
         debug_assert_eq!(out.shape(), (self.n, self.n));
+        let n = self.n;
         let diag = kernel.signal_variance + kernel.noise_variance;
-        let mut p = 0;
-        for i in 0..self.n {
-            out[(i, i)] = diag;
-            for j in (i + 1)..self.n {
-                let v = kernel.eval_diffs(&self.diffs[p..p + self.dim]);
-                out[(i, j)] = v;
-                out[(j, i)] = v;
-                p += self.dim;
+        let data = out.data_mut();
+        // Row i's pairs (i, i+1..n) start at p0 in every dimension.
+        let mut p0 = 0;
+        for i in 0..n {
+            let len = n - i - 1;
+            let r2 = &mut self.r2[..len];
+            r2.fill(0.0);
+            for (d, &l) in kernel.length_scales.iter().enumerate() {
+                let start = d * self.pairs + p0;
+                crate::simd::scaled_sq_accum_diffs(l, &self.diffs[start..start + len], r2);
             }
+            let row = &mut data[i * n + i + 1..(i + 1) * n];
+            kernel.fill_row_from_r2(r2, &mut self.tail[..len], row);
+            data[i * n + i] = diag;
+            for j in i + 1..n {
+                data[j * n + i] = data[i * n + j];
+            }
+            p0 += len;
         }
     }
 }
 
-/// `-log p(y | X, θ)` for one hyper-parameter candidate, evaluated through
-/// the pair cache: the exact negated value [`GaussianProcess::fit`] would
-/// store in `log_marginal` for this kernel, but with the pairwise
-/// differences and the centred targets hoisted out of the search loop.
-/// `scratch` is an `n × n` buffer reused across calls. Returns `None`
-/// where `fit` would return a factorization error.
-fn neg_log_marginal(
-    kernel: &Kernel,
-    cache: &PairwiseDiffs,
-    centred: &[f64],
-    scratch: &mut Matrix,
-) -> Option<f64> {
-    cache.covariance_into(kernel, scratch);
-    let (chol, _jitter) = Cholesky::decompose_with_jitter(scratch, 1e-10, 12).ok()?;
-    let alpha = chol.solve(centred);
-    let n = centred.len() as f64;
-    let lml = -0.5 * dot(centred, &alpha)
-        - 0.5 * chol.log_det()
-        - 0.5 * n * (2.0 * std::f64::consts::PI).ln();
-    debug_assert!(
-        lml.is_finite(),
-        "GP log-marginal-likelihood is non-finite despite a successful factorization"
-    );
-    Some(-lml)
+/// Everything about `-log p(y | X, θ)` that does not depend on the
+/// hyper-parameters θ — the pair cache and the centred targets — plus the
+/// `n × n` covariance buffer, built once per hyper-parameter search.
+struct MarginalCache {
+    pairs: PairwiseDiffs,
+    centred: Vec<f64>,
+    cov: Matrix,
+}
+
+impl MarginalCache {
+    fn new(xs: &[Vec<f64>], ys: &[f64]) -> Self {
+        let y_mean = mean(ys);
+        MarginalCache {
+            pairs: PairwiseDiffs::new(xs),
+            centred: ys.iter().map(|y| y - y_mean).collect(),
+            cov: Matrix::zeros(xs.len(), xs.len()),
+        }
+    }
+
+    /// `-log p(y | X, θ)` for one hyper-parameter candidate: the exact
+    /// negated value [`GaussianProcess::fit`] would store in
+    /// `log_marginal` for this kernel. Returns `None` where `fit` would
+    /// return a factorization error.
+    fn neg_log_marginal(&mut self, kernel: &Kernel) -> Option<f64> {
+        self.pairs.covariance_into(kernel, &mut self.cov);
+        let (chol, _jitter) = Cholesky::decompose_with_jitter(&self.cov, 1e-10, 12).ok()?;
+        let alpha = chol.solve(&self.centred);
+        let n = self.centred.len() as f64;
+        let lml = -0.5 * dot(&self.centred, &alpha)
+            - 0.5 * chol.log_det()
+            - 0.5 * n * (2.0 * std::f64::consts::PI).ln();
+        debug_assert!(
+            lml.is_finite(),
+            "GP log-marginal-likelihood is non-finite despite a successful factorization"
+        );
+        Some(-lml)
+    }
 }
 
 /// Per-thread buffers for [`GaussianProcess::predict_batch`]. Pool scoring
@@ -459,10 +486,7 @@ impl GaussianProcess {
         // Pairwise differences and centred targets are
         // hyper-parameter-independent: compute them once, outside the
         // search, and let the objective reuse one covariance buffer.
-        let cache = PairwiseDiffs::new(&xs);
-        let y_mean = mean(ys);
-        let centred: Vec<f64> = ys.iter().map(|y| y - y_mean).collect();
-        let mut scratch = Matrix::zeros(xs.len(), xs.len());
+        let mut cache = MarginalCache::new(&xs, ys);
         let mut objective = |theta: &[f64]| -> f64 {
             let ls = theta[0].exp().clamp(1e-3, 1e3);
             let sv = theta[1].exp().clamp(1e-8, 1e6);
@@ -470,7 +494,7 @@ impl GaussianProcess {
             let mut k = Kernel::new(kind, dim, ls);
             k.signal_variance = sv;
             k.noise_variance = nv;
-            neg_log_marginal(&k, &cache, &centred, &mut scratch).unwrap_or(f64::INFINITY)
+            cache.neg_log_marginal(&k).unwrap_or(f64::INFINITY)
         };
         // Three deterministic starts spanning short/medium/long correlation.
         let starts = [
@@ -513,10 +537,7 @@ impl GaussianProcess {
         let dim = iso.kernel.dim();
         let mut kernel = iso.kernel.clone();
         let mut best_lml = iso.log_marginal;
-        let cache = PairwiseDiffs::new(&xs);
-        let y_mean = mean(ys);
-        let centred: Vec<f64> = ys.iter().map(|y| y - y_mean).collect();
-        let mut scratch = Matrix::zeros(xs.len(), xs.len());
+        let mut cache = MarginalCache::new(&xs, ys);
         // Coordinate descent: each dimension tries a few multiplicative
         // adjustments of its length scale, keeping improvements.
         for _sweep in 0..2 {
@@ -525,7 +546,7 @@ impl GaussianProcess {
                 for factor in [0.25, 0.5, 2.0, 4.0] {
                     let mut k = kernel.clone();
                     k.length_scales[d] = (current * factor).clamp(1e-3, 1e3);
-                    if let Some(neg) = neg_log_marginal(&k, &cache, &centred, &mut scratch) {
+                    if let Some(neg) = cache.neg_log_marginal(&k) {
                         if -neg > best_lml {
                             best_lml = -neg;
                             kernel = k;
@@ -962,29 +983,41 @@ mod tests {
     fn cached_neg_log_marginal_matches_full_fit_bitwise() {
         // The invariant that keeps fit_auto / fit_auto_ard trajectories
         // unchanged by the pair cache: for any kernel, the cached
-        // objective must equal -fit(...).log_marginal to the bit.
-        let (xs, ys) = training_data(22, 27);
-        let cache = PairwiseDiffs::new(&xs);
-        let y_mean = mean(&ys);
-        let centred: Vec<f64> = ys.iter().map(|y| y - y_mean).collect();
-        let mut scratch = Matrix::zeros(xs.len(), xs.len());
-        for kind in [KernelKind::SquaredExponential, KernelKind::Matern52] {
-            for (ls0, ls1, sv, nv) in [
-                (0.2, 0.2, 1.0, 1e-6),
-                (0.55, 1.3, 2.5, 1e-3),
-                (3.0, 0.07, 0.4, 1e-8),
-            ] {
-                let mut k = Kernel::new(kind, 2, ls0);
-                k.length_scales[1] = ls1;
-                k.signal_variance = sv;
-                k.noise_variance = nv;
-                let neg = neg_log_marginal(&k, &cache, &centred, &mut scratch).unwrap();
-                let gp = GaussianProcess::fit(k, xs.clone(), &ys).unwrap();
-                assert_eq!(
-                    neg.to_bits(),
-                    (-gp.log_marginal).to_bits(),
-                    "cached LML drifted for {kind:?} ls=({ls0},{ls1})"
-                );
+        // objective must equal -fit(...).log_marginal to the bit. Shapes
+        // cover a lone point, a single pair, ragged tile tails, and the
+        // isotropic as well as per-dimension (ARD) length scales.
+        for dim in [1usize, 12, 13] {
+            for n in [1usize, 2, 7, 64, 113] {
+                let mut rng = StdRng::seed_from_u64((dim * 1000 + n) as u64);
+                let xs = latin_hypercube(n, dim, &mut rng);
+                let ys: Vec<f64> = xs
+                    .iter()
+                    .map(|x| (3.0 * x[0]).sin() + 0.5 * x[dim - 1])
+                    .collect();
+                let mut cache = MarginalCache::new(&xs, &ys);
+                for kind in [KernelKind::SquaredExponential, KernelKind::Matern52] {
+                    for (ls, ard, sv, nv) in [
+                        (0.2, false, 1.0, 1e-6),
+                        (0.55, true, 2.5, 1e-3),
+                        (3.0, true, 0.4, 1e-8),
+                    ] {
+                        let mut k = Kernel::new(kind, dim, ls);
+                        if ard {
+                            for (d, l) in k.length_scales.iter_mut().enumerate() {
+                                *l *= 0.3 + 0.45 * d as f64;
+                            }
+                        }
+                        k.signal_variance = sv;
+                        k.noise_variance = nv;
+                        let neg = cache.neg_log_marginal(&k).unwrap();
+                        let gp = GaussianProcess::fit(k, xs.clone(), &ys).unwrap();
+                        assert_eq!(
+                            neg.to_bits(),
+                            (-gp.log_marginal).to_bits(),
+                            "cached LML drifted for {kind:?} d={dim} n={n} ls={ls} ard={ard}"
+                        );
+                    }
+                }
             }
         }
     }

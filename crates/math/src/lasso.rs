@@ -54,99 +54,141 @@ fn soft_threshold(z: f64, gamma: f64) -> f64 {
     }
 }
 
+/// The design with every column standardized (constant columns — sd 0 —
+/// left all-zero and frozen at a zero coefficient) and the centred target:
+/// everything a lasso fit needs that does not depend on the penalty.
+/// Columns are stored contiguously (column-major), the layout the
+/// coordinate-descent sweeps read.
+struct Standardized {
+    n: usize,
+    p: usize,
+    /// Column `j` at `cols[j * n..(j + 1) * n]`.
+    cols: Vec<f64>,
+    means: Vec<f64>,
+    sds: Vec<f64>,
+    /// Column squared norms / n.
+    col_sq: Vec<f64>,
+    y_mean: f64,
+    centred: Vec<f64>,
+}
+
+impl Standardized {
+    fn new(x: &Matrix, y: &[f64]) -> Self {
+        let n = x.rows();
+        let p = x.cols();
+        assert_eq!(y.len(), n, "lasso: row mismatch");
+        assert!(n > 0 && p > 0, "lasso: empty design");
+        let mut cols = vec![0.0; n * p];
+        let mut means = vec![0.0; p];
+        let mut sds = vec![0.0; p];
+        for (j, out) in cols.chunks_exact_mut(n).enumerate() {
+            let col = x.col(j);
+            means[j] = mean(&col);
+            sds[j] = std_dev(&col);
+            if sds[j] > 0.0 {
+                for (o, v) in out.iter_mut().zip(&col) {
+                    *o = (v - means[j]) / sds[j];
+                }
+            }
+        }
+        let col_sq = cols
+            .chunks_exact(n)
+            .map(|c| c.iter().map(|v| v * v).sum::<f64>() / n as f64)
+            .collect();
+        let y_mean = mean(y);
+        Standardized {
+            n,
+            p,
+            cols,
+            means,
+            sds,
+            col_sq,
+            y_mean,
+            centred: y.iter().map(|v| v - y_mean).collect(),
+        }
+    }
+
+    fn col(&self, j: usize) -> &[f64] {
+        &self.cols[j * self.n..(j + 1) * self.n]
+    }
+
+    /// The smallest penalty at which every coefficient is zero:
+    /// `max_j |x_jᵀ y_c| / n`.
+    fn lambda_max(&self) -> f64 {
+        let mut best = 0.0f64;
+        for j in 0..self.p {
+            if self.sds[j] <= 0.0 {
+                continue;
+            }
+            let mut corr = 0.0;
+            for (xv, yv) in self.col(j).iter().zip(&self.centred) {
+                corr += xv * yv;
+            }
+            best = best.max((corr / self.n as f64).abs());
+        }
+        best
+    }
+
+    /// Cyclic coordinate descent from all-zero coefficients. Returns the
+    /// coefficients and the number of sweeps performed.
+    fn descend(&self, lambda: f64, max_iter: usize, tol: f64) -> (Vec<f64>, usize) {
+        assert!(lambda >= 0.0, "lasso: negative lambda");
+        let n = self.n as f64;
+        let mut beta = vec![0.0; self.p];
+        let mut residual = self.centred.clone();
+        let mut iterations = 0;
+        for it in 0..max_iter {
+            iterations = it + 1;
+            let mut max_delta = 0.0f64;
+            for (j, b) in beta.iter_mut().enumerate() {
+                let sq = self.col_sq[j];
+                if sq <= 0.0 {
+                    continue;
+                }
+                let col = self.col(j);
+                let old = *b;
+                // rho = (1/n) x_jᵀ (residual + x_j * old)
+                let mut rho = 0.0;
+                for (xv, rv) in col.iter().zip(&residual) {
+                    rho += xv * rv;
+                }
+                rho = rho / n + sq * old;
+                let new = soft_threshold(rho, lambda) / sq;
+                if new != old {
+                    let delta = new - old;
+                    for (rv, xv) in residual.iter_mut().zip(col) {
+                        *rv -= delta * xv;
+                    }
+                    *b = new;
+                    max_delta = max_delta.max(delta.abs());
+                }
+            }
+            if max_delta < tol {
+                break;
+            }
+        }
+        (beta, iterations)
+    }
+}
+
 /// Fits lasso `min 1/(2n) ||y - Xb||² + lambda ||b||₁` with features
 /// standardized internally. `x` is `n x p` (rows = observations).
 pub fn lasso(x: &Matrix, y: &[f64], lambda: f64, max_iter: usize, tol: f64) -> LassoFit {
-    let n = x.rows();
-    let p = x.cols();
-    assert_eq!(y.len(), n, "lasso: row mismatch");
-    assert!(n > 0 && p > 0, "lasso: empty design");
-    assert!(lambda >= 0.0, "lasso: negative lambda");
-
-    // Standardize columns; constant columns get sd 0 and are frozen at 0.
-    let mut means = vec![0.0; p];
-    let mut sds = vec![0.0; p];
-    let mut xs = Matrix::zeros(n, p);
-    for j in 0..p {
-        let col = x.col(j);
-        means[j] = mean(&col);
-        sds[j] = std_dev(&col);
-        if sds[j] > 0.0 {
-            for i in 0..n {
-                xs[(i, j)] = (col[i] - means[j]) / sds[j];
-            }
-        }
-    }
-    let y_mean = mean(y);
-    let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
-
-    let mut beta = vec![0.0; p];
-    let mut residual = yc.clone();
-    // Column squared norms / n (constant columns excluded from updates).
-    let col_sq: Vec<f64> = (0..p)
-        .map(|j| (0..n).map(|i| xs[(i, j)] * xs[(i, j)]).sum::<f64>() / n as f64)
-        .collect();
-
-    let mut iterations = 0;
-    for it in 0..max_iter {
-        iterations = it + 1;
-        let mut max_delta = 0.0f64;
-        for j in 0..p {
-            if col_sq[j] <= 0.0 {
-                continue;
-            }
-            let old = beta[j];
-            // rho = (1/n) x_jᵀ (residual + x_j * old)
-            let mut rho = 0.0;
-            for i in 0..n {
-                rho += xs[(i, j)] * residual[i];
-            }
-            rho = rho / n as f64 + col_sq[j] * old;
-            let new = soft_threshold(rho, lambda) / col_sq[j];
-            if new != old {
-                let delta = new - old;
-                for i in 0..n {
-                    residual[i] -= delta * xs[(i, j)];
-                }
-                beta[j] = new;
-                max_delta = max_delta.max(delta.abs());
-            }
-        }
-        if max_delta < tol {
-            break;
-        }
-    }
-
+    let s = Standardized::new(x, y);
+    let (coefficients, iterations) = s.descend(lambda, max_iter, tol);
     LassoFit {
-        coefficients: beta,
-        intercept: y_mean,
+        coefficients,
+        intercept: s.y_mean,
         lambda,
         iterations,
-        feature_means: means,
-        feature_sds: sds,
+        feature_means: s.means,
+        feature_sds: s.sds,
     }
 }
 
 /// The smallest lambda at which all coefficients are zero.
 pub fn lambda_max(x: &Matrix, y: &[f64]) -> f64 {
-    let n = x.rows();
-    let p = x.cols();
-    let y_mean = mean(y);
-    let mut best = 0.0f64;
-    for j in 0..p {
-        let col = x.col(j);
-        let m = mean(&col);
-        let sd = std_dev(&col);
-        if sd <= 0.0 {
-            continue;
-        }
-        let mut corr = 0.0;
-        for i in 0..n {
-            corr += (col[i] - m) / sd * (y[i] - y_mean);
-        }
-        best = best.max((corr / n as f64).abs());
-    }
-    best
+    Standardized::new(x, y).lambda_max()
 }
 
 /// One point on the lasso regularization path.
@@ -159,20 +201,23 @@ pub struct PathPoint {
 }
 
 /// Computes a geometric lasso path from `lambda_max` down to
-/// `lambda_max * ratio` over `steps` points (warm-started).
+/// `lambda_max * ratio` over `steps` points. The design is standardized
+/// once for the whole path; every fit on it starts from all-zero
+/// coefficients (no warm start), so each point equals a standalone
+/// [`lasso`] fit at its penalty.
 pub fn lasso_path(x: &Matrix, y: &[f64], steps: usize, ratio: f64) -> Vec<PathPoint> {
     assert!(steps >= 2, "lasso_path: need at least 2 steps");
     assert!(ratio > 0.0 && ratio < 1.0, "lasso_path: ratio in (0,1)");
-    let lmax = lambda_max(x, y).max(1e-12);
+    let design = Standardized::new(x, y);
+    let lmax = design.lambda_max().max(1e-12);
     let lmin = lmax * ratio;
     (0..steps)
         .map(|s| {
             let t = s as f64 / (steps - 1) as f64;
             let lambda = (lmax.ln() + t * (lmin.ln() - lmax.ln())).exp();
-            let fit = lasso(x, y, lambda, 500, 1e-7);
             PathPoint {
                 lambda,
-                coefficients: fit.coefficients,
+                coefficients: design.descend(lambda, 500, 1e-7).0,
             }
         })
         .collect()
@@ -303,6 +348,158 @@ mod tests {
         let fit = lasso(&x, &ys, 0.01, 500, 1e-9);
         assert_eq!(fit.coefficients[1], 0.0);
         assert!(fit.coefficients[0].abs() > 0.1);
+    }
+
+    /// The per-fit-standardizing implementation the hoisted path replaced,
+    /// kept as the bit-identity reference.
+    mod reference {
+        use super::super::soft_threshold;
+        use crate::matrix::Matrix;
+        use crate::stats::{mean, std_dev};
+
+        fn lasso(x: &Matrix, y: &[f64], lambda: f64, max_iter: usize, tol: f64) -> Vec<f64> {
+            let n = x.rows();
+            let p = x.cols();
+            let mut means = vec![0.0; p];
+            let mut sds = vec![0.0; p];
+            let mut xs = Matrix::zeros(n, p);
+            for j in 0..p {
+                let col = x.col(j);
+                means[j] = mean(&col);
+                sds[j] = std_dev(&col);
+                if sds[j] > 0.0 {
+                    for i in 0..n {
+                        xs[(i, j)] = (col[i] - means[j]) / sds[j];
+                    }
+                }
+            }
+            let y_mean = mean(y);
+            let mut beta = vec![0.0; p];
+            let mut residual: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
+            let col_sq: Vec<f64> = (0..p)
+                .map(|j| (0..n).map(|i| xs[(i, j)] * xs[(i, j)]).sum::<f64>() / n as f64)
+                .collect();
+            for _ in 0..max_iter {
+                let mut max_delta = 0.0f64;
+                for j in 0..p {
+                    if col_sq[j] <= 0.0 {
+                        continue;
+                    }
+                    let old = beta[j];
+                    let mut rho = 0.0;
+                    for i in 0..n {
+                        rho += xs[(i, j)] * residual[i];
+                    }
+                    rho = rho / n as f64 + col_sq[j] * old;
+                    let new = soft_threshold(rho, lambda) / col_sq[j];
+                    if new != old {
+                        let delta = new - old;
+                        for i in 0..n {
+                            residual[i] -= delta * xs[(i, j)];
+                        }
+                        beta[j] = new;
+                        max_delta = max_delta.max(delta.abs());
+                    }
+                }
+                if max_delta < tol {
+                    break;
+                }
+            }
+            beta
+        }
+
+        fn lambda_max(x: &Matrix, y: &[f64]) -> f64 {
+            let n = x.rows();
+            let y_mean = mean(y);
+            let mut best = 0.0f64;
+            for j in 0..x.cols() {
+                let col = x.col(j);
+                let m = mean(&col);
+                let sd = std_dev(&col);
+                if sd <= 0.0 {
+                    continue;
+                }
+                let mut corr = 0.0;
+                for i in 0..n {
+                    corr += (col[i] - m) / sd * (y[i] - y_mean);
+                }
+                best = best.max((corr / n as f64).abs());
+            }
+            best
+        }
+
+        /// `(lambda, coefficients)` per path point.
+        pub fn lasso_path(x: &Matrix, y: &[f64], steps: usize, ratio: f64) -> Vec<(f64, Vec<f64>)> {
+            let lmax = lambda_max(x, y).max(1e-12);
+            let lmin = lmax * ratio;
+            (0..steps)
+                .map(|s| {
+                    let t = s as f64 / (steps - 1) as f64;
+                    let lambda = (lmax.ln() + t * (lmin.ln() - lmax.ln())).exp();
+                    (lambda, lasso(x, y, lambda, 500, 1e-7))
+                })
+                .collect()
+        }
+
+        pub fn rank_by_path(x: &Matrix, y: &[f64]) -> Vec<usize> {
+            let p = x.cols();
+            let path = lasso_path(x, y, 30, 1e-3);
+            let mut entry_step = vec![usize::MAX; p];
+            for (s, (_, coefs)) in path.iter().enumerate() {
+                for j in 0..p {
+                    if entry_step[j] == usize::MAX && coefs[j].abs() > 1e-10 {
+                        entry_step[j] = s;
+                    }
+                }
+            }
+            let final_coefs = &path.last().expect("non-empty path").1;
+            let mut order: Vec<usize> = (0..p).collect();
+            order.sort_by(|&a, &b| {
+                entry_step[a]
+                    .cmp(&entry_step[b])
+                    .then_with(|| final_coefs[b].abs().total_cmp(&final_coefs[a].abs()))
+            });
+            order
+        }
+    }
+
+    #[test]
+    fn hoisted_path_is_bitwise_identical_to_per_fit_standardization() {
+        // Knob-like designs: mixed scales, a constant column, correlated
+        // pairs, and n both below and above p.
+        for (seed, n, p) in [
+            (1u64, 8usize, 12usize),
+            (2, 30, 5),
+            (3, 64, 12),
+            (4, 112, 13),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    let mut r: Vec<f64> = (0..p)
+                        .map(|j| rng.random_range(0.0..1.0) * (1.0 + j as f64 * 37.0))
+                        .collect();
+                    r[p - 1] = 4.0;
+                    r[1] = 0.8 * r[0] + 0.2 * r[1];
+                    r
+                })
+                .collect();
+            let ys: Vec<f64> = rows
+                .iter()
+                .map(|r| (r[0] / 7.0).sin() * 50.0 + r[2] * 0.3 + rng.random_range(-1.0..1.0))
+                .collect();
+            let x = Matrix::from_rows(&rows);
+            let path = lasso_path(&x, &ys, 30, 1e-3);
+            let want = reference::lasso_path(&x, &ys, 30, 1e-3);
+            assert_eq!(path.len(), want.len());
+            for (got, (lambda, coefs)) in path.iter().zip(&want) {
+                assert_eq!(got.lambda.to_bits(), lambda.to_bits(), "seed {seed}");
+                let got_bits: Vec<u64> = got.coefficients.iter().map(|c| c.to_bits()).collect();
+                let want_bits: Vec<u64> = coefs.iter().map(|c| c.to_bits()).collect();
+                assert_eq!(got_bits, want_bits, "seed {seed} lambda {lambda}");
+            }
+            assert_eq!(rank_by_path(&x, &ys), reference::rank_by_path(&x, &ys));
+        }
     }
 
     #[test]

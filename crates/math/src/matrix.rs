@@ -179,6 +179,12 @@ impl Matrix {
         &self.data
     }
 
+    /// Raw row-major data, mutable.
+    #[inline]
+    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);

@@ -1,5 +1,17 @@
 //! Runtime-dispatched micro-kernels for the dense hot loops (matmul,
-//! multi-RHS triangular solve, cross-covariance rows).
+//! multi-RHS triangular solve, cross-covariance rows, and the two kernels
+//! of the GP hyper-parameter search).
+//!
+//! * [`axpy_add`] / [`axpy_sub`] — row updates for matmul and the
+//!   triangular solves;
+//! * [`scaled_sq_accum`] — one dimension of a cross-covariance row's
+//!   scaled squared distances;
+//! * [`scaled_sq_accum_diffs`] — one dimension of the scaled squared
+//!   distances over the hyper-search's dimension-major pair differences;
+//! * [`trsm4x8`] / [`trsm1x8`] — register-blocked tiles that apply a run
+//!   of solved rows to a panel, shared by the multi-RHS forward solve and
+//!   the column-oriented Cholesky factorization (where the "solved rows"
+//!   are the finished columns of `L`).
 //!
 //! The workspace builds for baseline x86-64, which limits auto-vectorized
 //! `f64` loops to 128-bit SSE2. These helpers compile the *same* loop
@@ -101,6 +113,37 @@ unsafe fn scaled_sq_accum_avx2(xd: f64, l: f64, q: &[f64], acc: &mut [f64]) {
         let t = (xd - qv) / l;
         *av += t * t;
     }
+}
+
+/// `acc[t] += (diffs[t] / l)²` — one dimension's contribution to the
+/// scaled squared distances of a whole run of precomputed pair differences
+/// (the dimension-major hyper-search pair cache).
+#[inline]
+pub(crate) fn scaled_sq_accum_diffs(l: f64, diffs: &[f64], acc: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: AVX2 support was verified at runtime by `has_avx2`.
+        unsafe { scaled_sq_accum_diffs_avx2(l, diffs, acc) };
+        return;
+    }
+    scaled_sq_accum_diffs_generic(l, diffs, acc);
+}
+
+#[inline(always)]
+fn scaled_sq_accum_diffs_generic(l: f64, diffs: &[f64], acc: &mut [f64]) {
+    for (av, &dv) in acc.iter_mut().zip(diffs) {
+        let t = dv / l;
+        *av += t * t;
+    }
+}
+
+// SAFETY: `unsafe` only because of `#[target_feature]` — callers must have
+// verified AVX2 support at runtime (`has_avx2`) before calling. The body is
+// safe code: the generic zip-bounded loop, recompiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scaled_sq_accum_diffs_avx2(l: f64, diffs: &[f64], acc: &mut [f64]) {
+    scaled_sq_accum_diffs_generic(l, diffs, acc);
 }
 
 /// Register-blocked TRSM micro-tile: applies the sequential update
@@ -333,6 +376,55 @@ mod tests {
             for t in 0..n {
                 assert_eq!(y_add[t].to_bits(), ref_add[t].to_bits());
                 assert_eq!(y_sub[t].to_bits(), ref_sub[t].to_bits());
+            }
+        }
+    }
+
+    /// The AVX2 variants against their generic twins on identical inputs,
+    /// covering lengths that are not multiples of the vector width and
+    /// empty `k` sweeps. Skipped where AVX2 is unavailable (including
+    /// under Miri, which reports no AVX2).
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_kernels_match_generic_bitwise() {
+        if !has_avx2() {
+            return;
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0usize, 1, 3, 4, 7, 8, 9, 63, 200] {
+            let diffs = series(n, 0.29);
+            let mut generic = series(n, 0.41);
+            let mut wide = generic.clone();
+            scaled_sq_accum_diffs_generic(0.37, &diffs, &mut generic);
+            // SAFETY: AVX2 support was checked at the top of the test.
+            unsafe { scaled_sq_accum_diffs_avx2(0.37, &diffs, &mut wide) };
+            assert_eq!(bits(&generic), bits(&wide), "scaled_sq_accum_diffs n={n}");
+        }
+        let m = 13;
+        for nk in 0..10usize {
+            for joff in [0usize, 3, 5] {
+                let solved = series(nk * m, 0.17);
+                let rows: Vec<Vec<f64>> =
+                    (0..4).map(|r| series(nk, 0.23 + r as f64 * 0.1)).collect();
+                let l = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
+                let init = |r: usize| -> [f64; 8] {
+                    let v = series(8, 0.61 + r as f64 * 0.05);
+                    [v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7]]
+                };
+                let mut generic = [init(0), init(1), init(2), init(3)];
+                let mut wide = generic;
+                trsm4x8_generic(l, &solved, m, joff, &mut generic);
+                // SAFETY: AVX2 support was checked at the top of the test.
+                unsafe { trsm4x8_avx2(l, &solved, m, joff, &mut wide) };
+                for r in 0..4 {
+                    assert_eq!(bits(&generic[r]), bits(&wide[r]), "trsm4x8 nk={nk} row {r}");
+                }
+                let mut generic = init(0);
+                let mut wide = generic;
+                trsm1x8_generic(&rows[0], &solved, m, joff, &mut generic);
+                // SAFETY: AVX2 support was checked at the top of the test.
+                unsafe { trsm1x8_avx2(&rows[0], &solved, m, joff, &mut wide) };
+                assert_eq!(bits(&generic), bits(&wide), "trsm1x8 nk={nk}");
             }
         }
     }

@@ -836,6 +836,13 @@ fn advance_session(
             ));
         }
         let mut gate = lock(&entry.gate);
+        if gate.progress != seen {
+            // Steps landed (or the driver stepped down) since the sample:
+            // `evals` may be stale — e.g. the driver reached our watermark
+            // and stepped down between the session read and this lock.
+            // Re-read before judging the driver's absence or waiting.
+            continue;
+        }
         if !gate.driver || state.shutdown.load(Ordering::SeqCst) {
             // The driver stopped short of our watermark (scheduler
             // shutdown, a dropped or panicked driver job, a WAL failure)
@@ -865,18 +872,15 @@ fn advance_session(
                 None => Ok(Response::text(503, "daemon is shutting down\n")),
             };
         }
-        if gate.progress == seen {
-            // Arm the wake watermark: the driver notifies once the count
-            // crosses the lowest armed target (GATE_POLL is the backstop).
-            gate.watch = gate.watch.min(my_target);
-            let gate = entry
-                .gate_cv
-                .wait_timeout(gate, GATE_POLL)
-                .map(|(g, _)| g)
-                .unwrap_or_else(|poison| poison.into_inner().0);
-            drop(gate);
-        }
-        // progress moved since the sample: re-read session state now.
+        // Arm the wake watermark: the driver notifies once the count
+        // crosses the lowest armed target (GATE_POLL is the backstop).
+        gate.watch = gate.watch.min(my_target);
+        let gate = entry
+            .gate_cv
+            .wait_timeout(gate, GATE_POLL)
+            .map(|(g, _)| g)
+            .unwrap_or_else(|poison| poison.into_inner().0);
+        drop(gate);
     }
 }
 

@@ -438,6 +438,74 @@ fn concurrent_advances_on_one_session_coalesce() {
 }
 
 #[test]
+fn one_step_advances_racing_driver_step_down_never_503() {
+    // Many clients each advance one step at a time. A waiter that read the
+    // evaluation count just before the driver ran the last step and
+    // stepped down must re-read the session rather than report the stale
+    // count: every advance that found budget left ran exactly one step,
+    // and none is a spurious 503 `ran: 0`.
+    let root = fresh_root("step-down-race");
+    let mut config = DaemonConfig::new(&root);
+    config.workers = 1;
+    config.shards = 1;
+    let daemon = Daemon::start("127.0.0.1:0", config).expect("start");
+    let addr = daemon.addr();
+    const BUDGET: usize = 600;
+    let (_, body) = request(
+        addr,
+        "POST",
+        "/sessions",
+        Some(&spec_json("dbms-oltp", "random", 41, BUDGET, false)),
+    );
+    let created: CreateResponse = serde_json::from_str(&body).expect("created");
+    let id = created.id;
+
+    let clients: Vec<_> = (0..12)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut replies = Vec::new();
+                loop {
+                    let (status, body) = request(
+                        addr,
+                        "POST",
+                        &format!("/sessions/{id}/advance"),
+                        Some("{\"steps\":1}"),
+                    );
+                    let done = status != 200
+                        || serde_json::from_str::<AdvanceResponse>(&body)
+                            .map_or(true, |a| a.status == "finished");
+                    replies.push((status, body));
+                    if done {
+                        return replies;
+                    }
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        for (status, body) in client.join().expect("join") {
+            assert_eq!(status, 200, "spurious advance failure: {body}");
+            let adv: AdvanceResponse = serde_json::from_str(&body).expect("advance");
+            if adv.ran == 0 {
+                assert_eq!(
+                    (adv.status.as_str(), adv.evaluations),
+                    ("finished", BUDGET),
+                    "only an advance that found the budget spent runs nothing"
+                );
+            } else {
+                assert_eq!(adv.ran, 1, "a one-step advance ran {}: {body}", adv.ran);
+            }
+        }
+    }
+    let (_, body) = request(addr, "GET", &format!("/sessions/{id}"), None);
+    let detail: SessionDetail = serde_json::from_str(&body).expect("detail");
+    assert_eq!(detail.evaluations, BUDGET);
+
+    daemon.graceful_shutdown();
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn advance_after_finish_is_deterministic_200_and_cancel_still_conflicts() {
     // Regression for the coalesced-advance race: a latecomer advance used
     // to 409 when another advance finished the session first, so the same
