@@ -2,14 +2,14 @@
 //! driven over real TCP by C client threads, measuring observations/sec
 //! throughput, advance-latency percentiles, and the 429 admission rate.
 //!
-//! The headline comparison (`--compare`) runs the same load twice in
-//! `fsync` durability — once with per-record direct WAL appends (the
-//! pre-group-commit baseline) and once with the shared group-commit
-//! journal — and reports the throughput ratio.
+//! Under `fsync` durability the daemon batches every session's records
+//! through the shared group-commit journal, and the report carries its
+//! batch statistics; under `flush` each session appends directly.
 //!
 //! ```sh
 //! cargo run --release -p autotune-bench --bin serve_load -- \
-//!     --sessions 1000 --clients 64 --durability fsync --compare
+//!     --sessions 1000 --clients 32 --budget 32 --steps 32 --shards 2 \
+//!     --workers 1 --queue-cap 64 --durability fsync
 //! ```
 
 use autotune_core::SessionId;
@@ -41,10 +41,11 @@ struct LoadSpec {
     addr: Option<String>,
 }
 
-/// One measured run of the load against one daemon configuration.
+/// The measured run of the load against the daemon.
 #[derive(Serialize)]
 struct RunResult {
-    /// `group` (shared journal, batched fsync) or `direct` (per record).
+    /// `group` (shared journal, batched fsync — the `fsync` mode),
+    /// `direct` (per-session appends — `flush`) or `external`.
     wal_mode: String,
     /// Durability mode the daemon ran with.
     durability: String,
@@ -67,7 +68,7 @@ struct RunResult {
     p95_ms: f64,
     p99_ms: f64,
     mean_ms: f64,
-    /// Mean records per group-commit batch (from `/metrics`, group mode).
+    /// Mean records per group-commit batch (from `/metrics`, `fsync`).
     group_mean_batch: Option<f64>,
     /// Largest group-commit batch observed.
     group_max_batch: Option<u64>,
@@ -82,15 +83,11 @@ struct LoadReport {
     shards: usize,
     workers_per_shard: usize,
     queue_cap_per_shard: usize,
-    /// Observations between mid-run snapshot compactions (snapshot cadence
-    /// is identical across both runs; it is orthogonal to append cost).
+    /// Observations between mid-run snapshot compactions.
     snapshot_every: usize,
     system: String,
     tuner: String,
-    runs: Vec<RunResult>,
-    /// `after.obs_per_sec / before.obs_per_sec` when `--compare` ran the
-    /// direct baseline followed by group commit.
-    speedup_obs_per_sec: Option<f64>,
+    run: RunResult,
 }
 
 /// Minimal HTTP client: one request per connection, returns (status, body).
@@ -249,15 +246,17 @@ fn drive(spec: &LoadSpec, addr: SocketAddr, wal_mode: &str) -> RunResult {
     }
 }
 
-/// Starts an in-process daemon with the given WAL mode, drives the load,
-/// and shuts it down.
-fn run_one(spec: &LoadSpec, group_commit: bool) -> RunResult {
-    let wal_mode = if group_commit { "group" } else { "direct" };
+/// Starts an in-process daemon, drives the load, and shuts it down.
+fn run_load(spec: &LoadSpec) -> RunResult {
     if let Some(addr) = &spec.addr {
         // External daemon: its WAL mode is whatever it was started with.
         let addr: SocketAddr = addr.parse().expect("parse --addr");
         return drive(spec, addr, "external");
     }
+    let wal_mode = match spec.durability {
+        Durability::Fsync => "group",
+        Durability::Flush => "direct",
+    };
     let root = match &spec.data_dir {
         Some(dir) => std::path::PathBuf::from(dir).join(wal_mode),
         None => std::env::temp_dir().join(format!(
@@ -272,7 +271,6 @@ fn run_one(spec: &LoadSpec, group_commit: bool) -> RunResult {
     config.snapshot_every = spec.snapshot_every;
     config.shards = spec.shards;
     config.durability = spec.durability;
-    config.group_commit = group_commit;
     let daemon = Daemon::start("127.0.0.1:0", config).expect("start daemon");
     let addr = daemon.addr();
     eprintln!(
@@ -293,11 +291,6 @@ fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
-            if key == "compare" {
-                flags.insert(key.to_string(), "true".to_string());
-                i += 1;
-                continue;
-            }
             let value = args.get(i + 1).cloned().unwrap_or_default();
             flags.insert(key.to_string(), value);
             i += 2;
@@ -317,7 +310,6 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .unwrap_or(default)
     };
-    let compare = flags.contains_key("compare");
     let spec = LoadSpec {
         sessions: num("sessions", 64),
         budget: num("budget", 4),
@@ -335,18 +327,14 @@ fn main() {
         workers: num("workers", 4).max(1),
         queue_cap: num("queue-cap", 32).max(1),
         // Default: compact only at session finish. Mid-run snapshot
-        // cadence taxes both WAL modes identically (un-batched fsyncs on
-        // the worker thread) and is a recovery-cost knob, not an append
-        // cost; keep it out of the append-path comparison by default.
+        // cadence (un-batched fsyncs on the worker thread) is a
+        // recovery-cost knob, not an append cost; keep it out of the
+        // append-path measurement by default.
         snapshot_every: num("snapshot-every", num("budget", 4)).max(1),
         durability: flags
             .get("durability")
             .map(|m| Durability::parse(m).expect("--durability flush|fsync"))
-            .unwrap_or(if compare {
-                Durability::Fsync
-            } else {
-                Durability::Flush
-            }),
+            .unwrap_or(Durability::Flush),
         data_dir: flags.get("data-dir").cloned(),
         addr: flags.get("addr").cloned(),
     };
@@ -355,36 +343,19 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "serve_load".to_string());
 
-    let mut runs = Vec::new();
-    if compare {
-        runs.push(run_one(&spec, false));
-        runs.push(run_one(&spec, true));
-    } else {
-        let group = flags.get("wal").map(|w| w.as_str()) != Some("direct");
-        runs.push(run_one(&spec, group));
-    }
-    let speedup = if runs.len() == 2 {
-        Some(runs[1].obs_per_sec / runs[0].obs_per_sec.max(1e-9))
-    } else {
-        None
-    };
-    for run in &runs {
-        println!(
-            "wal={} durability={} obs/sec={:.0} p50={:.2}ms p95={:.2}ms \
-             p99={:.2}ms rejected_429={} ({:.2}%)",
-            run.wal_mode,
-            run.durability,
-            run.obs_per_sec,
-            run.p50_ms,
-            run.p95_ms,
-            run.p99_ms,
-            run.rejected_429,
-            run.admission_reject_rate * 100.0
-        );
-    }
-    if let Some(s) = speedup {
-        println!("group-commit speedup: {s:.2}x obs/sec over direct appends");
-    }
+    let run = run_load(&spec);
+    println!(
+        "wal={} durability={} obs/sec={:.0} p50={:.2}ms p95={:.2}ms \
+         p99={:.2}ms rejected_429={} ({:.2}%)",
+        run.wal_mode,
+        run.durability,
+        run.obs_per_sec,
+        run.p50_ms,
+        run.p95_ms,
+        run.p99_ms,
+        run.rejected_429,
+        run.admission_reject_rate * 100.0
+    );
     let report = LoadReport {
         sessions: spec.sessions,
         budget: spec.budget,
@@ -396,8 +367,7 @@ fn main() {
         snapshot_every: spec.snapshot_every,
         system: spec.system.clone(),
         tuner: spec.tuner.clone(),
-        runs,
-        speedup_obs_per_sec: speedup,
+        run,
     };
     autotune_bench::write_json(&out, &report);
     eprintln!("wrote bench_results/{out}.json");

@@ -112,9 +112,10 @@ impl History {
         (xs, self.runtimes())
     }
 
-    /// Whether an (exactly equal) configuration was already evaluated.
-    pub fn contains_config(&self, config: &Configuration) -> bool {
-        self.observations.iter().any(|o| &o.config == config)
+    /// The first observation of an (exactly equal) configuration, if it
+    /// was already evaluated — the dedup rule of every session loop.
+    pub fn find_config(&self, config: &Configuration) -> Option<&Observation> {
+        self.observations.iter().find(|o| &o.config == config)
     }
 
     /// Union of metric names seen in any observation, sorted.
@@ -234,11 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn contains_config_detects_duplicates() {
+    fn find_config_detects_duplicates() {
         let s = space();
         let mut h = History::new();
         h.push(obs(&s, 0.5, 1.0));
-        assert!(h.contains_config(&s.decode(&[0.5])));
-        assert!(!h.contains_config(&s.decode(&[0.9])));
+        h.push(obs(&s, 0.5, 2.0));
+        let hit = h.find_config(&s.decode(&[0.5])).expect("duplicate found");
+        assert_eq!(hit.runtime_secs, 1.0, "first measurement wins");
+        assert!(h.find_config(&s.decode(&[0.9])).is_none());
     }
 }

@@ -46,10 +46,6 @@ pub struct TuningSession<'a> {
     tuner: &'a mut dyn Tuner,
     budget: Budget,
     seed: u64,
-    /// Skip proposals whose exact configuration was already measured
-    /// (deduplication); the duplicate still counts against the budget to
-    /// keep family comparisons honest.
-    pub reuse_duplicates: bool,
 }
 
 impl<'a> TuningSession<'a> {
@@ -66,7 +62,6 @@ impl<'a> TuningSession<'a> {
             tuner,
             budget,
             seed,
-            reuse_duplicates: true,
         }
     }
 
@@ -87,20 +82,17 @@ impl<'a> TuningSession<'a> {
             let config = self.tuner.propose(&ctx, &history, &mut rng);
             tuner_secs += t0.elapsed().as_secs_f64();
 
-            let obs = if self.reuse_duplicates && history.contains_config(&config) {
-                // Replay the stored observation instead of re-running.
-                history
-                    .all()
-                    .iter()
-                    .find(|o| o.config == config)
-                    // lint:allow(unwrap) contains_config() guarantees a match exists
-                    .expect("contains_config checked")
-                    .clone()
-            } else {
-                // Position time-varying objectives at the observation index
-                // before evaluating (no-op for stateless objectives).
-                self.objective.seek(history.len() as u64);
-                self.objective.evaluate(&config, &mut rng)
+            // A configuration already measured replays the stored
+            // observation instead of re-running; the duplicate still counts
+            // against the budget to keep family comparisons honest.
+            let obs = match history.find_config(&config) {
+                Some(prev) => prev.clone(),
+                None => {
+                    // Position time-varying objectives at the observation
+                    // index before evaluating (no-op for stateless ones).
+                    self.objective.seek(history.len() as u64);
+                    self.objective.evaluate(&config, &mut rng)
+                }
             };
             evaluations += 1;
 

@@ -37,14 +37,13 @@ fn usage() {
     println!("USAGE:");
     println!("  autotune-serve [--addr HOST:PORT] [--data-dir DIR]");
     println!("                 [--workers N] [--queue-cap N] [--snapshot-every N]");
-    println!("                 [--shards N] [--durability flush|fsync]");
-    println!("                 [--wal group|direct] [--retain N]\n");
+    println!("                 [--shards N] [--durability flush|fsync] [--retain N]\n");
     println!("DEFAULTS:");
     println!("  --addr 127.0.0.1:7071   --data-dir ./autotune-serve-data");
     println!("  --workers 2 (per shard) --queue-cap 8 (per shard)");
     println!("  --snapshot-every {DEFAULT_SNAPSHOT_EVERY}      --shards 4");
-    println!("  --durability flush (survives process crash; fsync survives OS crash)");
-    println!("  --wal group (batched group commit; direct = per-record appends)");
+    println!("  --durability flush (survives process crash; fsync survives OS crash,");
+    println!("                      batching fsyncs through a group-commit journal)");
     println!("  --retain unlimited (N caps finished-session dirs, oldest evicted)");
 }
 
@@ -79,16 +78,6 @@ fn main() -> ExitCode {
             Ok(d) => d,
             Err(e) => {
                 eprintln!("autotune-serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    }
-    if let Some(wal) = flags.get("wal") {
-        config.group_commit = match wal.as_str() {
-            "group" => true,
-            "direct" => false,
-            other => {
-                eprintln!("autotune-serve: unknown --wal '{other}' (expected group|direct)");
                 return ExitCode::FAILURE;
             }
         };

@@ -51,13 +51,11 @@ use crate::metrics::{
 };
 use crate::repo::{SessionMeta, SessionRepository};
 use crate::scheduler::{lock, Scheduler};
-use crate::session::{eval_seed, splitmix64, LiveSession};
+use crate::session::{baseline_probe, splitmix64, LiveSession};
 use crate::spec::{build_objective, SessionSpec};
 use crate::wal::{self, Durability, SessionStatus, WalSink, DEFAULT_SNAPSHOT_EVERY};
 use crate::{ServeError, ServeResult};
 use autotune_core::{history_to_csv, Recommendation, SessionId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,13 +78,11 @@ pub struct DaemonConfig {
     pub snapshot_every: usize,
     /// Independent session shards (index + scheduler each).
     pub shards: usize,
-    /// WAL durability mode. `Flush` (default) survives a process crash;
-    /// `Fsync` additionally survives an OS crash.
+    /// WAL durability mode. `Flush` (default) survives a process crash
+    /// with buffered per-session appends; `Fsync` additionally survives
+    /// an OS crash, batching fsyncs through the shared group-commit
+    /// journal.
     pub durability: Durability,
-    /// Route WAL appends through the shared group-commit writer. On by
-    /// default; turning it off restores per-record direct appends (the
-    /// pre-group-commit baseline, kept for benchmarking).
-    pub group_commit: bool,
     /// Cap on terminal (finished/cancelled) session directories; oldest
     /// are evicted past the cap. `None` keeps everything.
     pub retain_finished: Option<usize>,
@@ -102,7 +98,6 @@ impl DaemonConfig {
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
             shards: 4,
             durability: Durability::Flush,
-            group_commit: true,
             retain_finished: None,
         }
     }
@@ -382,8 +377,8 @@ impl Daemon {
 
         // Group commit exists to batch *fsyncs*; under flush durability a
         // buffered per-session append is already optimal, so the group
-        // sink only engages for `--durability fsync --wal group`.
-        let group = if config.group_commit && config.durability == Durability::Fsync {
+        // sink only engages for `--durability fsync`.
+        let group = if config.durability == Durability::Fsync {
             Some(GroupCommitWal::start(repo.root()))
         } else {
             None
@@ -607,13 +602,10 @@ fn create_session(state: &Arc<DaemonState>, request: &Request) -> ServeResult<Re
         SessionId::new(id)
     };
 
-    // Pre-run the probe (identical to the one LiveSession::create will
-    // record: same config, same step-0 RNG) to obtain the workload
-    // signature the warm-start lookup needs before the tuner exists.
-    let mut objective = build_objective(&spec)?;
-    let default = objective.space().default_config();
-    let mut probe_rng = StdRng::seed_from_u64(eval_seed(spec.seed, 0));
-    let probe = objective.evaluate(&default, &mut probe_rng);
+    // Pre-run the probe (the same observation 0 LiveSession::create will
+    // record) to obtain the workload signature the warm-start lookup
+    // needs before the tuner exists.
+    let probe = baseline_probe(&mut *build_objective(&spec)?, spec.seed, 0);
 
     let warm_source = if spec.warm_start {
         state

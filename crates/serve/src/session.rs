@@ -4,30 +4,51 @@
 //! log. Every observation is appended to the WAL *before* it is applied
 //! in memory, so a crash at any point loses at most a torn final line.
 //!
+//! **One step machine.** Observation index `i` is one of three step
+//! kinds, decided by a single function from the epoch scope alone:
+//!
+//! * an **epoch probe** (`i` is the epoch's first index): the vendor
+//!   default, whose metric vector is the epoch's workload signature —
+//!   observation 0 of every session, and the re-probe after a drift;
+//! * a **canary** (drift detection on, every `probe_every` indices into
+//!   the epoch): the vendor default again, fed to the drift detector;
+//! * a **proposal**: `Tuner::propose` on the epoch's history. A
+//!   configuration the epoch already measured replays the stored
+//!   observation instead of re-running the objective.
+//!
+//! Applying an observation is two halves: log the record, then *absorb*
+//! it (tuner `observe`, detector reset or feed, history append).
+//!
 //! **Split RNG streams.** Determinism through crashes needs care: the
 //! classic single-RNG session (`autotune_core::TuningSession`) threads
 //! one stream through proposals *and* evaluations, so recovery would have
 //! to re-run every evaluation just to restore the stream. Instead a live
 //! session derives two independent streams from its seed:
 //!
-//! * the **propose stream** (`StdRng::seed_from_u64(seed)`) feeds only
-//!   `Tuner::propose`;
+//! * the **propose stream** (`StdRng::seed_from_u64(seed)`, reseeded per
+//!   epoch by [`epoch_seed`]) feeds only `Tuner::propose`;
 //! * each evaluation gets a **fresh step RNG**,
 //!   `StdRng::seed_from_u64(splitmix64(seed ⊕ splitmix64(step)))`, where
 //!   `step` is the observation index.
 //!
-//! Recovery then replays recorded observations through
-//! `propose`/`observe` (restoring tuner + propose-stream state exactly)
-//! without touching the objective, and the next evaluation's RNG depends
-//! only on its step index — the recovered session continues producing
-//! byte-for-byte the observations the uninterrupted run would have.
+//! **Recovery** feeds the recorded observations through the same machine
+//! without touching the objective: a recorded drift event opens its epoch
+//! with the live epoch reset, a proposal step draws (and discards) the
+//! proposal the recorded observation answered — restoring the propose
+//! stream — and every observation is absorbed. The next evaluation's RNG
+//! depends only on its step index, so the recovered session continues
+//! producing byte-for-byte the observations the uninterrupted run would
+//! have. Terminal sessions never propose again and restore their history
+//! without the tuner.
 
 use crate::drift::{DriftDetector, DriftEvent};
 use crate::repo::{SessionMeta, SessionRepository};
 use crate::spec::{build_objective, build_tuner};
 use crate::wal::{self, Durability, SessionStatus, Snapshot, WalRecord, WalSink};
 use crate::{ServeError, ServeResult};
-use autotune_core::{History, Objective, Observation, Recommendation, Tuner, TuningContext};
+use autotune_core::{
+    Configuration, History, Objective, Observation, Recommendation, Tuner, TuningContext,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -56,6 +77,41 @@ pub fn epoch_seed(session_seed: u64, epoch: u32) -> u64 {
     } else {
         splitmix64(session_seed ^ splitmix64(0xD21F_7000_u64 + epoch as u64))
     }
+}
+
+/// Evaluates `config` as observation `step`: positions time-varying
+/// objectives at the step and seeds the step's own RNG.
+fn evaluate_step(
+    objective: &mut dyn Objective,
+    config: &Configuration,
+    session_seed: u64,
+    step: u64,
+) -> Observation {
+    objective.seek(step);
+    let mut rng = StdRng::seed_from_u64(eval_seed(session_seed, step));
+    objective.evaluate(config, &mut rng)
+}
+
+/// Evaluates the vendor-default configuration as observation `step` —
+/// an epoch's baseline probe or a canary.
+pub(crate) fn baseline_probe(
+    objective: &mut dyn Objective,
+    session_seed: u64,
+    step: u64,
+) -> Observation {
+    let default = objective.space().default_config();
+    evaluate_step(objective, &default, session_seed, step)
+}
+
+/// What one observation index of a session is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// The epoch's baseline probe (vendor default, reference signature).
+    Probe,
+    /// A scheduled vendor-default re-run fed to the drift detector.
+    Canary,
+    /// A tuner proposal.
+    Proposal,
 }
 
 /// One session held in memory by the daemon, backed by its on-disk log.
@@ -106,6 +162,49 @@ pub struct LiveSession {
 }
 
 impl LiveSession {
+    /// The empty step machine of a session: objective, tuner (warm-started
+    /// from `warm`, the observation log of `meta.warm_source`), context,
+    /// drift detector and epoch-0 propose stream. Touches no files.
+    fn new(
+        repo: &SessionRepository,
+        meta: SessionMeta,
+        warm: Option<Vec<Observation>>,
+        snapshot_every: usize,
+        sink: WalSink,
+    ) -> ServeResult<LiveSession> {
+        let objective = build_objective(&meta.spec)?;
+        let warm_id = meta.warm_source.map(|id| id.to_string());
+        let tuner = build_tuner(&meta.spec, warm_id.as_deref().zip(warm.as_deref()))?;
+        let ctx = TuningContext {
+            space: objective.space().clone(),
+            profile: objective.profile(),
+        };
+        Ok(LiveSession {
+            propose_rng: StdRng::seed_from_u64(meta.spec.seed),
+            detector: meta.spec.drift.build_detector(meta.spec.seed)?,
+            dir: repo.session_dir(meta.id),
+            meta,
+            repo: repo.clone(),
+            objective,
+            tuner,
+            ctx,
+            history: History::new(),
+            status: SessionStatus::Running,
+            recommendation: None,
+            snapshot_every: snapshot_every.max(1),
+            snapshot_seq: 0,
+            sink,
+            journal_pending: 0,
+            last_ticket: 0,
+            recovery_corruption: None,
+            epoch: 0,
+            epoch_start: 0,
+            epoch_history: History::new(),
+            drift_events: Vec::new(),
+            drift_pending: None,
+        })
+    }
+
     /// Creates a brand-new session with a direct flush-mode WAL sink —
     /// the standalone (non-daemon) configuration used by tools and tests.
     pub fn create(
@@ -134,51 +233,9 @@ impl LiveSession {
         snapshot_every: usize,
         sink: WalSink,
     ) -> ServeResult<LiveSession> {
-        let objective = build_objective(&meta.spec)?;
-        let warm_ref = match (&meta.warm_source, &warm) {
-            (Some(id), Some(obs)) => Some((id.to_string(), obs.as_slice())),
-            _ => None,
-        };
-        let tuner = build_tuner(
-            &meta.spec,
-            warm_ref.as_ref().map(|(id, obs)| (id.as_str(), *obs)),
-        )?;
-        repo.create_session(&meta, sink.durability())?;
-        let dir = repo.session_dir(meta.id);
-
-        let ctx = TuningContext {
-            space: objective.space().clone(),
-            profile: objective.profile(),
-        };
-        let detector = meta.spec.drift.build_detector(meta.spec.seed)?;
-        let mut session = LiveSession {
-            propose_rng: StdRng::seed_from_u64(meta.spec.seed),
-            meta,
-            dir,
-            repo: repo.clone(),
-            objective,
-            tuner,
-            ctx,
-            history: History::new(),
-            status: SessionStatus::Running,
-            recommendation: None,
-            snapshot_every: snapshot_every.max(1),
-            snapshot_seq: 0,
-            sink,
-            journal_pending: 0,
-            last_ticket: 0,
-            recovery_corruption: None,
-            detector,
-            epoch: 0,
-            epoch_start: 0,
-            epoch_history: History::new(),
-            drift_events: Vec::new(),
-            drift_pending: None,
-        };
-
-        // Baseline probe: evaluate the vendor default as observation 0.
-        // Its metric vector is the session's workload signature.
-        let probe = session.eval_default(0);
+        let mut session = LiveSession::new(repo, meta, warm, snapshot_every, sink)?;
+        repo.create_session(&session.meta, session.sink.durability())?;
+        let probe = session.next_observation();
         session.apply(probe)?;
         Ok(session)
     }
@@ -202,10 +259,11 @@ impl LiveSession {
     /// Rebuilds a session from its on-disk log plus any records the
     /// shared journal holds for it (`journal_tail`, in append order — the
     /// daemon demuxes these at startup; records the per-session WAL
-    /// already covers are deduplicated by sequence number). Replays every
-    /// recorded observation through the tuner (restoring model and
-    /// propose-stream state) without re-running the objective; terminal
-    /// sessions skip the replay since they will never propose again.
+    /// already covers are deduplicated by sequence number). A running
+    /// session replays every recorded observation through the step
+    /// machine (restoring model and propose-stream state) without
+    /// re-running the objective; terminal sessions skip the replay since
+    /// they will never propose again.
     pub fn recover_with(
         repo: &SessionRepository,
         meta: SessionMeta,
@@ -213,128 +271,80 @@ impl LiveSession {
         sink: WalSink,
         journal_tail: Vec<WalRecord>,
     ) -> ServeResult<LiveSession> {
-        let objective = build_objective(&meta.spec)?;
-        let warm_obs: Option<Vec<Observation>> = match meta.warm_source {
+        let warm = match meta.warm_source {
             Some(src) => Some(repo.load_observations(src)?),
             None => None,
         };
-        let warm_ref = match (&meta.warm_source, &warm_obs) {
-            (Some(id), Some(obs)) => Some((id.to_string(), obs.as_slice())),
-            _ => None,
-        };
-        let mut tuner = build_tuner(
-            &meta.spec,
-            warm_ref.as_ref().map(|(id, obs)| (id.as_str(), *obs)),
-        )?;
-
-        let mut recovered = repo.recover_session(meta.id)?;
+        let mut session = LiveSession::new(repo, meta, warm, snapshot_every, sink)?;
+        let mut recovered = repo.recover_session(session.meta.id)?;
         for record in journal_tail {
             wal::apply_record(&mut recovered, record);
         }
-        let mut drift_events = recovered.drift_events;
-        drift_events.sort_by_key(|e| e.at_seq);
-        let ctx = TuningContext {
-            space: objective.space().clone(),
-            profile: objective.profile(),
-        };
-        let mut propose_rng = StdRng::seed_from_u64(meta.spec.seed);
-        let mut detector = meta.spec.drift.build_detector(meta.spec.seed)?;
-        let mut history = History::new();
-        let mut epoch_history = History::new();
-        let mut epoch = 0u32;
-        let mut epoch_start = 0usize;
-        let mut drift_pending = None;
-        let replay_tuner = recovered.status == SessionStatus::Running;
-        for (i, obs) in recovered.observations.into_iter().enumerate() {
-            if let Some(ev) = drift_events.iter().find(|e| e.at_seq == i as u64) {
-                // A drift opened an epoch at this index: rebuild the tuner
-                // from the *recorded* warm source (not a fresh ball-tree
-                // query — the index may have changed since) and reseed the
-                // propose stream, exactly as the live session did.
-                if replay_tuner {
-                    let warm = match ev.warm_source {
-                        Some(src) => Some((src.to_string(), repo.load_observations(src)?)),
-                        None => None,
-                    };
-                    tuner = build_tuner(
-                        &meta.spec,
-                        warm.as_ref().map(|(id, o)| (id.as_str(), o.as_slice())),
-                    )?;
-                    propose_rng = StdRng::seed_from_u64(epoch_seed(meta.spec.seed, ev.epoch));
-                    drift_pending = None;
-                }
-                epoch = ev.epoch;
-                epoch_start = i;
-                epoch_history = History::new();
-            }
-            let canary = detector.is_some()
-                && i > epoch_start
-                && (i - epoch_start).is_multiple_of(meta.spec.drift.probe_every);
-            if replay_tuner {
-                if i > 0 && i != epoch_start && !canary {
-                    // The recorded observation answers this proposal; the
-                    // draw itself restores the propose stream — trained on
-                    // the epoch's slice only, exactly as the live session
-                    // proposed it. Epoch probes (i == epoch_start) and
-                    // scheduled canaries were never proposed.
-                    let _ = tuner.propose(&ctx, &epoch_history, &mut propose_rng);
-                }
-                tuner.observe(&obs);
-                if let Some(det) = detector.as_mut() {
-                    if i == epoch_start {
-                        det.reset(&obs.metrics);
-                    } else if canary && drift_pending.is_none() {
-                        drift_pending = det.feed(&obs.metrics);
-                    }
-                }
-            }
-            epoch_history.push(obs.clone());
-            history.push(obs);
+        session.drift_events = recovered.drift_events;
+        session.drift_events.sort_by_key(|e| e.at_seq);
+        session.status = recovered.status;
+        session.recommendation = recovered.recommendation;
+        session.snapshot_seq = recovered.snapshot_seq;
+        session.recovery_corruption = recovered.corruption;
+        if session.status != SessionStatus::Running {
+            session.restore_terminal(recovered.observations);
+            return Ok(session);
         }
-
-        let mut session = LiveSession {
-            dir: repo.session_dir(meta.id),
-            meta,
-            repo: repo.clone(),
-            objective,
-            tuner,
-            ctx,
-            propose_rng,
-            history,
-            epoch_history,
-            status: recovered.status,
-            recommendation: recovered.recommendation,
-            snapshot_every: snapshot_every.max(1),
-            snapshot_seq: recovered.snapshot_seq,
-            sink,
-            journal_pending: 0,
-            last_ticket: 0,
-            recovery_corruption: recovered.corruption,
-            detector,
-            epoch,
-            epoch_start,
-            drift_events,
-            drift_pending,
-        };
-
+        for obs in recovered.observations {
+            session.replay(obs)?;
+        }
         // Dangling drift event: the crash fell between the Drift record
         // and its re-probe observation. The event already fixes everything
         // the re-probe needs (step index, epoch seed, warm source), so
         // redo it deterministically now.
-        if session.status == SessionStatus::Running {
-            let dangling = session
-                .drift_events
-                .iter()
-                .find(|e| e.at_seq == session.history.len() as u64)
-                .cloned();
-            if let Some(ev) = dangling {
-                session.drift_pending = None;
-                session.reset_for_epoch(&ev)?;
-                let probe = session.eval_default(ev.at_seq);
-                session.apply(probe)?;
-            }
+        if let Some(event) = session.recorded_drift_at_next() {
+            session.reset_for_epoch(&event)?;
+            let probe = session.next_observation();
+            session.apply(probe)?;
         }
         Ok(session)
+    }
+
+    /// Replays one recorded observation of a running session: opens the
+    /// epoch a drift event recorded at its index, re-draws the proposal
+    /// it answered (the draw itself restores the propose stream; its
+    /// result is the recorded configuration), then absorbs it.
+    fn replay(&mut self, obs: Observation) -> ServeResult<()> {
+        if let Some(event) = self.recorded_drift_at_next() {
+            // Rebuild from the *recorded* warm source, not a fresh
+            // ball-tree query — the index may have changed since.
+            self.reset_for_epoch(&event)?;
+        }
+        if self.next_step() == Step::Proposal {
+            let _ = self
+                .tuner
+                .propose(&self.ctx, &self.epoch_history, &mut self.propose_rng);
+        }
+        self.absorb(obs);
+        Ok(())
+    }
+
+    /// Restores a terminal session's history and epoch scope without its
+    /// tuner or detector, which no later step can consult.
+    fn restore_terminal(&mut self, observations: Vec<Observation>) {
+        let len = observations.len();
+        if let Some(event) = self
+            .drift_events
+            .iter()
+            .rfind(|e| (e.at_seq as usize) < len)
+        {
+            self.epoch = event.epoch;
+            self.epoch_start = event.at_seq as usize;
+        }
+        self.epoch_history = History::from_observations(observations[self.epoch_start..].to_vec());
+        self.history = History::from_observations(observations);
+    }
+
+    /// The recorded drift event that opens an epoch at the next history
+    /// index, if any.
+    fn recorded_drift_at_next(&self) -> Option<DriftEvent> {
+        let next = self.history.len() as u64;
+        self.drift_events.iter().find(|e| e.at_seq == next).cloned()
     }
 
     /// Swaps the WAL sink (the daemon rewires recovered sessions onto the
@@ -366,54 +376,84 @@ impl LiveSession {
         Ok(())
     }
 
-    /// Whether observation index `idx` is a canary probe of the current
-    /// epoch: a scheduled default-configuration evaluation whose metric
-    /// vector is the only kind the drift detector consumes (config held
-    /// fixed, so signature change is workload change).
-    fn is_canary(&self, idx: usize) -> bool {
-        self.detector.is_some()
-            && idx > self.epoch_start
-            && (idx - self.epoch_start).is_multiple_of(self.meta.spec.drift.probe_every)
+    /// The kind of the next history index — the one decision both
+    /// [`Self::advance`] and recovery replay follow. Canaries exist only
+    /// with a detector: a default-configuration re-run is the only metric
+    /// vector the detector consumes (config held fixed, so signature
+    /// change is workload change).
+    fn next_step(&self) -> Step {
+        let into_epoch = self.history.len() - self.epoch_start;
+        if into_epoch == 0 {
+            Step::Probe
+        } else if self.detector.is_some()
+            && into_epoch.is_multiple_of(self.meta.spec.drift.probe_every)
+        {
+            Step::Canary
+        } else {
+            Step::Proposal
+        }
     }
 
-    /// Logs an observation durably, then applies it in memory, routing
-    /// canary metric vectors through the drift detector.
-    fn apply(&mut self, obs: Observation) -> ServeResult<()> {
-        let seq = self.history.len();
-        self.log(&WalRecord::Obs {
-            seq: seq as u64,
-            obs: obs.clone(),
-        })?;
-        self.tuner.observe(&obs);
-        let canary = self.is_canary(seq);
-        if let Some(det) = self.detector.as_mut() {
-            if seq == self.epoch_start {
-                // The epoch's baseline probe is the reference signature.
-                det.reset(&obs.metrics);
-            } else if canary && self.drift_pending.is_none() {
-                self.drift_pending = det.feed(&obs.metrics);
+    /// Produces the observation for the next history index according to
+    /// its step kind. Proposals of a configuration the current epoch
+    /// already measured replay the stored observation (the dedup rule of
+    /// `autotune_core::TuningSession`); pre-drift measurements are stale
+    /// and never replayed.
+    fn next_observation(&mut self) -> Observation {
+        let step = self.history.len() as u64;
+        let seed = self.meta.spec.seed;
+        match self.next_step() {
+            Step::Probe | Step::Canary => baseline_probe(&mut *self.objective, seed, step),
+            Step::Proposal => {
+                let config =
+                    self.tuner
+                        .propose(&self.ctx, &self.epoch_history, &mut self.propose_rng);
+                match self.epoch_history.find_config(&config) {
+                    Some(prev) => prev.clone(),
+                    None => evaluate_step(&mut *self.objective, &config, seed, step),
+                }
             }
         }
-        self.epoch_history.push(obs.clone());
-        self.history.push(obs);
+    }
+
+    /// Logs an observation durably, absorbs it, and compacts the log when
+    /// a snapshot is due.
+    fn apply(&mut self, obs: Observation) -> ServeResult<()> {
+        self.log(&WalRecord::Obs {
+            seq: self.history.len() as u64,
+            obs: obs.clone(),
+        })?;
+        self.absorb(obs);
         if self.history.len() as u64 - self.snapshot_seq >= self.snapshot_every as u64 {
             self.write_snapshot()?;
         }
         Ok(())
     }
 
-    /// Evaluates the vendor-default configuration as observation `step` —
-    /// the baseline probe of an epoch.
-    fn eval_default(&mut self, step: u64) -> Observation {
-        self.objective.seek(step);
-        let default = self.ctx.space.default_config();
-        let mut rng = StdRng::seed_from_u64(eval_seed(self.meta.spec.seed, step));
-        self.objective.evaluate(&default, &mut rng)
+    /// Applies an observation in memory: the tuner observes it, an epoch
+    /// probe resets the drift detector's reference signature, a canary
+    /// feeds the detector (unless an alarm is already pending), and both
+    /// histories grow.
+    fn absorb(&mut self, obs: Observation) {
+        let kind = self.next_step();
+        self.tuner.observe(&obs);
+        if let Some(det) = self.detector.as_mut() {
+            match kind {
+                Step::Probe => det.reset(&obs.metrics),
+                Step::Canary if self.drift_pending.is_none() => {
+                    self.drift_pending = det.feed(&obs.metrics);
+                }
+                _ => {}
+            }
+        }
+        self.epoch_history.push(obs.clone());
+        self.history.push(obs);
     }
 
     /// Applies a drift event's epoch reset: a fresh tuner (warm-started
-    /// from the event's recorded source), a reseeded propose stream, and
-    /// an epoch scope starting at the event's re-probe index.
+    /// from the event's recorded source), a reseeded propose stream, a
+    /// cleared alarm, and an epoch scope starting at the event's re-probe
+    /// index.
     fn reset_for_epoch(&mut self, event: &DriftEvent) -> ServeResult<()> {
         let warm = match event.warm_source {
             Some(src) => Some((src.to_string(), self.repo.load_observations(src)?)),
@@ -424,6 +464,7 @@ impl LiveSession {
             warm.as_ref().map(|(id, o)| (id.as_str(), o.as_slice())),
         )?;
         self.propose_rng = StdRng::seed_from_u64(epoch_seed(self.meta.spec.seed, event.epoch));
+        self.drift_pending = None;
         self.epoch = event.epoch;
         self.epoch_start = event.at_seq as usize;
         self.epoch_history = History::new();
@@ -431,14 +472,15 @@ impl LiveSession {
     }
 
     /// Handles a detector alarm: re-probe the workload, re-match a warm
-    /// source against the new signature, restart the search, and make the
-    /// whole decision durable *before* the re-probe observation so
-    /// recovery replays it identically. Consumes one evaluation.
-    fn handle_drift(&mut self, stat: f64) -> ServeResult<()> {
+    /// source against the new signature, and make the whole decision
+    /// durable *before* the re-probe observation so recovery replays it
+    /// identically. Returns the re-probe, the new epoch's first
+    /// observation.
+    fn handle_drift(&mut self, stat: f64) -> ServeResult<Observation> {
         let at_seq = self.history.len() as u64;
         // The re-probe's signature is what the workload looks like *now*;
         // match the new epoch's warm source against it.
-        let probe = self.eval_default(at_seq);
+        let probe = baseline_probe(&mut *self.objective, self.meta.spec.seed, at_seq);
         let warm_source = if self.meta.spec.warm_start {
             let platform = self.meta.spec.platform().to_string();
             self.repo
@@ -457,7 +499,7 @@ impl LiveSession {
         })?;
         self.reset_for_epoch(&event)?;
         self.drift_events.push(event);
-        self.apply(probe)
+        Ok(probe)
     }
 
     /// Runs up to `steps` tuner-driven evaluations, finishing the session
@@ -472,42 +514,11 @@ impl LiveSession {
         }
         let mut ran = 0;
         while ran < steps && self.evaluations() < self.meta.spec.budget {
-            if let Some(stat) = self.drift_pending.take() {
-                // Detector alarm from the previous canary: spend this
-                // step on the epoch re-probe instead of a proposal.
-                self.handle_drift(stat)?;
-                ran += 1;
-                continue;
-            }
-            let next = self.history.len();
-            if self.is_canary(next) {
-                // Scheduled canary: re-run the vendor default so the
-                // detector compares like with like.
-                let obs = self.eval_default(next as u64);
-                self.apply(obs)?;
-                ran += 1;
-                continue;
-            }
-            let config = self
-                .tuner
-                .propose(&self.ctx, &self.epoch_history, &mut self.propose_rng);
-            // Re-proposed configuration: replay the stored measurement
-            // (same dedup rule as core::TuningSession). Scoped to the
-            // current epoch — pre-drift measurements are stale.
-            let prev = self
-                .epoch_history
-                .all()
-                .iter()
-                .find(|o| o.config == config)
-                .cloned();
-            let obs = match prev {
-                Some(prev) => prev,
-                None => {
-                    let step = self.history.len() as u64;
-                    self.objective.seek(step);
-                    let mut rng = StdRng::seed_from_u64(eval_seed(self.meta.spec.seed, step));
-                    self.objective.evaluate(&config, &mut rng)
-                }
+            // A detector alarm from the previous canary opens a new epoch:
+            // this step becomes its re-probe instead of a proposal.
+            let obs = match self.drift_pending.take() {
+                Some(stat) => self.handle_drift(stat)?,
+                None => self.next_observation(),
             };
             self.apply(obs)?;
             ran += 1;

@@ -609,15 +609,13 @@ fn same_seed_same_recommendation_across_shard_configs() {
     // The split-RNG scheme makes shard count, group-commit batching, and
     // coalesced concurrent advances irrelevant to the outcome: the same
     // spec + seed must produce byte-identical recommendations under
-    // radically different daemon shapes.
+    // radically different daemon shapes (direct appends under flush,
+    // the group journal under fsync).
     let mut recommendations = Vec::new();
-    for (tag, shards, group_commit, durability) in
-        [("cfg-a", 1, false, "flush"), ("cfg-b", 4, true, "fsync")]
-    {
+    for (tag, shards, durability) in [("cfg-a", 1, "flush"), ("cfg-b", 4, "fsync")] {
         let root = fresh_root(&format!("shardcfg-{tag}"));
         let mut config = DaemonConfig::new(&root);
         config.shards = shards;
-        config.group_commit = group_commit;
         config.durability = autotune_serve::wal::Durability::parse(durability).expect("mode");
         config.workers = 2;
         let daemon = Daemon::start("127.0.0.1:0", config).expect("start");
@@ -699,7 +697,7 @@ fn metrics_report_shards_endpoints_and_group_commit() {
     assert_eq!(report.shards, 4);
     assert_eq!(report.shard_queue_depths.len(), 4);
     assert_eq!(report.durability, "fsync");
-    let stats = report.group_commit.expect("group commit on by default");
+    let stats = report.group_commit.expect("group commit under fsync");
     assert!(stats.records >= 3, "probe + 2 evaluations journaled");
     assert!(stats.batches >= 1);
     let advance = report

@@ -221,7 +221,7 @@ impl Tuner for AddmTuner {
             for adj in &finding.adjustments {
                 adj.apply(&ctx.space, &mut next);
             }
-            if !history.contains_config(&next) {
+            if history.find_config(&next).is_none() {
                 self.current = Some(next.clone());
                 return next;
             }
