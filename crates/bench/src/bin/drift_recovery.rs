@@ -97,11 +97,9 @@ struct DriftRecoveryReport {
 }
 
 fn spec(system: &str, seed: u64, budget: usize, detector: &str) -> SessionSpec {
-    // Both arms search under the committed knob-constraint artifact
-    // (PR 9): without it, plain iTuned cannot reach the 1% band on the
-    // dbms scenario inside any reasonable budget, detection on or off.
-    let artifact = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../bench_results/knob_constraints.json");
+    // Both arms search under the rule-based constraints: without them,
+    // plain iTuned cannot reach the 1% band on the dbms scenario inside
+    // any reasonable budget, detection on or off.
     let mut s = SessionSpec {
         system: system.into(),
         tuner: "ituned".into(),
@@ -110,7 +108,7 @@ fn spec(system: &str, seed: u64, budget: usize, detector: &str) -> SessionSpec {
         noise: "none".into(),
         warm_start: false,
         surrogate: "auto".into(),
-        constraints: artifact.to_string_lossy().into_owned(),
+        constraints: true,
         adaptive: Default::default(),
         drift: Default::default(),
     };
@@ -328,14 +326,12 @@ fn main() {
     }
 
     // Regression gate: detection-off bytes match a legacy spec that has
-    // no drift/adaptive fields at all.
-    let artifact = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../bench_results/knob_constraints.json");
+    // no drift/adaptive fields at all and still names the constraints by
+    // the artifact path specs carried before the field became a bool.
     let legacy: SessionSpec = serde_json::from_str(&format!(
         r#"{{"system":"dbms-flip@{flip_at}","tuner":"ituned","seed":1,
             "budget":{budget},"noise":"none","warm_start":false,
-            "constraints":{}}}"#,
-        serde_json::to_string(&artifact.to_string_lossy().into_owned()).expect("path json")
+            "constraints":"bench_results/knob_constraints.json"}}"#
     ))
     .expect("legacy spec parses");
     let (legacy_t, _) = run_session(&tmp("legacy"), legacy);

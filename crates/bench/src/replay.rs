@@ -174,7 +174,7 @@ mod tests {
                 noise: "none".into(),
                 warm_start: false,
                 surrogate: "auto".into(),
-                constraints: String::new(),
+                constraints: false,
                 adaptive: Default::default(),
                 drift: Default::default(),
             },

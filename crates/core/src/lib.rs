@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod constraints;
 pub mod error;
 pub mod export;
 pub mod history;
@@ -41,7 +40,6 @@ pub mod signature;
 pub mod space;
 pub mod tuner;
 
-pub use constraints::{Dependency, KnobConstraint, KnobConstraints, Prior, SystemConstraints};
 pub use error::{CoreError, CoreResult};
 pub use export::{config_to_properties, history_to_csv};
 pub use history::History;

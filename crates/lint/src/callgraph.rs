@@ -36,11 +36,6 @@ pub struct FnSummary {
 pub struct CrateIndex {
     /// name → merged summary (same-named functions union their effects).
     pub fns: BTreeMap<String, FnSummary>,
-    /// name → parameter guards the body imposes (see
-    /// [`crate::dataflow::ParamGuard`]). Same-named functions append
-    /// their guards; the dataflow pass applies every matching guard at a
-    /// call site, so conflation can only add facts, never drop one.
-    pub guards: BTreeMap<String, Vec<crate::dataflow::ParamGuard>>,
 }
 
 impl CrateIndex {
@@ -71,11 +66,6 @@ impl CrateIndex {
             let block = parser::parse_body(tokens, bs, be);
             let summary = self.fns.entry(item.name.clone()).or_default();
             summarize(&block, protocol, summary);
-            let params = crate::dataflow::fn_params(tokens, item);
-            let gs = crate::dataflow::param_guards(tokens, (bs, be), &params);
-            if !gs.is_empty() {
-                self.guards.entry(item.name.clone()).or_default().extend(gs);
-            }
         });
     }
 }

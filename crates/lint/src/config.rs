@@ -39,20 +39,6 @@
 //! * **K3 `knob-unused`** (warn) — a knob defined in a params module but
 //!   never referenced anywhere else in the workspace.
 //!
-//! The dataflow-driven knob-semantics rules (see [`crate::dataflow`]):
-//!
-//! * **K4 `knob-narrow`** — a guard/assert over a knob value that is
-//!   statically dead against the declared domain (always-false check, or
-//!   a protective branch that always panics). Live guards are not
-//!   findings; they become range facts for `--emit-constraints`.
-//! * **K5 `knob-unit`** — values with conflicting declared units added,
-//!   subtracted, or compared; or a binding whose `_ms`/`_mb`-style
-//!   suffix contradicts the unit of the knob it reads.
-//! * **K6 `knob-cross`** — a cross-knob comparison whose outcome is
-//!   statically constant (disjoint propagated intervals), or a
-//!   knob-product bound that can never hold. Live cross-knob relations
-//!   become dependency facts.
-//!
 //! The statement-level concurrency & durability rules (C-series), driven
 //! by the [`Protocol`] declaration below:
 //!
@@ -197,12 +183,6 @@ pub enum RuleId {
     KnobDomain,
     /// K3: knob defined but never referenced (warn-level).
     KnobUnused,
-    /// K4: knob guard statically dead against the declared domain.
-    KnobNarrow,
-    /// K5: conflicting units combined or compared.
-    KnobUnit,
-    /// K6: cross-knob comparison/bound statically constant.
-    KnobCross,
     /// C1: lock-acquisition cycle across the crate's lock-order graph.
     LockOrder,
     /// C2: blocking call reached while a mutex guard is live in scope.
@@ -230,9 +210,6 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::KnobUnknown,
     RuleId::KnobDomain,
     RuleId::KnobUnused,
-    RuleId::KnobNarrow,
-    RuleId::KnobUnit,
-    RuleId::KnobCross,
     RuleId::LockOrder,
     RuleId::BlockingLock,
     RuleId::CondvarLoop,
@@ -256,9 +233,6 @@ impl RuleId {
             RuleId::KnobUnknown => "K1",
             RuleId::KnobDomain => "K2",
             RuleId::KnobUnused => "K3",
-            RuleId::KnobNarrow => "K4",
-            RuleId::KnobUnit => "K5",
-            RuleId::KnobCross => "K6",
             RuleId::LockOrder => "C1",
             RuleId::BlockingLock => "C2",
             RuleId::CondvarLoop => "C3",
@@ -282,9 +256,6 @@ impl RuleId {
             RuleId::KnobUnknown => "knob-unknown",
             RuleId::KnobDomain => "knob-domain",
             RuleId::KnobUnused => "knob-unused",
-            RuleId::KnobNarrow => "knob-narrow",
-            RuleId::KnobUnit => "knob-unit",
-            RuleId::KnobCross => "knob-cross",
             RuleId::LockOrder => "lock-order",
             RuleId::BlockingLock => "blocking-while-locked",
             RuleId::CondvarLoop => "condvar-wait-not-in-loop",
@@ -345,15 +316,6 @@ impl RuleId {
             }
             RuleId::KnobUnused => {
                 "knob defined but never referenced by any tuner, engine, or scenario; wire it up or drop it"
-            }
-            RuleId::KnobNarrow => {
-                "knob guard is statically dead against the declared domain; fix the bound or the domain"
-            }
-            RuleId::KnobUnit => {
-                "conflicting units combined or compared; convert explicitly or fix the declared unit"
-            }
-            RuleId::KnobCross => {
-                "cross-knob check is statically constant over the declared domains; the constraint can never bind"
             }
             RuleId::LockOrder => {
                 "lock-acquisition cycle: these locks are taken in conflicting orders across the crate; pick one global order"
@@ -435,11 +397,6 @@ pub fn rule_applies(rule: RuleId, ctx: &FileCtx) -> bool {
         }
         // Knob definitions live in the simulator params modules.
         RuleId::KnobUnused => ctx.is_lib_source && in_crates(&["sim"]),
-        // The dataflow pass follows knob values through the simulator
-        // engines, where accessor reads meet guards and arithmetic.
-        RuleId::KnobNarrow | RuleId::KnobUnit | RuleId::KnobCross => {
-            ctx.is_lib_source && in_crates(&["sim"])
-        }
         // Generic concurrency rules: any library source that takes locks.
         RuleId::LockOrder | RuleId::BlockingLock | RuleId::CondvarLoop => ctx.is_lib_source,
         // Protocol-conformance rules are scoped to the serve crate, whose

@@ -729,225 +729,6 @@ pub fn drain(sh: &Shared) {
     expect: &[],
 };
 
-/// K4 bad: the engine asserts a bound no value of the declared
-/// `[64, 4096]` domain can meet — the guard is statically dead.
-pub const K4_BAD_MULTI: MultiFixture = MultiFixture {
-    label: "k4-bad-multi",
-    files: &[
-        (
-            "crates/sim/src/fixture/params.rs",
-            r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![ParamSpec::int("io_cache_mb", 64, 4096, 512, "page cache")]
-}
-"#,
-        ),
-        (
-            "crates/sim/src/fixture/engine.rs",
-            r#"
-pub fn run(c: &Configuration) {
-    let m = c.f64("io_cache_mb");
-    assert!(m > 100000.0);
-}
-"#,
-        ),
-    ],
-    expect: &["K4"],
-};
-
-/// K4 good: both guards are live against the domain — they narrow the
-/// feasible range (a fact for the constraints compiler), not findings.
-pub const K4_GOOD_MULTI: MultiFixture = MultiFixture {
-    label: "k4-good-multi",
-    files: &[
-        (
-            "crates/sim/src/fixture/params.rs",
-            r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![ParamSpec::int("io_cache_mb", 64, 4096, 512, "page cache")]
-}
-"#,
-        ),
-        (
-            "crates/sim/src/fixture/engine.rs",
-            r#"
-pub fn run(c: &Configuration) {
-    let m = c.f64("io_cache_mb");
-    assert!(m >= 128.0);
-    if m > 2048.0 {
-        shrink();
-    }
-}
-"#,
-        ),
-    ],
-    expect: &[],
-};
-
-/// K4 interprocedural bad: the dead assert sits one call away from the
-/// accessor, in another file of the same crate — the crate index carries
-/// the callee's parameter guard back to the call site.
-pub const K4_CALL_BAD_MULTI: MultiFixture = MultiFixture {
-    label: "k4-call-bad-multi",
-    files: &[
-        (
-            "crates/sim/src/fixture/params.rs",
-            r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![ParamSpec::int("io_cache_mb", 64, 4096, 512, "page cache")]
-}
-"#,
-        ),
-        (
-            "crates/sim/src/fixture/checks.rs",
-            r#"
-pub fn validate_cache(mb: f64) {
-    assert!(mb >= 1000000000.0);
-}
-"#,
-        ),
-        (
-            "crates/sim/src/fixture/engine.rs",
-            r#"
-pub fn run(c: &Configuration) {
-    let m = c.f64("io_cache_mb");
-    validate_cache(m);
-}
-"#,
-        ),
-    ],
-    expect: &["K4"],
-};
-
-/// K5 bad: a memory knob compared against a duration knob — the units
-/// make the comparison meaningless regardless of the values.
-pub const K5_BAD_MULTI: MultiFixture = MultiFixture {
-    label: "k5-bad-multi",
-    files: &[
-        (
-            "crates/sim/src/fixture/params.rs",
-            r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![
-        ParamSpec::int("io_cache_mb", 64, 4096, 512, "page cache").with_unit("MB"),
-        ParamSpec::int("flush_wait_ms", 1, 1000, 50, "flush wait").with_unit("ms"),
-    ]
-}
-"#,
-        ),
-        (
-            "crates/sim/src/fixture/engine.rs",
-            r#"
-pub fn run(c: &Configuration) {
-    let cache = c.f64("io_cache_mb");
-    let wait = c.f64("flush_wait_ms");
-    if cache > wait {
-        tune();
-    }
-}
-"#,
-        ),
-    ],
-    expect: &["K5"],
-};
-
-/// K5 good: same two knobs, each guarded in its own unit — nothing
-/// cross-unit to flag.
-pub const K5_GOOD_MULTI: MultiFixture = MultiFixture {
-    label: "k5-good-multi",
-    files: &[
-        (
-            "crates/sim/src/fixture/params.rs",
-            r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![
-        ParamSpec::int("io_cache_mb", 64, 4096, 512, "page cache").with_unit("MB"),
-        ParamSpec::int("flush_wait_ms", 1, 1000, 50, "flush wait").with_unit("ms"),
-    ]
-}
-"#,
-        ),
-        (
-            "crates/sim/src/fixture/engine.rs",
-            r#"
-pub fn run(c: &Configuration) {
-    let io_cache_mb = c.f64("io_cache_mb");
-    let flush_wait_ms = c.f64("flush_wait_ms");
-    if io_cache_mb > 1024.0 {
-        spill();
-    }
-    if flush_wait_ms > 100.0 {
-        defer();
-    }
-}
-"#,
-        ),
-    ],
-    expect: &[],
-};
-
-/// K6 bad: a fraction in `[0.1, 0.9]` asserted below a cache size in
-/// `[64, 4096]` — the domains are disjoint, so the check can never bind.
-pub const K6_BAD_MULTI: MultiFixture = MultiFixture {
-    label: "k6-bad-multi",
-    files: &[
-        (
-            "crates/sim/src/fixture/params.rs",
-            r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![
-        ParamSpec::float("cache_fraction", 0.1, 0.9, 0.5, "cache share"),
-        ParamSpec::int("io_cache_mb", 64, 4096, 512, "page cache"),
-    ]
-}
-"#,
-        ),
-        (
-            "crates/sim/src/fixture/engine.rs",
-            r#"
-pub fn run(c: &Configuration) {
-    let frac = c.f64("cache_fraction");
-    let cache = c.f64("io_cache_mb");
-    assert!(frac < cache);
-}
-"#,
-        ),
-    ],
-    expect: &["K6"],
-};
-
-/// K6 good: overlapping domains keep the comparison live — it becomes a
-/// `LeFactor` dependency fact for the constraints compiler, not a finding.
-pub const K6_GOOD_MULTI: MultiFixture = MultiFixture {
-    label: "k6-good-multi",
-    files: &[
-        (
-            "crates/sim/src/fixture/params.rs",
-            r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![
-        ParamSpec::float("cache_fraction", 0.1, 0.9, 0.5, "cache share"),
-        ParamSpec::float("spill_fraction", 0.2, 0.8, 0.4, "spill share"),
-    ]
-}
-"#,
-        ),
-        (
-            "crates/sim/src/fixture/engine.rs",
-            r#"
-pub fn run(c: &Configuration) {
-    let cache = c.f64("cache_fraction");
-    let spill = c.f64("spill_fraction");
-    if cache <= spill {
-        rebalance();
-    }
-}
-"#,
-        ),
-    ],
-    expect: &[],
-};
-
 /// Every multi-file fixture, for exhaustive test loops.
 pub const ALL_MULTI: &[MultiFixture] = &[
     K1_BAD_MULTI,
@@ -955,13 +736,6 @@ pub const ALL_MULTI: &[MultiFixture] = &[
     K2_SET_BAD_MULTI,
     K2_SET_GOOD_MULTI,
     K3_BAD_MULTI,
-    K4_BAD_MULTI,
-    K4_GOOD_MULTI,
-    K4_CALL_BAD_MULTI,
-    K5_BAD_MULTI,
-    K5_GOOD_MULTI,
-    K6_BAD_MULTI,
-    K6_GOOD_MULTI,
     C1_BAD_MULTI,
     C1_GOOD_MULTI,
 ];

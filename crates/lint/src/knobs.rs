@@ -64,25 +64,6 @@ pub struct KnobDef {
     pub line: u32,
     /// Statically-known domain.
     pub domain: KnobDomain,
-    /// Declared display unit (`.with_unit("MB")` chained on the builder).
-    pub unit: Option<String>,
-    /// Statically-known default, normalized to f64 (bool → 0/1,
-    /// categorical → choice index).
-    pub default: Option<f64>,
-    /// True for `int_log` / `float_log` builders (log-scale encoding).
-    pub log: bool,
-}
-
-impl KnobDef {
-    /// The declared numeric range, when the domain carries one.
-    pub fn range(&self) -> Option<(f64, f64)> {
-        match &self.domain {
-            KnobDomain::Int { min, max } | KnobDomain::Float { min, max } => Some((*min, *max)),
-            KnobDomain::Bool => Some((0.0, 1.0)),
-            KnobDomain::Categorical { choices } => Some((0.0, (choices.len() - 1) as f64)),
-            KnobDomain::Unknown => None,
-        }
-    }
 }
 
 /// The workspace knob table: every knob the params modules declare.
@@ -119,20 +100,14 @@ pub fn extract_table<'a>(files: impl Iterator<Item = (&'a str, &'a [Token])>) ->
             let Some(name) = resolve_name_arg(call.args.first(), &table) else {
                 continue;
             };
-            let domain = call.domain();
-            let line = call.line;
-            let default = call.default_value(&domain);
             table.knobs.insert(
                 name.clone(),
                 KnobDef {
                     name,
                     const_ident: call.name_const.clone(),
                     file: rel.to_string(),
-                    line,
-                    default,
-                    unit: call.unit.clone(),
-                    log: call.ctor.ends_with("_log"),
-                    domain,
+                    line: call.line,
+                    domain: call.domain(),
                 },
             );
         }
@@ -175,8 +150,6 @@ struct BuilderCall<'a> {
     args: Vec<Vec<&'a Token>>,
     /// Const ident used as the name argument, if any.
     name_const: Option<String>,
-    /// Unit string from a chained `.with_unit("...")`, if any.
-    unit: Option<String>,
 }
 
 impl BuilderCall<'_> {
@@ -222,29 +195,6 @@ impl BuilderCall<'_> {
             _ => None,
         }
     }
-
-    /// The default, normalized to f64 across all builder kinds (bool →
-    /// 0/1, categorical → index of the default choice).
-    fn default_value(&self, domain: &KnobDomain) -> Option<f64> {
-        match self.ctor {
-            "int" | "int_log" | "float" | "float_log" => self.default_arg(),
-            "boolean" => match self.args.get(1)?.first()?.ident()? {
-                "true" => Some(1.0),
-                "false" => Some(0.0),
-                _ => None,
-            },
-            "categorical" => {
-                let def = self.args.get(2)?.first()?.str_lit()?;
-                match domain {
-                    KnobDomain::Categorical { choices } => {
-                        choices.iter().position(|c| c == def).map(|i| i as f64)
-                    }
-                    _ => None,
-                }
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Parses an argument token run as a (possibly negated) numeric literal.
@@ -274,25 +224,11 @@ fn builder_calls(tokens: &[Token]) -> Vec<BuilderCall<'_>> {
                     .and_then(|a| a.last())
                     .and_then(|t| t.ident())
                     .map(str::to_string);
-                // Chained `.with_unit("MB")` directly after the builder's
-                // closing paren.
-                let unit = if tokens.get(end).is_some_and(|t| t.is_punct('.'))
-                    && tokens.get(end + 1).is_some_and(|t| t.is_ident("with_unit"))
-                    && tokens.get(end + 2).is_some_and(|t| t.is_punct('('))
-                {
-                    tokens
-                        .get(end + 3)
-                        .and_then(Token::str_lit)
-                        .map(String::from)
-                } else {
-                    None
-                };
                 out.push(BuilderCall {
                     ctor,
                     line: tokens[i].line,
                     args,
                     name_const,
-                    unit,
                 });
                 i = end;
                 continue;
@@ -770,35 +706,5 @@ fn space() {
             .iter()
             .all(|(f, r, _, _)| f == "crates/sim/src/dbms/params.rs" && *r == RuleId::KnobUnused));
         assert_eq!(names, vec!["compress", "fraction"]);
-    }
-
-    #[test]
-    fn extracts_units_defaults_and_log_scale() {
-        let src = r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![
-        ParamSpec::int_log("sort_mb", 32, 2048, 256, "sort buffer").with_unit("MB"),
-        ParamSpec::float("slowstart", 0.05, 1.0, 0.8, "fraction"),
-        ParamSpec::int("wait_ms", 0, 10000, 3000, "wait").with_unit("ms"),
-        ParamSpec::boolean("compress", true, "switch"),
-        ParamSpec::categorical("codec", &["zlib", "lz4"], "lz4", "codec"),
-    ]
-}
-"#;
-        let table = table_for(src);
-        let sort = &table.knobs["sort_mb"];
-        assert_eq!(sort.unit.as_deref(), Some("MB"));
-        assert_eq!(sort.default, Some(256.0));
-        assert!(sort.log);
-        assert_eq!(sort.range(), Some((32.0, 2048.0)));
-        let slow = &table.knobs["slowstart"];
-        assert_eq!(slow.unit, None);
-        assert!(!slow.log);
-        assert_eq!(slow.default, Some(0.8));
-        assert_eq!(table.knobs["wait_ms"].unit.as_deref(), Some("ms"));
-        assert_eq!(table.knobs["compress"].default, Some(1.0));
-        assert_eq!(table.knobs["compress"].range(), Some((0.0, 1.0)));
-        assert_eq!(table.knobs["codec"].default, Some(1.0));
-        assert_eq!(table.knobs["codec"].range(), Some((0.0, 1.0)));
     }
 }

@@ -31,6 +31,8 @@
 //! The K rules consult a workspace [`knobs::KnobTable`] extracted from the
 //! simulator params modules in a first pass over all files, which is why
 //! the workspace scan is two-pass ([`scan_sources`]).
+//! (K4–K6, a knob-interval dataflow that never fired on this workspace,
+//! were retired; DESIGN.md §4e says why.)
 //!
 //! [`parser::parse_body`] further parses each fn body into a statement /
 //! expression tree, and [`callgraph`] summarizes every fn's direct lock
@@ -47,18 +49,6 @@
 //! | C4 | `ack-before-durable` | `serve` src | 2xx ack path missing a durability wait |
 //! | C5 | `unwaited-ticket` | `serve` src | ticket / driver guard dropped unwaited on a path |
 //!
-//! [`dataflow`] propagates knob intervals and units from their
-//! `ParamSpec` def sites through accessor reads into consumer
-//! arithmetic and guards (one call level interprocedural via the
-//! [`callgraph`] guard summaries). It powers the knob-semantics rules
-//! and the facts behind `--emit-constraints` (see [`constraints`]):
-//!
-//! | id | name | scope | what it catches |
-//! |----|------|-------|-----------------|
-//! | K4 | `knob-narrow` | `sim` src | guard statically dead against the declared domain |
-//! | K5 | `knob-unit` | `sim` src | conflicting units combined or compared |
-//! | K6 | `knob-cross` | `sim` src | cross-knob check statically constant |
-//!
 //! `#[cfg(test)]` items and `tests/` directories are exempt. Findings can be
 //! waived inline with a justified `lint:allow` comment (see [`suppress`]);
 //! a reason-less allow is itself reported (`A0 bare-allow`). Only
@@ -69,8 +59,6 @@
 pub mod callgraph;
 pub mod concurrency;
 pub mod config;
-pub mod constraints;
-pub mod dataflow;
 pub mod fixtures;
 pub mod items;
 pub mod knobs;

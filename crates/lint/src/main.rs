@@ -14,10 +14,6 @@
 //! names (`--rules C1,C4` or `--rules lock-order,ack-before-durable`). The
 //! whole scan still runs (cross-file rules need the full pass); only the
 //! report and the exit code are filtered.
-//!
-//! `--emit-constraints PATH` skips the report entirely: it compiles the
-//! K4–K6 dataflow facts and the rule-DSL knowledge into the knob-constraint
-//! artifact (see `constraints` module) and writes it to `PATH`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -55,18 +51,10 @@ fn main() -> ExitCode {
     let mut format = Format::Human;
     let mut root: Option<PathBuf> = None;
     let mut rules: Option<Vec<RuleId>> = None;
-    let mut emit_constraints: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => format = Format::Json,
-            "--emit-constraints" => {
-                let Some(value) = args.next() else {
-                    eprintln!("autotune-lint: --emit-constraints requires an output path");
-                    return ExitCode::from(2);
-                };
-                emit_constraints = Some(PathBuf::from(value));
-            }
             "--format" => {
                 let Some(value) = args.next() else {
                     eprintln!("autotune-lint: --format requires a value (human|json|sarif)");
@@ -105,9 +93,6 @@ fn main() -> ExitCode {
                 println!("knob-registry, and concurrency/durability findings.");
                 println!("--rules LIST  report only these rules (ids or names, comma-separated)");
                 println!(
-                    "--emit-constraints PATH  write the knob-constraint artifact instead of a report"
-                );
-                println!(
                     "Exits 0 when no errors (warnings allowed), 1 on errors, 2 on I/O errors."
                 );
                 return ExitCode::SUCCESS;
@@ -125,30 +110,6 @@ fn main() -> ExitCode {
         let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
         autotune_lint::find_workspace_root(&cwd)
     });
-
-    if let Some(out) = emit_constraints {
-        return match autotune_lint::constraints::compile_workspace(&root) {
-            Ok(artifact) => {
-                let mut text = match artifact.to_json() {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("autotune-lint: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                text.push('\n');
-                if let Err(e) = std::fs::write(&out, text) {
-                    eprintln!("autotune-lint: failed to write {}: {e}", out.display());
-                    return ExitCode::from(2);
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("autotune-lint: failed to scan {}: {e}", root.display());
-                ExitCode::from(2)
-            }
-        };
-    }
 
     match autotune_lint::scan_workspace(&root) {
         Ok(report) => {

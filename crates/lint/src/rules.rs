@@ -142,17 +142,6 @@ pub fn scan_prepared_indexed(
         if rule_applies(RuleId::KnobUnknown, &p.ctx) {
             knobs::check_consumers(&p.lexed.tokens, &p.mask, table, &mut raw);
         }
-        // K4–K6 share one scope; the interval/unit propagation only runs
-        // where its findings could land.
-        if rule_applies(RuleId::KnobNarrow, &p.ctx) {
-            let analysis = crate::dataflow::analyze_file(p, table, index);
-            raw.extend(
-                analysis
-                    .findings
-                    .into_iter()
-                    .filter(|(rule, _)| rule_applies(*rule, &p.ctx)),
-            );
-        }
     }
 
     let analysis = concurrency::analyze_file(p, &DEFAULT_PROTOCOL, index);

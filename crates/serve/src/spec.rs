@@ -8,11 +8,11 @@
 //! baseline) are exposed; one-shot rule/cost tuners have no use for a
 //! persistent session.
 //!
-//! A spec may name a knob-constraint artifact (`"constraints":
-//! "bench_results/knob_constraints.json"`); the session's tuner then
-//! searches the statically-reduced space with rule-derived prior seeds.
-//! The empty string (the default) keeps the unconstrained search and its
-//! bit-identical trajectories.
+//! A spec may ask for rule-based search constraints (`"constraints":
+//! true`): the session's GP tuner then seeds its initial design from the
+//! platform's best-practice rule book and projects candidates onto the
+//! SPEX-feasible region, both built in-process. `false` (the default)
+//! keeps the unconstrained search and its bit-identical trajectories.
 
 use crate::drift::{DetectorKind, DriftDetector};
 use crate::{ServeError, ServeResult};
@@ -183,10 +183,10 @@ pub struct SessionSpec {
     /// GP surrogate backend for the model-based tuners
     /// (`exact | sod | nystrom | auto`); ignored by `random`.
     pub surrogate: String,
-    /// Path to a knob-constraint artifact (`autotune-lint
-    /// --emit-constraints` output), or empty for an unconstrained search;
-    /// ignored by `random`.
-    pub constraints: String,
+    /// Whether the GP tuners search under the platform's rule-based
+    /// constraints (see `SearchConstraints::for_platform`); ignored by
+    /// the other tuners.
+    pub constraints: bool,
     /// Adaptive-family tuner knobs; defaults when absent.
     pub adaptive: AdaptiveSpec,
     /// Drift-detection settings; detection off when absent.
@@ -202,9 +202,13 @@ impl Deserialize for SessionSpec {
             Some((_, sv)) => String::from_value(sv)?,
             None => "auto".to_string(),
         };
+        // Specs written before the field became a bool carry a string:
+        // `""` meant unconstrained, and any path named the one committed
+        // artifact the in-process constraints now reproduce.
         let constraints = match map.iter().find(|(k, _)| k == "constraints") {
-            Some((_, cv)) => String::from_value(cv)?,
-            None => String::new(),
+            Some((_, serde::Value::Text(path))) => !path.is_empty(),
+            Some((_, cv)) => bool::from_value(cv)?,
+            None => false,
         };
         let adaptive = match map.iter().find(|(k, _)| k == "adaptive") {
             Some((_, av)) => AdaptiveSpec::from_value(av)?,
@@ -265,31 +269,22 @@ impl SessionSpec {
         })
     }
 
-    /// Loads and resolves the knob-constraint artifact this spec names,
-    /// or `None` for the (default) unconstrained search. A missing file,
-    /// a stale artifact version, or an unknown platform fails at create
-    /// time like every other bad spec field.
+    /// The rule-based constraints this spec asks for, or `None` for the
+    /// (default) unconstrained search. A platform without a rule book
+    /// fails at create time like every other bad spec field.
     pub fn search_constraints(&self) -> ServeResult<Option<SearchConstraints>> {
-        if self.constraints.is_empty() {
+        if !self.constraints {
             return Ok(None);
         }
-        let space = match self.platform() {
-            "dbms" => autotune_sim::dbms::dbms_space(),
-            "hadoop" => autotune_sim::hadoop::hadoop_space(),
-            "spark" => autotune_sim::spark::spark_space(),
-            other => {
-                return Err(ServeError::BadRequest(format!(
-                    "no constraint support for platform '{other}'"
-                )))
-            }
-        };
-        SearchConstraints::load(
-            std::path::Path::new(&self.constraints),
-            self.platform(),
-            &space,
-        )
-        .map(Some)
-        .map_err(|e| ServeError::BadRequest(format!("constraints: {e}")))
+        let space = build_objective(self)?.space().clone();
+        SearchConstraints::for_platform(self.platform(), &space)
+            .map(Some)
+            .ok_or_else(|| {
+                ServeError::BadRequest(format!(
+                    "no constraint support for platform '{}'",
+                    self.platform()
+                ))
+            })
     }
 }
 
@@ -442,7 +437,7 @@ mod tests {
             noise: "none".into(),
             warm_start: false,
             surrogate: "auto".into(),
-            constraints: String::new(),
+            constraints: false,
             adaptive: AdaptiveSpec::default(),
             drift: DriftSpec::default(),
         }
@@ -484,32 +479,53 @@ mod tests {
     }
 
     #[test]
-    fn constraints_field_validates_and_defaults_empty() {
-        // No `constraints` key → empty string → unconstrained (back-compat).
-        let legacy = r#"{"system":"dbms-oltp","tuner":"ituned","seed":1,
-                         "budget":5,"noise":"none","warm_start":false}"#;
-        let s: SessionSpec = serde_json::from_str(legacy).expect("legacy spec");
-        assert!(s.constraints.is_empty());
-        assert!(s.search_constraints().expect("unconstrained").is_none());
+    fn constraints_field_decodes_bools_and_legacy_strings() {
+        let body = |constraints: &str| {
+            format!(
+                r#"{{"system":"dbms-oltp","tuner":"ituned","seed":1,
+                    "budget":5,"noise":"none","warm_start":false{constraints}}}"#
+            )
+        };
+        let decode = |constraints: &str| {
+            serde_json::from_str::<SessionSpec>(&body(constraints))
+                .expect("spec parses")
+                .constraints
+        };
+        assert!(decode(r#","constraints":true"#));
+        assert!(!decode(r#","constraints":false"#));
+        // Absent key and the `""` every earlier meta.json carries mean
+        // unconstrained; a legacy artifact path means constrained.
+        assert!(!decode(""));
+        assert!(!decode(r#","constraints":"""#));
+        assert!(decode(
+            r#","constraints":"bench_results/knob_constraints.json""#
+        ));
+        assert!(serde_json::from_str::<SessionSpec>(&body(r#","constraints":3"#)).is_err());
+        // The bool round-trips.
+        let mut s = spec("dbms-oltp", "ituned");
+        s.constraints = true;
+        let back: SessionSpec =
+            serde_json::from_str(&serde_json::to_string(&s).expect("serialize"))
+                .expect("deserialize");
+        assert_eq!(back, s);
+    }
 
-        // A nonexistent artifact path fails at create time.
-        let mut bad = spec("dbms-oltp", "ituned");
-        bad.constraints = "/no/such/artifact.json".into();
-        assert!(bad.validate().is_err());
-
-        // The committed workspace artifact resolves for every platform.
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../bench_results/knob_constraints.json"
-        );
-        if std::path::Path::new(path).exists() {
-            for sys in ["dbms-oltp", "hadoop-terasort", "spark-agg"] {
-                let mut c = spec(sys, "ituned");
-                c.constraints = path.into();
-                c.validate().expect("artifact resolves");
-                assert!(c.search_constraints().expect("loads").is_some());
-            }
+    #[test]
+    fn constraints_resolve_per_platform() {
+        assert!(spec("dbms-oltp", "ituned")
+            .search_constraints()
+            .expect("unconstrained")
+            .is_none());
+        for sys in ["dbms-oltp", "dbms-flip@6", "hadoop-terasort", "spark-agg"] {
+            let mut c = spec(sys, "ituned");
+            c.constraints = true;
+            c.validate().expect("platform has constraints");
+            assert!(c.search_constraints().expect("builds").is_some());
         }
+        // No rule book for the multi-tenant DBMS: a create-time error.
+        let mut bad = spec("mtdbms-three", "ituned");
+        bad.constraints = true;
+        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn spec(system: &str, tuner: &str, seed: u64, budget: usize) -> SessionSpec {
         noise: "none".into(),
         warm_start: false,
         surrogate: "auto".into(),
-        constraints: String::new(),
+        constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),
     }

@@ -27,7 +27,7 @@ fn spec(seed: u64, budget: usize, warm: bool) -> SessionSpec {
         noise: "none".into(),
         warm_start: warm,
         surrogate: "auto".into(),
-        constraints: String::new(),
+        constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),
     }

@@ -27,7 +27,7 @@ fn spec(tuner: &str, seed: u64, budget: usize) -> SessionSpec {
         noise: "realistic".into(),
         warm_start: false,
         surrogate: "auto".into(),
-        constraints: String::new(),
+        constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),
     }

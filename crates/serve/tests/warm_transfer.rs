@@ -24,7 +24,7 @@ fn spec(seed: u64, budget: usize, warm: bool) -> SessionSpec {
         noise: "none".into(),
         warm_start: warm,
         surrogate: "auto".into(),
-        constraints: String::new(),
+        constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),
     }
@@ -190,7 +190,7 @@ fn warm_lookup_ignores_other_platforms_and_unfinished_sessions() {
             noise: "none".into(),
             warm_start: false,
             surrogate: "auto".into(),
-            constraints: String::new(),
+            constraints: false,
             adaptive: Default::default(),
             drift: Default::default(),
         },

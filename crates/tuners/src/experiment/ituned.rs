@@ -47,10 +47,9 @@ pub struct ITunedTuner {
     /// default `auto` stays on the exact GP below its threshold, so
     /// default trajectories are unchanged from the pre-surrogate code.
     pub surrogate: SurrogateConfig,
-    /// Static knob knowledge from the lint-compiled constraint artifact:
-    /// reduced per-knob boxes, dependency filters, and prior seed
-    /// configurations. `None` (the default) leaves every trajectory
-    /// bit-identical to the unconstrained tuner.
+    /// Rule-based knob knowledge: SPEX dependency projection and
+    /// best-practice seed configurations. `None` (the default) leaves
+    /// every trajectory bit-identical to the unconstrained tuner.
     pub constraints: Option<SearchConstraints>,
     init_plan: Vec<Vec<f64>>,
     planned: bool,
@@ -126,9 +125,8 @@ impl ITunedTuner {
         self
     }
 
-    /// Applies static knob knowledge (reduced bounds, dependencies, prior
-    /// seeds) from the lint-compiled constraint artifact. Opt-in: without
-    /// this call the tuner's trajectories are unchanged.
+    /// Applies rule-based knob knowledge (dependencies, prior seeds).
+    /// Opt-in: without this call the tuner's trajectories are unchanged.
     pub fn with_constraints(mut self, constraints: SearchConstraints) -> Self {
         self.constraints = Some(constraints);
         self
@@ -202,11 +200,10 @@ impl Tuner for ITunedTuner {
                 // Prior-derived seed configs take the slots after the
                 // caller's seeds — capped at three so they inform the
                 // design without displacing its space-filling rows. Every
-                // initial point is then pulled into the reduced boxes (the
-                // default stays reachable — the boxes are widened to
-                // contain it) and projected onto the dependency-feasible
-                // region, so a sliver-thin feasible set doesn't swallow
-                // the whole initial budget on infeasible rows.
+                // initial point is then projected onto the
+                // dependency-feasible region, so a sliver-thin feasible set
+                // doesn't swallow the whole initial budget on infeasible
+                // rows.
                 let first = 1 + self.seed_configs.len();
                 for (slot, seed) in (first..).zip(cons.seeds().iter().take(3)) {
                     let Some(s) = self.init_plan.get_mut(slot) else {
@@ -215,7 +212,6 @@ impl Tuner for ITunedTuner {
                     *s = ctx.space.encode(seed);
                 }
                 for p in self.init_plan.iter_mut() {
-                    cons.clamp_point(p);
                     cons.repair_point(&ctx.space, p);
                 }
             }

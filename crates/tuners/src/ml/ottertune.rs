@@ -269,7 +269,7 @@ pub struct OtterTuneTuner {
     /// historical trajectories, and goes Nyström for large mapped
     /// repositories.
     pub surrogate: SurrogateConfig,
-    /// Static knob knowledge from the lint-compiled constraint artifact.
+    /// Rule-based knob knowledge (SPEX dependencies, best-practice seeds).
     /// `None` (the default) leaves trajectories bit-identical to the
     /// unconstrained tuner.
     pub constraints: Option<SearchConstraints>,
@@ -331,9 +331,8 @@ impl OtterTuneTuner {
         self
     }
 
-    /// Applies static knob knowledge (reduced bounds, dependencies, prior
-    /// seeds) from the lint-compiled constraint artifact. Opt-in: without
-    /// this call the tuner's trajectories are unchanged.
+    /// Applies rule-based knob knowledge (dependencies, prior seeds).
+    /// Opt-in: without this call the tuner's trajectories are unchanged.
     pub fn with_constraints(mut self, constraints: SearchConstraints) -> Self {
         self.constraints = Some(constraints);
         self
@@ -372,8 +371,8 @@ impl Tuner for OtterTuneTuner {
             if let Some(cons) = &self.constraints {
                 // Prior seed configs fill the slots after the default
                 // (capped so they don't displace the space-filling rows);
-                // all initial points are pulled into the reduced boxes and
-                // projected onto the dependency-feasible region.
+                // all initial points are projected onto the
+                // dependency-feasible region.
                 for (i, seed) in cons.seeds().iter().take(2).enumerate() {
                     let Some(slot) = self.init_plan.get_mut(1 + i) else {
                         break;
@@ -381,7 +380,6 @@ impl Tuner for OtterTuneTuner {
                     *slot = ctx.space.encode(seed);
                 }
                 for p in self.init_plan.iter_mut() {
-                    cons.clamp_point(p);
                     cons.repair_point(&ctx.space, p);
                 }
             }

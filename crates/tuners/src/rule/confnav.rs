@@ -14,9 +14,8 @@ use autotune_core::{
 use rand::rngs::StdRng;
 
 /// Probe levels in unit-cube coordinates: the low / high settings the
-/// one-at-a-time sweep visits for every knob (also exported as low-weight
-/// prior hints by `autotune-lint --emit-constraints`).
-pub const LEVELS: [f64; 2] = [0.15, 0.85];
+/// one-at-a-time sweep visits for every knob.
+const LEVELS: [f64; 2] = [0.15, 0.85];
 
 /// One-at-a-time knob ranking + navigation tuner.
 #[derive(Debug)]

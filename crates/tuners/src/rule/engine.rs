@@ -162,8 +162,7 @@ impl RuleBook {
     }
 
     /// The rules, in application order (later rules override earlier
-    /// ones). Exposed so knowledge compilers (`autotune-lint
-    /// --emit-constraints`) can turn rule actions into priors.
+    /// ones). `util::SearchConstraints` turns them into search seeds.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
     }

@@ -157,8 +157,8 @@ impl ConstraintSet {
         self.constraints.is_empty()
     }
 
-    /// The constraints themselves, for knowledge compilers that export
-    /// them (`autotune-lint --emit-constraints`).
+    /// The constraints themselves (`util::SearchConstraints` turns them
+    /// into search-space projections).
     pub fn all(&self) -> &[Constraint] {
         &self.constraints
     }
@@ -235,8 +235,8 @@ impl ConstraintSet {
     /// per core; a transactional one multiplexes many short sessions per
     /// core), the cluster size comes from the profile, and executor
     /// overhead is budgeted at the space's default rather than its
-    /// worst case — the compiled artifact is a search prior, not an
-    /// admission check, so it budgets the typical config it recommends.
+    /// worst case — `util::SearchConstraints` uses these as a search
+    /// prior, not an admission check, so they budget the typical config.
     pub fn infer_for_profile(space: &ConfigSpace, profile: &SystemProfile) -> Self {
         use autotune_core::WorkloadClass;
         let cores = profile.cores_per_node.max(1) as f64;

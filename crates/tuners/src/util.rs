@@ -2,12 +2,15 @@
 //! penalized objective extraction from history, and the incremental
 //! Gaussian-process surrogate cache shared by iTuned and OtterTune.
 
+use crate::rule::spex::Constraint as SpexConstraint;
+use crate::rule::{dbms_rulebook, hadoop_rulebook, spark_rulebook, ConstraintSet, RuleBook};
 use autotune_core::{
-    ConfigSpace, Configuration, Dependency, History, ParamDomain, ParamValue, SurrogateStats,
-    SystemConstraints,
+    ConfigSpace, Configuration, History, Objective, ParamDomain, ParamValue, SurrogateStats,
+    SystemProfile,
 };
 use autotune_math::batch::{argmax_first, chunked_scores};
 use autotune_math::surrogate::{Surrogate, SurrogateConfig, SurrogateModel};
+use autotune_sim::{DbmsSimulator, HadoopSimulator, SparkSimulator};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -158,21 +161,19 @@ enum ResolvedDep {
     },
 }
 
-/// Static knowledge from the knob-constraint artifact
-/// (`bench_results/knob_constraints.json`), compiled by `autotune-lint
-/// --emit-constraints` and resolved against one configuration space.
+/// Rule-based knowledge (paper §2.1) applied to an experiment-driven
+/// search: the platform's best-practice rule book and SPEX constraint
+/// inference, evaluated in-process against its canonical deployment
+/// profiles and resolved against one configuration space.
 ///
 /// Consumers are strictly opt-in: a tuner without constraints follows the
 /// exact historical code path, so seeded trajectories stay bit-identical.
-/// With constraints, candidate generation is clamped into per-knob reduced
-/// boxes (widened to keep the vendor default reachable), dependency-violating
-/// candidates are filtered out (failing open when the filter would empty the
-/// pool), and rule-derived priors become seed configurations for the
-/// initial design.
+/// With constraints, candidates are projected onto the SPEX-feasible
+/// region (never rejected, so pools keep their size), and the rule
+/// book's recommendations become seed configurations for the initial
+/// design.
 #[derive(Debug, Clone)]
 pub struct SearchConstraints {
-    /// Per-dimension unit-cube boxes `[lo, hi]`.
-    boxes: Vec<(f64, f64)>,
     deps: Vec<ResolvedDep>,
     seeds: Vec<Configuration>,
 }
@@ -211,18 +212,24 @@ fn unit_of(domain: &ParamDomain, raw: f64) -> f64 {
     }
 }
 
-/// Raw numeric value of a parameter decoded from a unit coordinate
-/// (categoricals map to their choice index).
-fn raw_of(domain: &ParamDomain, u: f64) -> f64 {
-    match (domain, domain.decode(u)) {
+/// Raw numeric value of a parameter value (booleans 0/1, categoricals
+/// their choice index; `None` for a string that names no choice).
+fn numeric_value(domain: &ParamDomain, value: &ParamValue) -> Option<f64> {
+    match (domain, value) {
         (ParamDomain::Categorical { choices }, ParamValue::Str(s)) => {
-            choices.iter().position(|c| c == &s).unwrap_or(0) as f64
+            choices.iter().position(|c| c == s).map(|i| i as f64)
         }
-        (_, v) => v.as_f64().unwrap_or(0.0),
+        (_, v) => v.as_f64(),
     }
 }
 
-/// A raw numeric value turned back into a domain-typed `ParamValue`.
+/// Raw numeric value of a parameter decoded from a unit coordinate.
+fn raw_of(domain: &ParamDomain, u: f64) -> f64 {
+    numeric_value(domain, &domain.decode(u)).unwrap_or(0.0)
+}
+
+/// A raw numeric value turned back into a domain-typed `ParamValue`,
+/// clamped into the domain.
 fn value_of(domain: &ParamDomain, raw: f64) -> ParamValue {
     match domain {
         ParamDomain::Int { min, max, .. } => {
@@ -237,117 +244,167 @@ fn value_of(domain: &ParamDomain, raw: f64) -> ParamValue {
     }
 }
 
-impl SearchConstraints {
-    /// Resolves one system's artifact entry against a concrete space.
-    /// Knobs or dependencies naming parameters the space does not have are
-    /// dropped (fail open), never invented.
-    pub fn from_artifact(sys: &SystemConstraints, space: &ConfigSpace) -> Self {
-        let default_point = space.encode(&space.default_config());
-        let mut boxes = Vec::with_capacity(space.dim());
-        for (i, spec) in space.params().iter().enumerate() {
-            let boxed = sys.knobs.get(&spec.name).map(|k| {
-                let lo = unit_of(&spec.domain, k.reduced_lo);
-                let hi = unit_of(&spec.domain, k.reduced_hi);
-                // The vendor default must stay reachable: the default config
-                // anchors every initial design.
-                let d = default_point.get(i).copied().unwrap_or(0.5);
-                (lo.min(d), hi.max(d))
+/// Per knob, the rule book's recommendation: the last rule on the knob
+/// that applies to one of `profiles`, computed against the first profile
+/// it applies to and clamped into the declared domain.
+fn rule_priors(
+    book: &RuleBook,
+    profiles: &[SystemProfile],
+    space: &ConfigSpace,
+) -> Vec<(String, ParamValue)> {
+    let mut out = Vec::new();
+    for spec in space.params() {
+        let prior = book
+            .rules()
+            .iter()
+            .rev()
+            .filter(|rule| rule.knob == spec.name)
+            .find_map(|rule| {
+                let profile = profiles.iter().find(|p| rule.applies(p))?;
+                numeric_value(&spec.domain, &rule.value.compute(profile))
             });
-            boxes.push(match boxed {
-                Some((lo, hi)) if lo <= hi => (lo, hi),
-                _ => (0.0, 1.0),
-            });
+        if let Some(v) = prior {
+            out.push((spec.name.clone(), value_of(&spec.domain, v)));
         }
+    }
+    out
+}
 
-        let resolve = |name: &str| space.index_of(name);
-        let mut deps = Vec::new();
-        for d in &sys.deps {
-            let resolved = match d {
-                Dependency::LeFactor { a, b, factor, .. } => {
-                    resolve(a)
-                        .zip(resolve(b))
-                        .map(|(a, b)| ResolvedDep::LeFactor {
-                            a,
-                            b,
-                            factor: *factor,
-                        })
-                }
-                Dependency::ProductLe { terms, limit, .. } => terms
-                    .iter()
-                    .map(|(n, w)| resolve(n).map(|i| (i, *w)))
-                    .collect::<Option<Vec<_>>>()
-                    .map(|terms| ResolvedDep::ProductLe {
+/// SPEX constraints inferred per profile and merged positionally (the
+/// inference emits the same shapes in the same order for a fixed space):
+/// each keeps its most permissive budget, so no configuration feasible
+/// for some workload the platform serves is excluded. Memory fractions
+/// scale by the first profile's per-node memory.
+fn spex_deps(profiles: &[SystemProfile], space: &ConfigSpace) -> Vec<ResolvedDep> {
+    let sets: Vec<ConstraintSet> = profiles
+        .iter()
+        .map(|p| ConstraintSet::infer_for_profile(space, p))
+        .collect();
+    let Some(first) = sets.first() else {
+        return Vec::new();
+    };
+    let memory_mb = profiles[0].memory_per_node_mb;
+    let index = |name: &str| space.index_of(name);
+    let mut deps = Vec::new();
+    for (i, c) in first.all().iter().enumerate() {
+        let variants = sets[1..].iter().map(|s| &s.all()[i]);
+        let resolved = match c {
+            SpexConstraint::MemorySum {
+                terms,
+                limit_fraction,
+                ..
+            } => {
+                let mut weights: Vec<f64> = terms.iter().map(|t| t.1).collect();
+                let mut fraction = *limit_fraction;
+                for v in variants {
+                    if let SpexConstraint::MemorySum {
                         terms,
-                        limit: *limit,
-                    }),
-                Dependency::SumLe { terms, limit, .. } => terms
+                        limit_fraction,
+                        ..
+                    } = v
+                    {
+                        for (w, t) in weights.iter_mut().zip(terms) {
+                            *w = w.min(t.1);
+                        }
+                        fraction = fraction.max(*limit_fraction);
+                    }
+                }
+                terms
                     .iter()
-                    .map(|(n, w)| resolve(n).map(|i| (i, *w)))
+                    .zip(weights)
+                    .map(|((name, _), w)| index(name).map(|i| (i, w)))
                     .collect::<Option<Vec<_>>>()
                     .map(|terms| ResolvedDep::SumLe {
                         terms,
-                        limit: *limit,
-                    }),
-            };
-            if let Some(r) = resolved {
-                deps.push(r);
+                        limit: fraction * memory_mb,
+                    })
             }
-        }
+            SpexConstraint::AtMostFactorOf {
+                knob, of, factor, ..
+            } => {
+                let mut f = *factor;
+                for v in variants {
+                    if let SpexConstraint::AtMostFactorOf { factor, .. } = v {
+                        f = f.max(*factor);
+                    }
+                }
+                index(knob)
+                    .zip(index(of))
+                    .map(|(a, b)| ResolvedDep::LeFactor { a, b, factor: f })
+            }
+            SpexConstraint::ProductUnderMemory {
+                a,
+                b,
+                limit_fraction,
+                ..
+            } => {
+                let mut fraction = *limit_fraction;
+                for v in variants {
+                    if let SpexConstraint::ProductUnderMemory { limit_fraction, .. } = v {
+                        fraction = fraction.max(*limit_fraction);
+                    }
+                }
+                index(a).zip(index(b)).map(|(a, b)| ResolvedDep::ProductLe {
+                    terms: vec![(a, 1.0), (b, 1.0)],
+                    limit: fraction * memory_mb,
+                })
+            }
+        };
+        deps.extend(resolved);
+    }
+    deps
+}
 
+impl SearchConstraints {
+    /// Builds the constraints for a platform (`dbms`, `hadoop`, `spark`)
+    /// from its best-practice rule book and SPEX inference over its
+    /// canonical deployment profiles; `None` for any other platform.
+    pub fn for_platform(platform: &str, space: &ConfigSpace) -> Option<Self> {
+        let (book, profiles) = match platform {
+            "dbms" => (
+                dbms_rulebook(),
+                vec![
+                    DbmsSimulator::oltp_default().profile(),
+                    DbmsSimulator::olap_default().profile(),
+                ],
+            ),
+            "hadoop" => (
+                hadoop_rulebook(),
+                vec![HadoopSimulator::terasort_default().profile()],
+            ),
+            "spark" => (
+                spark_rulebook(),
+                vec![SparkSimulator::aggregation_default().profile()],
+            ),
+            _ => return None,
+        };
         // Seed configurations: first the combined rule-of-thumb config
-        // (every knob at its strongest prior), then one config per knob
+        // (every knob at its recommendation), then one config per knob
         // that moves only that knob — the iTuned "use available
         // information" designs.
-        let mut seeds = Vec::new();
-        let mut combined = space.default_config();
-        let mut singles = Vec::new();
-        for spec in space.params() {
-            let Some(k) = sys.knobs.get(&spec.name) else {
-                continue;
-            };
-            let Some(best) = k
-                .priors
-                .iter()
-                .filter(|p| p.weight >= 1.0)
-                .max_by(|a, b| a.weight.total_cmp(&b.weight))
-            else {
-                continue;
-            };
-            let value = value_of(&spec.domain, best.value);
-            combined.set(&spec.name, value.clone());
-            let mut single = space.default_config();
-            single.set(&spec.name, value);
-            singles.push(single);
-        }
-        if !singles.is_empty() {
+        let priors = rule_priors(&book, &profiles, space);
+        let mut seeds = Vec::with_capacity(priors.len() + 1);
+        if !priors.is_empty() {
+            let mut combined = space.default_config();
+            for (name, value) in &priors {
+                combined.set(name, value.clone());
+            }
             seeds.push(combined);
-            seeds.extend(singles);
+            for (name, value) in priors {
+                let mut single = space.default_config();
+                single.set(&name, value);
+                seeds.push(single);
+            }
         }
-
-        SearchConstraints { boxes, deps, seeds }
-    }
-
-    /// Loads the committed artifact and resolves the named system.
-    /// `Err` carries a human-readable reason (missing file, bad version,
-    /// unknown system).
-    pub fn load(path: &std::path::Path, system: &str, space: &ConfigSpace) -> Result<Self, String> {
-        let artifact = autotune_core::KnobConstraints::load(path)?;
-        let sys = artifact
-            .system(system)
-            .ok_or_else(|| format!("no system `{system}` in {}", path.display()))?;
-        Ok(Self::from_artifact(sys, space))
+        Some(SearchConstraints {
+            deps: spex_deps(&profiles, space),
+            seeds,
+        })
     }
 
     /// Prior-derived seed configurations (combined rule-of-thumb first).
     pub fn seeds(&self) -> &[Configuration] {
         &self.seeds
-    }
-
-    /// Clamps a unit-cube point into the per-knob reduced boxes.
-    pub fn clamp_point(&self, point: &mut [f64]) {
-        for (v, &(lo, hi)) in point.iter_mut().zip(&self.boxes) {
-            *v = v.clamp(lo, hi);
-        }
     }
 
     /// Whether a unit-cube point satisfies every resolved dependency.
@@ -430,19 +487,17 @@ impl SearchConstraints {
             for (i, spec) in space.params().iter().enumerate() {
                 point[i] = unit_of(&spec.domain, raw[i]);
             }
-            self.clamp_point(point);
         }
     }
 
-    /// Applies the constraints to a candidate pool: every point is clamped
-    /// into the reduced boxes and projected onto the dependency-feasible
-    /// region. Projection (rather than rejection) keeps the pool's size
-    /// and diversity even when the feasible region is a sliver of the
-    /// declared space, and a contradictory dependency degrades to the
-    /// clamped pool — constraints never empty a search.
+    /// Projects every point of a candidate pool onto the
+    /// dependency-feasible region. Projection (rather than rejection)
+    /// keeps the pool's size and diversity even when the feasible region
+    /// is a sliver of the declared space, and a contradictory dependency
+    /// leaves points where the domain floor forces them — constraints
+    /// never empty a search.
     pub fn apply_to_pool(&self, space: &ConfigSpace, mut pool: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         for p in pool.iter_mut() {
-            self.clamp_point(p);
             self.repair_point(space, p);
         }
         pool
@@ -522,54 +577,21 @@ mod tests {
         assert!((anchors[1][0] - 0.9).abs() < 1e-9);
     }
 
-    fn artifact() -> SystemConstraints {
-        use autotune_core::{KnobConstraint, Prior};
-        let mut knobs = std::collections::BTreeMap::new();
-        knobs.insert(
-            "x".to_string(),
-            KnobConstraint {
-                declared_lo: 0.0,
-                declared_hi: 1.0,
-                reduced_lo: 0.25,
-                reduced_hi: 0.75,
-                log_scale: false,
-                default: Some(0.5),
-                unit: None,
-                priors: vec![Prior {
-                    value: 0.7,
-                    weight: 1.0,
-                    source: "bestpractice:test".into(),
-                }],
-                sources: vec![],
-            },
-        );
-        SystemConstraints {
-            knobs,
-            deps: vec![Dependency::SumLe {
-                terms: vec![("x".into(), 1.0), ("y".into(), 1.0)],
-                limit: 1.2,
-                source: "spex:test".into(),
+    /// `x + y <= limit` over the test space, without seeds.
+    fn sum_le(limit: f64) -> SearchConstraints {
+        SearchConstraints {
+            deps: vec![ResolvedDep::SumLe {
+                terms: vec![(0, 1.0), (1, 1.0)],
+                limit,
             }],
+            seeds: Vec::new(),
         }
-    }
-
-    #[test]
-    fn constraints_clamp_into_reduced_boxes() {
-        let s = space();
-        let c = SearchConstraints::from_artifact(&artifact(), &s);
-        let mut p = vec![0.9, 0.9];
-        c.clamp_point(&mut p);
-        assert_eq!(p, vec![0.75, 0.9]); // y unnamed → full box
-                                        // The default (0.5) stays reachable even if reduction excluded it.
-        let mut q = vec![0.5, 0.5];
-        c.clamp_point(&mut q);
-        assert_eq!(q, vec![0.5, 0.5]);
     }
 
     #[test]
     fn dependencies_project_instead_of_rejecting() {
         let s = space();
-        let c = SearchConstraints::from_artifact(&artifact(), &s);
+        let c = sum_le(1.2);
         // x + y <= 1.2: a satisfying point is untouched, a violator is
         // scaled down onto the feasible surface — never dropped.
         assert!(c.satisfies(&s, &[0.3, 0.3]));
@@ -582,42 +604,126 @@ mod tests {
         let sum: f64 = out[1].iter().sum();
         assert!((sum - 1.2).abs() < 1e-6, "lands on the surface, got {sum}");
         // A contradictory dependency (limit below any reachable value)
-        // cannot be repaired — the point degrades to clamped, unfiltered.
-        let mut sys = artifact();
-        sys.deps = vec![Dependency::SumLe {
-            terms: vec![("x".into(), 1.0), ("y".into(), 1.0)],
-            limit: -1.0,
-            source: "test".into(),
-        }];
-        let c = SearchConstraints::from_artifact(&sys, &s);
+        // cannot be repaired — the point is left as it was.
+        let c = sum_le(-1.0);
         let out = c.apply_to_pool(&s, vec![vec![0.3, 0.3], vec![0.9, 0.9]]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[1], vec![0.75, 0.9]); // still clamped
+        assert_eq!(out, vec![vec![0.3, 0.3], vec![0.9, 0.9]]);
     }
 
     #[test]
-    fn prior_seeds_include_combined_config() {
-        let s = space();
-        let c = SearchConstraints::from_artifact(&artifact(), &s);
-        let seeds = c.seeds();
-        assert_eq!(seeds.len(), 2); // combined + one single-knob seed
-        let enc = s.encode(&seeds[0]);
-        assert!((enc[0] - 0.7).abs() < 1e-9);
-        assert!((enc[1] - 0.5).abs() < 1e-9); // y stays at default
+    fn platforms_get_rule_seeds_and_spex_dependencies() {
+        use crate::rule::{dbms_rulebook, hadoop_rulebook, spark_rulebook, RuleBook};
+        let platforms: [(&str, ConfigSpace, RuleBook); 3] = [
+            ("dbms", autotune_sim::dbms::dbms_space(), dbms_rulebook()),
+            (
+                "hadoop",
+                autotune_sim::hadoop::hadoop_space(),
+                hadoop_rulebook(),
+            ),
+            (
+                "spark",
+                autotune_sim::spark::spark_space(),
+                spark_rulebook(),
+            ),
+        ];
+        for (platform, space, book) in platforms {
+            let c = SearchConstraints::for_platform(platform, &space).expect("known platform");
+            assert!(!c.deps.is_empty(), "{platform}: SPEX dependencies");
+            // Combined seed first, then at most one single-knob seed per
+            // knob the rule book covers; the combined seed carries every
+            // single seed's move.
+            let knobs: std::collections::BTreeSet<&str> = book
+                .rules()
+                .iter()
+                .map(|r| r.knob.as_str())
+                .filter(|k| space.spec(k).is_some())
+                .collect();
+            let seeds = c.seeds();
+            assert!(seeds.len() >= 2, "{platform}: rule seeds");
+            assert!(seeds.len() <= knobs.len() + 1, "{platform}");
+            let default = space.default_config();
+            for seed in seeds {
+                space.validate_config(seed).expect("seed is a valid config");
+            }
+            for single in &seeds[1..] {
+                for spec in space.params() {
+                    let v = single.get(&spec.name);
+                    if v != default.get(&spec.name) {
+                        assert_eq!(v, seeds[0].get(&spec.name), "{platform}: {}", spec.name);
+                    }
+                }
+            }
+        }
+        let dbms = autotune_sim::dbms::dbms_space();
+        assert!(SearchConstraints::for_platform("mtdbms", &dbms).is_none());
+    }
+
+    /// A dependency rendered with knob names; `{}` prints the shortest
+    /// string that round-trips, so the text pins every bit.
+    fn render(dep: &ResolvedDep, space: &ConfigSpace) -> String {
+        let name = |i: usize| space.params()[i].name.as_str();
+        let terms = |terms: &[(usize, f64)], op: &str| {
+            terms
+                .iter()
+                .map(|&(i, w)| format!("{w}*{}", name(i)))
+                .collect::<Vec<_>>()
+                .join(op)
+        };
+        match dep {
+            ResolvedDep::LeFactor { a, b, factor } => {
+                format!("{} <= {factor}*{}", name(*a), name(*b))
+            }
+            ResolvedDep::ProductLe { terms: t, limit } => format!("{} <= {limit}", terms(t, " x ")),
+            ResolvedDep::SumLe { terms: t, limit } => format!("{} <= {limit}", terms(t, " + ")),
+        }
     }
 
     #[test]
-    fn unknown_knobs_and_deps_are_dropped() {
+    fn dependencies_are_pinned() {
+        // The merged SPEX budgets: dbms takes the smaller per-session
+        // weights of its OLTP and OLAP profiles.
+        let want: [(&str, ConfigSpace, &[&str]); 3] = [
+            (
+                "dbms",
+                autotune_sim::dbms::dbms_space(),
+                &[
+                    "1*shared_buffers_mb + 4*work_mem_mb + 1*maintenance_work_mem_mb \
+                   + 1*wal_buffers_mb + 2*temp_buffers_mb <= 14745.6",
+                ],
+            ),
+            (
+                "hadoop",
+                autotune_sim::hadoop::hadoop_space(),
+                &[
+                    "io_sort_mb <= 0.6*map_heap_mb",
+                    "1*map_slots_per_node x 1*map_heap_mb <= 9830.4",
+                    "1*reduce_slots_per_node x 1*reduce_heap_mb <= 6553.6",
+                ],
+            ),
+            (
+                "spark",
+                autotune_sim::spark::spark_space(),
+                &[
+                    "1*executor_instances x 1*executor_memory_mb <= 113198.54545454544",
+                    "broadcast_threshold_mb <= 0.1*executor_memory_mb",
+                ],
+            ),
+        ];
+        for (platform, space, deps) in want {
+            let c = SearchConstraints::for_platform(platform, &space).expect("known platform");
+            let got: Vec<String> = c.deps.iter().map(|d| render(d, &space)).collect();
+            assert_eq!(got, deps, "{platform}");
+        }
+    }
+
+    #[test]
+    fn dependencies_on_knobs_outside_the_space_are_dropped() {
+        // The test space has none of the platform knobs: every SPEX
+        // dependency is unresolvable, so everything satisfies.
         let s = space();
-        let mut sys = artifact();
-        sys.deps = vec![Dependency::LeFactor {
-            a: "x".into(),
-            b: "not_a_knob".into(),
-            factor: 1.0,
-            source: "test".into(),
-        }];
-        let c = SearchConstraints::from_artifact(&sys, &s);
-        // Unresolvable dependency dropped → everything satisfies.
+        let c = SearchConstraints::for_platform("spark", &s).expect("spark");
+        assert!(c.deps.is_empty());
+        assert!(c.seeds().is_empty());
         assert!(c.satisfies(&s, &[0.9, 0.9]));
     }
 

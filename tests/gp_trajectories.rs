@@ -148,3 +148,57 @@ fn ottertune_spark_trajectory_is_pinned() {
         (0x0b5e_11d7_3d13_3413, 0x419b_0d39_69b7_ed48),
     );
 }
+
+/// Runs constrained iTuned and OtterTune on one platform scenario and
+/// checks both digests.
+fn check_constrained(
+    system: &str,
+    platform: &str,
+    make: fn() -> Box<dyn Objective>,
+    ituned: (u64, u64),
+    ottertune: (u64, u64),
+) {
+    use autotune::tuners::util::SearchConstraints;
+    let constraints = SearchConstraints::for_platform(platform, make().space())
+        .expect("platform has a rule book");
+    let got = run(
+        make(),
+        Box::new(ITunedTuner::new().with_constraints(constraints.clone())),
+        30,
+    );
+    check(&format!("constrained ituned/{system}"), got, ituned);
+    let got = run(
+        make(),
+        Box::new(OtterTuneTuner::new(WorkloadRepository::new()).with_constraints(constraints)),
+        30,
+    );
+    check(&format!("constrained ottertune/{system}"), got, ottertune);
+}
+
+/// Constrained iTuned and OtterTune runs: the rule-book seeds and SPEX
+/// projection on both tuners' constrained code paths. Captured from the
+/// JSON-artifact constraints the in-process ones replaced.
+#[test]
+fn constrained_trajectories_are_pinned() {
+    check_constrained(
+        "dbms-olap",
+        "dbms",
+        || Box::new(DbmsSimulator::olap_default()),
+        (0x0dab_2ceb_5547_3092, 0x75c4_52bc_d7be_465c),
+        (0xcf4c_68cd_cb58_5422, 0x08f1_bcb7_8e01_b610),
+    );
+    check_constrained(
+        "hadoop-terasort",
+        "hadoop",
+        || Box::new(HadoopSimulator::terasort_default()),
+        (0x590f_8c57_4a19_70e5, 0x9472_2307_43f3_c329),
+        (0xd16b_17d7_db40_291c, 0x1b26_58c9_c56a_5b30),
+    );
+    check_constrained(
+        "spark-agg",
+        "spark",
+        || Box::new(SparkSimulator::aggregation_default()),
+        (0xd2ce_845b_87cd_2c1a, 0x5ba3_0654_3cb0_1808),
+        (0xdb2a_3499_75c7_50f9, 0x34b7_a814_5577_5b2b),
+    );
+}

@@ -1,12 +1,13 @@
 //! The serve session step machine under crashes: a session dropped after
 //! any number of steps and recovered from its log must finish exactly as
-//! the uninterrupted run does, and a finished session recovers without
-//! replaying its tuner.
+//! the uninterrupted run does, a finished session recovers without
+//! replaying its tuner, and a constrained session recovers without any
+//! constraint file on disk.
 
 use autotune_serve::repo::{SessionMeta, SessionRepository};
 use autotune_serve::session::LiveSession;
 use autotune_serve::spec::SessionSpec;
-use autotune_serve::wal::SessionStatus;
+use autotune_serve::wal::{Durability, SessionStatus, WalSink};
 use std::fs;
 use std::path::PathBuf;
 
@@ -33,7 +34,7 @@ fn spec(system: &str, tuner: &str, seed: u64, budget: usize, drift: bool) -> Ses
         noise: "none".into(),
         warm_start: false,
         surrogate: "auto".into(),
-        constraints: String::new(),
+        constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),
     };
@@ -143,4 +144,73 @@ fn finished_session_recovers_without_replaying_its_tuner() {
         "a finished session's tuner must not be replayed"
     );
     let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn constrained_session_recovers_without_an_artifact_file() {
+    const BUDGET: usize = 20;
+    const CUT: usize = 9;
+    let constrained = || {
+        let mut s = spec("dbms-oltp", "ituned", 11, BUDGET, false);
+        s.constraints = true;
+        s
+    };
+    let (root_ref, repo_ref) = fresh_repo("constrained-ref");
+    let mut reference = LiveSession::create(&repo_ref, meta(&repo_ref, constrained()), None, 64)
+        .expect("create reference");
+    reference.advance(BUDGET).expect("advance");
+    assert_eq!(reference.status(), SessionStatus::Finished);
+    let unconstrained = {
+        let (root, repo) = fresh_repo("unconstrained-ref");
+        let m = meta(&repo, spec("dbms-oltp", "ituned", 11, BUDGET, false));
+        let mut plain = LiveSession::create(&repo, m, None, 64).expect("create");
+        plain.advance(BUDGET).expect("advance");
+        let _ = fs::remove_dir_all(&root);
+        outcome(&plain)
+    };
+    assert_ne!(
+        outcome(&reference),
+        unconstrained,
+        "premise: the constraints steer the search"
+    );
+
+    let (root, repo) = fresh_repo("constrained-cut");
+    let m = meta(&repo, constrained());
+    let id = m.id;
+    {
+        let mut victim = LiveSession::create(&repo, m, None, SNAPSHOT_EVERY).expect("create");
+        victim.advance(CUT).expect("advance to the cut");
+    }
+    // Sessions written before the field became a bool name an artifact
+    // path; the file no longer exists anywhere, and recovery must not
+    // look for it.
+    let meta_path = repo.session_dir(id).join("meta.json");
+    let text = fs::read_to_string(&meta_path).expect("meta.json");
+    assert!(text.contains("\"constraints\": true"), "{text}");
+    fs::write(
+        &meta_path,
+        text.replace(
+            "\"constraints\": true",
+            "\"constraints\": \"/nonexistent/bench_results/knob_constraints.json\"",
+        ),
+    )
+    .expect("rewrite meta.json");
+    let mut back = LiveSession::recover_with(
+        &repo,
+        repo.read_meta(id).expect("legacy meta decodes"),
+        SNAPSHOT_EVERY,
+        WalSink::Direct(Durability::Flush),
+        Vec::new(),
+    )
+    .expect("recover without an artifact file");
+    assert_eq!(back.history().len(), CUT + 1);
+    back.advance(BUDGET).expect("finish");
+    assert_eq!(back.status(), SessionStatus::Finished);
+    assert_eq!(
+        outcome(&back),
+        outcome(&reference),
+        "recovered run diverged"
+    );
+    let _ = fs::remove_dir_all(&root);
+    let _ = fs::remove_dir_all(&root_ref);
 }
