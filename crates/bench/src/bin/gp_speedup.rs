@@ -5,7 +5,7 @@
 //! `cargo run --release -p autotune-bench --bin gp_speedup [dim] [seed]`
 //!
 //! Runs single-threaded by construction: it calls `predict_batch`
-//! directly, below the `AUTOTUNE_THREADS` chunking layer, so the reported
+//! directly, below the spare-core chunking layer, so the reported
 //! speedup is the algorithmic one (shared cross-covariance + multi-RHS
 //! solve), not thread parallelism.
 

@@ -17,6 +17,7 @@
 //! re-simulated.
 
 use autotune_core::Configuration;
+use autotune_math::batch::{fork_join, SpareCores};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -69,45 +70,24 @@ impl SessionExecutor {
     /// only `Sync` state. Non-`Send` values (e.g. `Box<dyn Tuner>`) are
     /// fine as long as they are *constructed inside* the job closure.
     /// A panicking job propagates to the caller after all threads join.
+    ///
+    /// The caller runs jobs beside `threads − 1` scoped workers. While
+    /// they run, the executor holds a free spare-core token (see
+    /// [`autotune_math::batch`]) for each worker that can get one, so a
+    /// tuner inside a job does not fork its GP search onto cores the
+    /// executor already fills.
     pub fn run<R, F>(&self, jobs: Vec<F>) -> Vec<R>
     where
         R: Send,
         F: FnOnce() -> R + Send,
     {
         let n = jobs.len();
-        if self.threads == 1 || n <= 1 {
+        let workers = (self.threads - 1).min(n.saturating_sub(1));
+        if workers == 0 {
             return jobs.into_iter().map(|job| job()).collect();
         }
-        let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(n);
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = slots[i]
-                        .lock()
-                        .expect("job slot lock")
-                        .take()
-                        .expect("each job index is claimed exactly once");
-                    let out = job();
-                    *results[i].lock().expect("result slot lock") = Some(out);
-                });
-            }
-        })
-        .expect("worker scope");
-        results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot lock")
-                    .expect("every claimed job stored a result")
-            })
-            .collect()
+        let _held = SpareCores::claim(workers);
+        fork_join(jobs, workers, |job| job())
     }
 }
 

@@ -206,6 +206,7 @@ pub(crate) struct CrossCovScratch {
 /// rebuilds its covariance by rescaling these differences instead of
 /// re-reading the `n × d` training matrix, hoisting the subtraction out of
 /// the `O(n² · d)` inner loop of every marginal-likelihood evaluation.
+/// Read-only once built, so the search's parallel starts share one copy.
 ///
 /// Stored dimension-major (`diffs[d * pairs + p]`, pairs in lexicographic
 /// order), so the pairs `(i, i+1..n)` of one matrix row are contiguous in
@@ -225,10 +226,6 @@ struct PairwiseDiffs {
     n: usize,
     pairs: usize,
     diffs: Vec<f64>,
-    /// One row's r2 and the Matérn tail's scratch, reused across rows and
-    /// across the search's evaluations (fully overwritten before use).
-    r2: Vec<f64>,
-    tail: Vec<f64>,
 }
 
 impl PairwiseDiffs {
@@ -246,41 +243,35 @@ impl PairwiseDiffs {
                 p += 1;
             }
         }
-        PairwiseDiffs {
-            n,
-            pairs,
-            diffs,
-            r2: vec![0.0; n],
-            tail: vec![0.0; n],
-        }
+        PairwiseDiffs { n, pairs, diffs }
     }
 
     /// Writes the covariance matrix for `kernel` over the cached training
-    /// set into `out` (noise added on the diagonal), overwriting every
-    /// entry. Bit-identical to `kernel.covariance(xs)`: off-diagonals go
-    /// through the shared `value_from_r2` arithmetic, and the diagonal
-    /// `eval(x, x)` is exactly `signal_variance` for both kernel kinds
-    /// (`x - x` is `+0.0`, and `exp(-0.0) == 1.0`), to which
+    /// set into `scratch.cov` (noise added on the diagonal), overwriting
+    /// every entry. Bit-identical to `kernel.covariance(xs)`:
+    /// off-diagonals go through the shared `value_from_r2` arithmetic, and
+    /// the diagonal `eval(x, x)` is exactly `signal_variance` for both
+    /// kernel kinds (`x - x` is `+0.0`, and `exp(-0.0) == 1.0`), to which
     /// `add_diagonal_mut` adds the noise — reproduced here as one `sv + nv`
     /// addition.
-    fn covariance_into(&mut self, kernel: &Kernel, out: &mut Matrix) {
+    fn covariance_into(&self, kernel: &Kernel, scratch: &mut MarginalScratch) {
         debug_assert_eq!(self.diffs.len(), self.pairs * kernel.dim());
-        debug_assert_eq!(out.shape(), (self.n, self.n));
+        debug_assert_eq!(scratch.cov.shape(), (self.n, self.n));
         let n = self.n;
         let diag = kernel.signal_variance + kernel.noise_variance;
-        let data = out.data_mut();
+        let data = scratch.cov.data_mut();
         // Row i's pairs (i, i+1..n) start at p0 in every dimension.
         let mut p0 = 0;
         for i in 0..n {
             let len = n - i - 1;
-            let r2 = &mut self.r2[..len];
+            let r2 = &mut scratch.r2[..len];
             r2.fill(0.0);
             for (d, &l) in kernel.length_scales.iter().enumerate() {
                 let start = d * self.pairs + p0;
                 crate::simd::scaled_sq_accum_diffs(l, &self.diffs[start..start + len], r2);
             }
             let row = &mut data[i * n + i + 1..(i + 1) * n];
-            kernel.fill_row_from_r2(r2, &mut self.tail[..len], row);
+            kernel.fill_row_from_r2(r2, &mut scratch.tail[..len], row);
             data[i * n + i] = diag;
             for j in i + 1..n {
                 data[j * n + i] = data[i * n + j];
@@ -291,12 +282,20 @@ impl PairwiseDiffs {
 }
 
 /// Everything about `-log p(y | X, θ)` that does not depend on the
-/// hyper-parameters θ — the pair cache and the centred targets — plus the
-/// `n × n` covariance buffer, built once per hyper-parameter search.
+/// hyper-parameters θ — the pair cache and the centred targets — built
+/// once per hyper-parameter search and shared read-only by every
+/// candidate evaluation, whichever thread runs it.
 struct MarginalCache {
     pairs: PairwiseDiffs,
     centred: Vec<f64>,
+}
+
+/// One evaluating thread's buffers: the `n × n` covariance plus one row's
+/// r2 and the Matérn tail's scratch, each fully overwritten before use.
+struct MarginalScratch {
     cov: Matrix,
+    r2: Vec<f64>,
+    tail: Vec<f64>,
 }
 
 impl MarginalCache {
@@ -305,7 +304,16 @@ impl MarginalCache {
         MarginalCache {
             pairs: PairwiseDiffs::new(xs),
             centred: ys.iter().map(|y| y - y_mean).collect(),
-            cov: Matrix::zeros(xs.len(), xs.len()),
+        }
+    }
+
+    /// Fresh buffers for one thread's evaluations.
+    fn scratch(&self) -> MarginalScratch {
+        let n = self.pairs.n;
+        MarginalScratch {
+            cov: Matrix::zeros(n, n),
+            r2: vec![0.0; n],
+            tail: vec![0.0; n],
         }
     }
 
@@ -313,9 +321,9 @@ impl MarginalCache {
     /// negated value [`GaussianProcess::fit`] would store in
     /// `log_marginal` for this kernel. Returns `None` where `fit` would
     /// return a factorization error.
-    fn neg_log_marginal(&mut self, kernel: &Kernel) -> Option<f64> {
-        self.pairs.covariance_into(kernel, &mut self.cov);
-        let (chol, _jitter) = Cholesky::decompose_with_jitter(&self.cov, 1e-10, 12).ok()?;
+    fn neg_log_marginal(&self, kernel: &Kernel, scratch: &mut MarginalScratch) -> Option<f64> {
+        self.pairs.covariance_into(kernel, scratch);
+        let (chol, _jitter) = Cholesky::decompose_with_jitter(&scratch.cov, 1e-10, 12).ok()?;
         let alpha = chol.solve(&self.centred);
         let n = self.centred.len() as f64;
         let lml = -0.5 * dot(&self.centred, &alpha)
@@ -479,23 +487,19 @@ impl GaussianProcess {
     /// scale, log signal variance, log noise variance) by maximizing the
     /// log marginal likelihood with Nelder–Mead. Targets are standardized
     /// internally via the signal-variance parameter.
+    ///
+    /// The three starts search independently (through
+    /// [`crate::batch::par_map`], on spare cores when there are any) and
+    /// are reduced in start order with a strict `<`, so the chosen θ does
+    /// not depend on the schedule.
     pub fn fit_auto(kind: KernelKind, xs: Vec<Vec<f64>>, ys: &[f64]) -> Result<Self, LinAlgError> {
         assert!(!xs.is_empty());
         let dim = xs[0].len();
         let y_sd = std_dev(ys).max(1e-6);
         // Pairwise differences and centred targets are
         // hyper-parameter-independent: compute them once, outside the
-        // search, and let the objective reuse one covariance buffer.
-        let mut cache = MarginalCache::new(&xs, ys);
-        let mut objective = |theta: &[f64]| -> f64 {
-            let ls = theta[0].exp().clamp(1e-3, 1e3);
-            let sv = theta[1].exp().clamp(1e-8, 1e6);
-            let nv = theta[2].exp().clamp(1e-10, 1e4);
-            let mut k = Kernel::new(kind, dim, ls);
-            k.signal_variance = sv;
-            k.noise_variance = nv;
-            cache.neg_log_marginal(&k).unwrap_or(f64::INFINITY)
-        };
+        // search; each start reuses one covariance buffer of its own.
+        let cache = MarginalCache::new(&xs, ys);
         // Three deterministic starts spanning short/medium/long correlation.
         let starts = [
             vec![(0.2f64).ln(), (y_sd * y_sd).ln(), (y_sd * y_sd * 0.01).ln()],
@@ -506,10 +510,24 @@ impl GaussianProcess {
                 (y_sd * y_sd * 0.001).ln(),
             ],
         ];
+        let searched = crate::batch::par_map(&starts, |s| {
+            let mut scratch = cache.scratch();
+            let mut objective = |theta: &[f64]| -> f64 {
+                let ls = theta[0].exp().clamp(1e-3, 1e3);
+                let sv = theta[1].exp().clamp(1e-8, 1e6);
+                let nv = theta[2].exp().clamp(1e-10, 1e4);
+                let mut k = Kernel::new(kind, dim, ls);
+                k.signal_variance = sv;
+                k.noise_variance = nv;
+                cache
+                    .neg_log_marginal(&k, &mut scratch)
+                    .unwrap_or(f64::INFINITY)
+            };
+            nelder_mead(&mut objective, s, 0.4, 120, 1e-7)
+        });
         let mut best: Option<Vec<f64>> = None;
         let mut best_v = f64::INFINITY;
-        for s in &starts {
-            let r = nelder_mead(&mut objective, s, 0.4, 120, 1e-7);
+        for r in searched {
             if r.value < best_v {
                 best_v = r.value;
                 best = Some(r.x);
@@ -528,6 +546,11 @@ impl GaussianProcess {
     /// descent on the log marginal likelihood. Irrelevant knobs drift to
     /// long length scales (the kernel ignores them) — the GP-side
     /// equivalent of knob ranking.
+    ///
+    /// A dimension's four candidates differ from the incumbent only in
+    /// that dimension's length scale, so they are evaluated together
+    /// (through [`crate::batch::par_map`]) and then accepted in factor
+    /// order — the same decisions the one-at-a-time scan makes.
     pub fn fit_auto_ard(
         kind: KernelKind,
         xs: Vec<Vec<f64>>,
@@ -537,16 +560,25 @@ impl GaussianProcess {
         let dim = iso.kernel.dim();
         let mut kernel = iso.kernel.clone();
         let mut best_lml = iso.log_marginal;
-        let mut cache = MarginalCache::new(&xs, ys);
+        let cache = MarginalCache::new(&xs, ys);
         // Coordinate descent: each dimension tries a few multiplicative
         // adjustments of its length scale, keeping improvements.
         for _sweep in 0..2 {
             for d in 0..dim {
                 let current = kernel.length_scales[d];
-                for factor in [0.25, 0.5, 2.0, 4.0] {
-                    let mut k = kernel.clone();
-                    k.length_scales[d] = (current * factor).clamp(1e-3, 1e3);
-                    if let Some(neg) = cache.neg_log_marginal(&k) {
+                let candidates: Vec<Kernel> = [0.25, 0.5, 2.0, 4.0]
+                    .iter()
+                    .map(|factor| {
+                        let mut k = kernel.clone();
+                        k.length_scales[d] = (current * factor).clamp(1e-3, 1e3);
+                        k
+                    })
+                    .collect();
+                let negs = crate::batch::par_map(&candidates, |k| {
+                    cache.neg_log_marginal(k, &mut cache.scratch())
+                });
+                for (k, neg) in candidates.into_iter().zip(negs) {
+                    if let Some(neg) = neg {
                         if -neg > best_lml {
                             best_lml = -neg;
                             kernel = k;
@@ -994,7 +1026,8 @@ mod tests {
                     .iter()
                     .map(|x| (3.0 * x[0]).sin() + 0.5 * x[dim - 1])
                     .collect();
-                let mut cache = MarginalCache::new(&xs, &ys);
+                let cache = MarginalCache::new(&xs, &ys);
+                let mut scratch = cache.scratch();
                 for kind in [KernelKind::SquaredExponential, KernelKind::Matern52] {
                     for (ls, ard, sv, nv) in [
                         (0.2, false, 1.0, 1e-6),
@@ -1009,7 +1042,7 @@ mod tests {
                         }
                         k.signal_variance = sv;
                         k.noise_variance = nv;
-                        let neg = cache.neg_log_marginal(&k).unwrap();
+                        let neg = cache.neg_log_marginal(&k, &mut scratch).unwrap();
                         let gp = GaussianProcess::fit(k, xs.clone(), &ys).unwrap();
                         assert_eq!(
                             neg.to_bits(),

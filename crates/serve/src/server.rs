@@ -60,8 +60,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -203,6 +203,12 @@ struct AdvanceGate {
 /// One session as held by a shard: the session itself plus its gate.
 struct SessionEntry {
     session: Mutex<LiveSession>,
+    /// Requests waiting for `session` through [`SessionEntry::request_lock`].
+    /// The advance driver yields before its next step while this is
+    /// non-zero: a mutex gives no hand-off, so a driver re-locking right
+    /// after each step could keep an inspector waiting for the whole
+    /// advance instead of one step.
+    waiting: AtomicUsize,
     gate: Mutex<AdvanceGate>,
     gate_cv: Condvar,
 }
@@ -211,6 +217,7 @@ impl SessionEntry {
     fn new(session: LiveSession) -> Arc<SessionEntry> {
         Arc::new(SessionEntry {
             session: Mutex::new(session),
+            waiting: AtomicUsize::new(0),
             gate: Mutex::new(AdvanceGate {
                 target: 0,
                 driver: false,
@@ -220,6 +227,16 @@ impl SessionEntry {
             }),
             gate_cv: Condvar::new(),
         })
+    }
+
+    /// Locks the session for a request handler (inspection, cancel, an
+    /// advance reading its progress), announcing the wait so a running
+    /// driver lets the request in at its next step boundary.
+    fn request_lock(&self) -> MutexGuard<'_, LiveSession> {
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let session = lock(&self.session);
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        session
     }
 }
 
@@ -302,7 +319,7 @@ impl Daemon {
             eprintln!("autotune-serve: {note}");
         }
 
-        let mut recovered: Vec<(SessionId, LiveSession)> = Vec::new();
+        let mut pending: Vec<(SessionMeta, Vec<wal::WalRecord>)> = Vec::new();
         for id in repo.list_ids()? {
             let meta = match repo.read_meta(id) {
                 Ok(m) => m,
@@ -327,24 +344,9 @@ impl Daemon {
                 }
             }
             let tail = journal_map.remove(&id).unwrap_or_default();
-            let had_tail = !tail.is_empty();
-            let mut session = LiveSession::recover_with(
-                &repo,
-                meta,
-                config.snapshot_every,
-                WalSink::Direct(config.durability),
-                tail,
-            )?;
-            if let Some(note) = session.recovery_corruption() {
-                eprintln!("autotune-serve: session {id}: {note}");
-            }
-            if had_tail {
-                // Make the journal-only records durable in the session's
-                // own files so the journal can be deleted below.
-                session.write_snapshot()?;
-            }
-            recovered.push((id, session));
+            pending.push((meta, tail));
         }
+        let mut recovered = recover_sessions(&repo, &config, pending)?;
         if journal_map.is_empty() {
             match std::fs::remove_file(&journal_path) {
                 Ok(()) => {}
@@ -464,6 +466,62 @@ impl Daemon {
             }
         }
     }
+}
+
+/// Recovers the sessions `Daemon::start` found on disk (ascending id,
+/// each with its journal tail) and returns them in id order.
+///
+/// Sessions recover independently, so they run through
+/// [`autotune_math::batch::par_map`], with one exception: a
+/// `warm_start` session reads other sessions' files while it recovers
+/// (its creation-time source and any drift-event sources), and a
+/// source's last records may sit only in the journal until the source's
+/// own recovery re-snapshots them. So every `warm_start: false` session
+/// recovers first, concurrently; then the warm-started ones recover one
+/// at a time, in id order. Corruption notes print and the first error
+/// returns in id order.
+fn recover_sessions(
+    repo: &SessionRepository,
+    config: &DaemonConfig,
+    pending: Vec<(SessionMeta, Vec<wal::WalRecord>)>,
+) -> ServeResult<Vec<(SessionId, LiveSession)>> {
+    let recover_one = |(meta, tail): (SessionMeta, Vec<wal::WalRecord>)| {
+        let had_tail = !tail.is_empty();
+        let mut session = LiveSession::recover_with(
+            repo,
+            meta,
+            config.snapshot_every,
+            WalSink::Direct(config.durability),
+            tail,
+        )?;
+        if had_tail {
+            // Make the journal-only records durable in the session's own
+            // files, so the journal can be deleted once startup is done.
+            session.write_snapshot()?;
+        }
+        Ok(session)
+    };
+    let (warm, cold): (Vec<_>, Vec<_>) = pending
+        .into_iter()
+        .partition(|(meta, _)| meta.spec.warm_start);
+    let cold_ids: Vec<SessionId> = cold.iter().map(|(meta, _)| meta.id).collect();
+    let mut results: BTreeMap<SessionId, ServeResult<LiveSession>> = cold_ids
+        .into_iter()
+        .zip(autotune_math::batch::par_map(cold, recover_one))
+        .collect();
+    for job in warm {
+        let id = job.0.id;
+        results.insert(id, recover_one(job));
+    }
+    let mut recovered = Vec::with_capacity(results.len());
+    for (id, result) in results {
+        let session = result?;
+        if let Some(note) = session.recovery_corruption() {
+            eprintln!("autotune-serve: session {id}: {note}");
+        }
+        recovered.push((id, session));
+    }
+    Ok(recovered)
 }
 
 /// A free name to set an unconsumed startup journal aside under
@@ -655,7 +713,7 @@ fn list_sessions(state: &DaemonState) -> ServeResult<Response> {
     for shard in &state.shards {
         let sessions = lock(&shard.sessions);
         rows.extend(sessions.values().map(|entry| {
-            let s = lock(&entry.session);
+            let s = entry.request_lock();
             SessionSummary {
                 id: s.meta.id,
                 status: s.status().label().to_string(),
@@ -670,7 +728,7 @@ fn list_sessions(state: &DaemonState) -> ServeResult<Response> {
 
 fn session_detail(state: &DaemonState, id: SessionId) -> ServeResult<Response> {
     let entry = find_session(state, id)?;
-    let s = lock(&entry.session);
+    let s = entry.request_lock();
     let detail = SessionDetail {
         id: s.meta.id,
         spec: s.meta.spec.clone(),
@@ -741,7 +799,7 @@ fn advance_session(
     let entry = find_session(state, id)?;
 
     let (start_evals, budget, finished) = {
-        let s = lock(&entry.session);
+        let s = entry.request_lock();
         // Advancing a cancelled session is a conflict. Advancing a
         // *finished* one is not: budget exhaustion is the natural end of
         // the very operation being requested, and under concurrent
@@ -801,7 +859,7 @@ fn advance_session(
         // mutex, so the wait below cannot miss it.
         let seen = lock(&entry.gate).progress;
         let (evals, status, best, barrier) = {
-            let s = lock(&entry.session);
+            let s = entry.request_lock();
             (
                 s.evaluations(),
                 s.status(),
@@ -892,13 +950,17 @@ fn drive_session(state: &Arc<DaemonState>, mut guard: DriverGuard) {
             if state.shutdown.load(Ordering::SeqCst) || failure.is_some() {
                 break;
             }
+            while entry.waiting.load(Ordering::SeqCst) > 0 {
+                std::thread::yield_now();
+            }
             let mut s = lock(&entry.session);
             if s.status().is_terminal() || s.evaluations() >= target {
                 finished_terminal = s.status().is_terminal();
                 break;
             }
-            // One evaluation per lock hold: inspection endpoints and
-            // cancel stay responsive during a long advance.
+            // One evaluation per lock hold, and a yield to waiting
+            // requests before the next: inspection endpoints and cancel
+            // stay responsive during a long advance.
             let fits_before = s.surrogate_stats().map_or(0, |st| st.fits);
             // lint:allow(wall-clock) step duration feeds the surrogate-fit /metrics histogram only, never a tuning decision
             let step_start = std::time::Instant::now();
@@ -972,7 +1034,7 @@ fn enforce_retention(state: &Arc<DaemonState>, retain: usize) {
 
 fn cancel_session(state: &DaemonState, id: SessionId) -> ServeResult<Response> {
     let entry = find_session(state, id)?;
-    let mut s = lock(&entry.session);
+    let mut s = entry.request_lock();
     s.cancel()?;
     let summary = SessionSummary {
         id,
@@ -997,7 +1059,7 @@ fn cancel_session(state: &DaemonState, id: SessionId) -> ServeResult<Response> {
 
 fn export_csv(state: &DaemonState, id: SessionId) -> ServeResult<Response> {
     let entry = find_session(state, id)?;
-    let s = lock(&entry.session);
+    let s = entry.request_lock();
     Ok(Response::csv(history_to_csv(s.history(), s.space())))
 }
 
@@ -1006,7 +1068,7 @@ fn metrics(state: &DaemonState) -> ServeResult<Response> {
     for shard in &state.shards {
         let sessions = lock(&shard.sessions);
         rows.extend(sessions.values().map(|entry| {
-            let s = lock(&entry.session);
+            let s = entry.request_lock();
             SessionMetrics {
                 id: s.meta.id,
                 status: s.status().label().to_string(),

@@ -871,6 +871,58 @@ fn shutdown_drops_queued_driver_without_hanging_waiters() {
     let _ = fs::remove_dir_all(&root);
 }
 
+#[test]
+fn inspection_returns_during_a_long_advance() {
+    // The advance driver re-locks its session right after every step; a
+    // request waiting on that lock must get in at the next step boundary,
+    // not after the whole advance.
+    let root = fresh_root("inspect-during-advance");
+    let daemon = Daemon::start("127.0.0.1:0", DaemonConfig::new(&root)).expect("start");
+    let addr = daemon.addr();
+    let (_, body) = request(
+        addr,
+        "POST",
+        "/sessions",
+        Some(&spec_json("dbms-oltp", "ituned", 41, 200, false)),
+    );
+    let id = serde_json::from_str::<CreateResponse>(&body)
+        .expect("created")
+        .id;
+    let advance = std::thread::spawn(move || {
+        request(
+            addr,
+            "POST",
+            &format!("/sessions/{id}/advance"),
+            Some("{\"steps\":200}"),
+        )
+    });
+    // Five reads once the session is past iTuned's initial design (at most
+    // 20 points), where every step scores a GP and takes long enough for a
+    // starved reader to show; each read must land while the advance runs.
+    let mut reads = 0;
+    while reads < 5 {
+        let (status, body) = request(addr, "GET", &format!("/sessions/{id}"), None);
+        assert_eq!(status, 200, "{body}");
+        let detail: SessionDetail = serde_json::from_str(&body).expect("detail");
+        assert!(
+            !advance.is_finished() && detail.evaluations < 200,
+            "GET /sessions/{id} waited for the whole advance ({} evaluations)",
+            detail.evaluations
+        );
+        if detail.evaluations > 20 {
+            reads += 1;
+        }
+    }
+    // Shutdown stops the driver at its next step boundary; the advance
+    // reports its partial progress.
+    daemon.graceful_shutdown();
+    let (status, body) = advance.join().expect("advance thread");
+    assert_eq!(status, 200, "{body}");
+    let adv: AdvanceResponse = serde_json::from_str(&body).expect("advance");
+    assert!(adv.ran >= 1 && adv.evaluations < 200, "{body}");
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// Polls `/metrics` until `pred` holds (30s cap — generous; every wait in
 /// the test resolves in milliseconds normally).
 fn wait_until(addr: SocketAddr, pred: impl Fn(&MetricsReport) -> bool, what: &str) {

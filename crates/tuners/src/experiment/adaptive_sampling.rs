@@ -99,8 +99,7 @@ impl Tuner for AdaptiveSamplingTuner {
         let pool = candidate_pool(ctx.space.dim(), self.pool_size, &anchors, 30, 0.15, rng);
         // One shared squared-distance row per candidate feeds both the
         // k-NN estimate and the exploration bonus; chunked so large pools
-        // can score on AUTOTUNE_THREADS workers (bit-identical either
-        // way). Lower score = more attractive: predicted runtime minus
+        // can score on spare cores (bit-identical either way). Lower score = more attractive: predicted runtime minus
         // the exploration bonus.
         let scores = chunked_scores(&pool, |chunk| {
             chunk

@@ -99,8 +99,8 @@ impl GpCache {
 ///
 /// The pool goes through [`Surrogate::expected_improvement_batch`] in
 /// fixed-size chunks — one cross-covariance and one multi-RHS solve per
-/// chunk instead of a triangular solve per point — optionally spread over
-/// worker threads per `AUTOTUNE_THREADS` (see `autotune_math::batch`).
+/// chunk instead of a triangular solve per point — spread over spare cores
+/// when the process has any free (see `autotune_math::batch`).
 /// For the exact backend, scores and pick are bit-identical to the
 /// historical per-point `expected_improvement` loop at any thread count.
 pub fn argmax_ei<S: Surrogate + Sync>(

@@ -81,18 +81,58 @@ fn check(label: &str, got: (u64, u64), want: (u64, u64)) {
     );
 }
 
-#[test]
-fn ituned_dbms_trajectory_is_pinned() {
-    let got = run(
+const ITUNED_DBMS: (u64, u64) = (0xf556_57bf_5fd5_d48e, 0x52b6_e462_6020_b1ac);
+const ITUNED_ARD_SPARK: (u64, u64) = (0xddf1_5b47_51c5_c45e, 0x6cd0_49df_52d5_d784);
+const OTTERTUNE_DBMS: (u64, u64) = (0xc284_c7fd_9adb_582c, 0x730b_798a_97b5_fe81);
+
+fn ituned_dbms() -> (u64, u64) {
+    run(
         Box::new(DbmsSimulator::oltp_default()),
         Box::new(ITunedTuner::new()),
         30,
-    );
-    check(
-        "ituned/dbms-oltp",
-        got,
-        (0xf556_57bf_5fd5_d48e, 0x52b6_e462_6020_b1ac),
-    );
+    )
+}
+
+fn ituned_ard_spark() -> (u64, u64) {
+    run(
+        Box::new(SparkSimulator::aggregation_default()),
+        Box::new(ITunedTuner::new().with_ard()),
+        30,
+    )
+}
+
+fn ottertune_dbms() -> (u64, u64) {
+    run(
+        Box::new(DbmsSimulator::oltp_default()),
+        Box::new(OtterTuneTuner::new(WorkloadRepository::new())),
+        30,
+    )
+}
+
+#[test]
+fn ituned_dbms_trajectory_is_pinned() {
+    check("ituned/dbms-oltp", ituned_dbms(), ITUNED_DBMS);
+}
+
+/// The hyper-parameter search forks onto spare cores when the process has
+/// any free, and runs serially otherwise; either way it must produce the
+/// same bits. Each pinned session runs once alone, where its fits may take
+/// a spare core, and then as two copies inside one `par_map`, which holds
+/// the spare core itself (on a two-core host, the only one), so the
+/// copies' fits find no token and run serially.
+#[test]
+fn trajectories_are_pinned_under_both_schedules() {
+    use autotune::math::batch::par_map;
+    for (label, session, want) in [
+        ("ituned/dbms-oltp", ituned_dbms as fn() -> _, ITUNED_DBMS),
+        ("ituned-ard/spark-agg", ituned_ard_spark, ITUNED_ARD_SPARK),
+        ("ottertune/dbms-oltp", ottertune_dbms, OTTERTUNE_DBMS),
+    ] {
+        check(&format!("{label} alone"), session(), want);
+        for got in par_map(&[0, 1], |_| session()) {
+            check(&format!("{label} in a parallel region"), got, want);
+        }
+    }
 }
 
 #[test]
@@ -109,30 +149,12 @@ fn gp_fits_on_a_session_history_are_pinned() {
 
 #[test]
 fn ituned_ard_spark_trajectory_is_pinned() {
-    let got = run(
-        Box::new(SparkSimulator::aggregation_default()),
-        Box::new(ITunedTuner::new().with_ard()),
-        30,
-    );
-    check(
-        "ituned-ard/spark-agg",
-        got,
-        (0xddf1_5b47_51c5_c45e, 0x6cd0_49df_52d5_d784),
-    );
+    check("ituned-ard/spark-agg", ituned_ard_spark(), ITUNED_ARD_SPARK);
 }
 
 #[test]
 fn ottertune_dbms_trajectory_is_pinned() {
-    let got = run(
-        Box::new(DbmsSimulator::oltp_default()),
-        Box::new(OtterTuneTuner::new(WorkloadRepository::new())),
-        30,
-    );
-    check(
-        "ottertune/dbms-oltp",
-        got,
-        (0xc284_c7fd_9adb_582c, 0x730b_798a_97b5_fe81),
-    );
+    check("ottertune/dbms-oltp", ottertune_dbms(), OTTERTUNE_DBMS);
 }
 
 #[test]

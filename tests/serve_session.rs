@@ -1,14 +1,22 @@
 //! The serve session step machine under crashes: a session dropped after
 //! any number of steps and recovered from its log must finish exactly as
 //! the uninterrupted run does, a finished session recovers without
-//! replaying its tuner, and a constrained session recovers without any
-//! constraint file on disk.
+//! replaying its tuner, a constrained session recovers without any
+//! constraint file on disk, and a daemon restarting on a crash image
+//! recovers all of its sessions — concurrently where that is safe — so
+//! that each one finishes as the uninterrupted run does.
 
+use autotune_core::SessionId;
 use autotune_serve::repo::{SessionMeta, SessionRepository};
+use autotune_serve::server::{Daemon, DaemonConfig, SessionSummary};
 use autotune_serve::session::LiveSession;
 use autotune_serve::spec::SessionSpec;
-use autotune_serve::wal::{Durability, SessionStatus, WalSink};
+use autotune_serve::wal::{
+    encode_journal_entry, Durability, SessionStatus, WalRecord, WalSink, JOURNAL_FILE,
+};
 use std::fs;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 
 const BUDGET: usize = 18;
@@ -211,6 +219,138 @@ fn constrained_session_recovers_without_an_artifact_file() {
         outcome(&reference),
         "recovered run diverged"
     );
+    let _ = fs::remove_dir_all(&root);
+    let _ = fs::remove_dir_all(&root_ref);
+}
+
+/// Minimal HTTP client: one request per connection, returns (status, body).
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).expect("write head");
+    stream.write_all(body.as_bytes()).expect("write body");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    let status = raw
+        .split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .expect("status code");
+    let payload = raw.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    (status, payload.to_string())
+}
+
+#[test]
+fn daemon_start_recovers_concurrently_without_losing_a_record() {
+    const SOURCE: u64 = 1;
+    const WARM: u64 = 2;
+    const SOURCE_BUDGET: usize = 12;
+    const BUDGET: usize = 26;
+    // The crash image, by id: a finished random-search source whose
+    // records after the baseline probe (its `Finished` record included)
+    // sit only in the group journal; an iTuned session warm-started from
+    // it, cut after its first seeded step so the rest of its initial
+    // design still comes from the source's best configurations; and four
+    // cold iTuned sessions cut at different points, the last one past
+    // its initial design (at most 20 points), so its recovery replays GP
+    // proposals.
+    let source_spec = spec("dbms-oltp", "random", 21, SOURCE_BUDGET, false);
+    let mut warm_spec = spec("dbms-oltp", "ituned", 22, BUDGET, false);
+    warm_spec.warm_start = true;
+    let running: Vec<(u64, SessionSpec, usize)> = vec![
+        (WARM, warm_spec, 1),
+        (3, spec("dbms-oltp", "ituned", 23, BUDGET, false), 3),
+        (4, spec("dbms-olap", "ituned", 24, BUDGET, false), 9),
+        (5, spec("spark-agg", "ituned", 25, BUDGET, false), 17),
+        (6, spec("hadoop-terasort", "ituned", 26, BUDGET, false), 23),
+    ];
+    let meta_for = |id: u64, spec: &SessionSpec| SessionMeta {
+        id: SessionId::new(id),
+        spec: spec.clone(),
+        warm_source: spec.warm_start.then_some(SessionId::new(SOURCE)),
+        created_unix_ms: 0,
+    };
+
+    // Uninterrupted runs.
+    let (root_ref, repo_ref) = fresh_repo("daemon-ref");
+    let mut source =
+        LiveSession::create(&repo_ref, meta_for(SOURCE, &source_spec), None, 64).expect("source");
+    source.advance(SOURCE_BUDGET).expect("finish source");
+    assert_eq!(source.status(), SessionStatus::Finished);
+    let source_obs = source.history().all().to_vec();
+    let mut want = vec![(SOURCE, outcome(&source))];
+    for (id, spec, _) in &running {
+        let warm = spec.warm_start.then(|| source_obs.clone());
+        let mut s = LiveSession::create(&repo_ref, meta_for(*id, spec), warm, 64).expect("create");
+        s.advance(BUDGET).expect("finish");
+        assert!(
+            s.surrogate_stats().is_some_and(|st| st.fits >= 1),
+            "premise: {id} reaches its GP phase"
+        );
+        want.push((*id, outcome(&s)));
+    }
+
+    // The crash image.
+    let (root, repo) = fresh_repo("daemon-crash");
+    LiveSession::create(&repo, meta_for(SOURCE, &source_spec), None, SNAPSHOT_EVERY)
+        .expect("create source");
+    let mut journal = Vec::new();
+    for (seq, obs) in source_obs.iter().enumerate().skip(1) {
+        let record = WalRecord::Obs {
+            seq: seq as u64,
+            obs: obs.clone(),
+        };
+        journal.extend(encode_journal_entry(SessionId::new(SOURCE), &record).expect("frame"));
+    }
+    let finished = WalRecord::Finished {
+        recommendation: source.recommendation().expect("recommendation").clone(),
+    };
+    journal.extend(encode_journal_entry(SessionId::new(SOURCE), &finished).expect("frame"));
+    fs::write(root.join(JOURNAL_FILE), journal).expect("write journal");
+    for (id, spec, cut) in &running {
+        let warm = spec.warm_start.then(|| source_obs.clone());
+        let mut s =
+            LiveSession::create(&repo, meta_for(*id, spec), warm, SNAPSHOT_EVERY).expect("create");
+        assert_eq!(s.advance(*cut).expect("advance to the cut"), *cut);
+    }
+    assert!(
+        repo.load_observations(SessionId::new(SOURCE))
+            .expect("source on disk")
+            .len()
+            == 1,
+        "premise: the source's own files hold only its probe"
+    );
+
+    let daemon = Daemon::start("127.0.0.1:0", DaemonConfig::new(&root)).expect("restart");
+    let addr = daemon.addr();
+    let (status, body) = request(addr, "GET", "/sessions", "");
+    assert_eq!(status, 200, "{body}");
+    let listed: Vec<SessionSummary> = serde_json::from_str(&body).expect("session list");
+    let mut expected = vec![(SessionId::new(SOURCE), SOURCE_BUDGET)];
+    expected.extend(
+        running
+            .iter()
+            .map(|(id, _, cut)| (SessionId::new(*id), *cut)),
+    );
+    let got: Vec<(SessionId, usize)> = listed.iter().map(|s| (s.id, s.evaluations)).collect();
+    assert_eq!(got, expected, "every session recovers at its cut");
+    for (id, _, _) in &running {
+        let path = format!("/sessions/{}/advance", SessionId::new(*id));
+        let (status, body) = request(addr, "POST", &path, &format!("{{\"steps\":{BUDGET}}}"));
+        assert_eq!(status, 200, "{body}");
+    }
+    daemon.graceful_shutdown();
+
+    for (id, want) in want {
+        let id = SessionId::new(id);
+        let back = LiveSession::recover(&repo, repo.read_meta(id).expect("meta"), SNAPSHOT_EVERY)
+            .expect("recover");
+        assert_eq!(back.status(), SessionStatus::Finished, "{id}");
+        assert_eq!(outcome(&back), want, "{id}: restarted run diverged");
+    }
     let _ = fs::remove_dir_all(&root);
     let _ = fs::remove_dir_all(&root_ref);
 }
