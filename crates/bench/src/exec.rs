@@ -81,11 +81,7 @@ impl SessionExecutor {
         R: Send,
         F: FnOnce() -> R + Send,
     {
-        let n = jobs.len();
-        let workers = (self.threads - 1).min(n.saturating_sub(1));
-        if workers == 0 {
-            return jobs.into_iter().map(|job| job()).collect();
-        }
+        let workers = (self.threads - 1).min(jobs.len().saturating_sub(1));
         let _held = SpareCores::claim(workers);
         fork_join(jobs, workers, |job| job())
     }

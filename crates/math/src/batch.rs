@@ -2,9 +2,9 @@
 //! scoring, and index-order argmax/argmin.
 //!
 //! [`par_map`] is the one way independent work in this workspace runs in
-//! parallel: the GP hyper-parameter search's Nelder–Mead starts and ARD
-//! length-scale candidates, candidate-pool scoring ([`chunked_scores`]),
-//! and daemon session recovery. It keeps two properties no matter how it
+//! parallel: the GP hyper-parameter search's Nelder–Mead starts,
+//! candidate-pool scoring ([`chunked_scores`]), and daemon session
+//! recovery. It keeps two properties no matter how it
 //! is scheduled:
 //!
 //! * **Value determinism** — every item is computed by the same function

@@ -546,11 +546,6 @@ impl GaussianProcess {
     /// descent on the log marginal likelihood. Irrelevant knobs drift to
     /// long length scales (the kernel ignores them) — the GP-side
     /// equivalent of knob ranking.
-    ///
-    /// A dimension's four candidates differ from the incumbent only in
-    /// that dimension's length scale, so they are evaluated together
-    /// (through [`crate::batch::par_map`]) and then accepted in factor
-    /// order — the same decisions the one-at-a-time scan makes.
     pub fn fit_auto_ard(
         kind: KernelKind,
         xs: Vec<Vec<f64>>,
@@ -561,24 +556,16 @@ impl GaussianProcess {
         let mut kernel = iso.kernel.clone();
         let mut best_lml = iso.log_marginal;
         let cache = MarginalCache::new(&xs, ys);
+        let mut scratch = cache.scratch();
         // Coordinate descent: each dimension tries a few multiplicative
         // adjustments of its length scale, keeping improvements.
         for _sweep in 0..2 {
             for d in 0..dim {
                 let current = kernel.length_scales[d];
-                let candidates: Vec<Kernel> = [0.25, 0.5, 2.0, 4.0]
-                    .iter()
-                    .map(|factor| {
-                        let mut k = kernel.clone();
-                        k.length_scales[d] = (current * factor).clamp(1e-3, 1e3);
-                        k
-                    })
-                    .collect();
-                let negs = crate::batch::par_map(&candidates, |k| {
-                    cache.neg_log_marginal(k, &mut cache.scratch())
-                });
-                for (k, neg) in candidates.into_iter().zip(negs) {
-                    if let Some(neg) = neg {
+                for factor in [0.25, 0.5, 2.0, 4.0] {
+                    let mut k = kernel.clone();
+                    k.length_scales[d] = (current * factor).clamp(1e-3, 1e3);
+                    if let Some(neg) = cache.neg_log_marginal(&k, &mut scratch) {
                         if -neg > best_lml {
                             best_lml = -neg;
                             kernel = k;

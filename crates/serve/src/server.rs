@@ -204,10 +204,10 @@ struct AdvanceGate {
 struct SessionEntry {
     session: Mutex<LiveSession>,
     /// Requests waiting for `session` through [`SessionEntry::request_lock`].
-    /// The advance driver yields before its next step while this is
-    /// non-zero: a mutex gives no hand-off, so a driver re-locking right
-    /// after each step could keep an inspector waiting for the whole
-    /// advance instead of one step.
+    /// The advance driver yields (up to [`HANDOFF_YIELDS`] times) before
+    /// its next step while this is non-zero: a mutex gives no hand-off, so
+    /// a driver re-locking right after each step could keep an inspector
+    /// waiting for the whole advance instead of one step.
     waiting: AtomicUsize,
     gate: Mutex<AdvanceGate>,
     gate_cv: Condvar,
@@ -748,6 +748,12 @@ fn session_detail(state: &DaemonState, id: SessionId) -> ServeResult<Response> {
 /// missed notification; the driver notifies after every evaluation.
 const GATE_POLL: Duration = Duration::from_millis(50);
 
+/// How many times the advance driver yields to waiting requests before
+/// its next step: enough for a request woken by the unlock to take the
+/// session lock, bounded so that requests that keep arriving cannot stall
+/// the driver.
+const HANDOFF_YIELDS: usize = 64;
+
 /// Clears a session's driver flag if the driver job never reaches its
 /// own hand-off: the queued closure was dropped unrun (scheduler
 /// shutdown, or rejection inside `submit`) or the worker panicked
@@ -950,7 +956,10 @@ fn drive_session(state: &Arc<DaemonState>, mut guard: DriverGuard) {
             if state.shutdown.load(Ordering::SeqCst) || failure.is_some() {
                 break;
             }
-            while entry.waiting.load(Ordering::SeqCst) > 0 {
+            for _ in 0..HANDOFF_YIELDS {
+                if entry.waiting.load(Ordering::SeqCst) == 0 {
+                    break;
+                }
                 std::thread::yield_now();
             }
             let mut s = lock(&entry.session);

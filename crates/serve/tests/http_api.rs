@@ -923,6 +923,61 @@ fn inspection_returns_during_a_long_advance() {
     let _ = fs::remove_dir_all(&root);
 }
 
+#[test]
+fn advance_finishes_under_continuous_polling() {
+    // The driver's yield to waiting requests is bounded per step: readers
+    // that keep arriving (so the waiting count rarely drops to zero) must
+    // not stall the advance.
+    let root = fresh_root("advance-under-polling");
+    let daemon = Daemon::start("127.0.0.1:0", DaemonConfig::new(&root)).expect("start");
+    let addr = daemon.addr();
+    let (_, body) = request(
+        addr,
+        "POST",
+        "/sessions",
+        Some(&spec_json("dbms-oltp", "random", 43, 300, false)),
+    );
+    let id = serde_json::from_str::<CreateResponse>(&body)
+        .expect("created")
+        .id;
+    let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let pollers: Vec<_> = (0..3)
+        .map(|k| {
+            let done = std::sync::Arc::clone(&done);
+            std::thread::spawn(move || {
+                let path = if k == 0 {
+                    "/metrics".to_string()
+                } else {
+                    format!("/sessions/{id}")
+                };
+                loop {
+                    let (status, body) = request(addr, "GET", &path, None);
+                    assert_eq!(status, 200, "{body}");
+                    if done.load(std::sync::atomic::Ordering::SeqCst) {
+                        break;
+                    }
+                }
+            })
+        })
+        .collect();
+    let (status, body) = request(
+        addr,
+        "POST",
+        &format!("/sessions/{id}/advance"),
+        Some("{\"steps\":300}"),
+    );
+    done.store(true, std::sync::atomic::Ordering::SeqCst);
+    for poller in pollers {
+        poller.join().expect("poller");
+    }
+    assert_eq!(status, 200, "{body}");
+    let adv: AdvanceResponse = serde_json::from_str(&body).expect("advance");
+    assert_eq!((adv.ran, adv.evaluations), (300, 300), "{body}");
+    assert_eq!(adv.status, "finished", "{body}");
+    daemon.graceful_shutdown();
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// Polls `/metrics` until `pred` holds (30s cap — generous; every wait in
 /// the test resolves in milliseconds normally).
 fn wait_until(addr: SocketAddr, pred: impl Fn(&MetricsReport) -> bool, what: &str) {

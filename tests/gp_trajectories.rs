@@ -116,19 +116,18 @@ fn ituned_dbms_trajectory_is_pinned() {
 
 /// The hyper-parameter search forks onto spare cores when the process has
 /// any free, and runs serially otherwise; either way it must produce the
-/// same bits. Each pinned session runs once alone, where its fits may take
-/// a spare core, and then as two copies inside one `par_map`, which holds
-/// the spare core itself (on a two-core host, the only one), so the
-/// copies' fits find no token and run serially.
+/// same bits. The standalone tests above and below pin each session where
+/// its fits may take a spare core; here each runs as two copies inside one
+/// `par_map`, which holds the spare core itself (on a two-core host, the
+/// only one), so the copies' fits find no token and run serially.
 #[test]
-fn trajectories_are_pinned_under_both_schedules() {
+fn trajectories_are_pinned_when_fits_run_serially() {
     use autotune::math::batch::par_map;
     for (label, session, want) in [
         ("ituned/dbms-oltp", ituned_dbms as fn() -> _, ITUNED_DBMS),
         ("ituned-ard/spark-agg", ituned_ard_spark, ITUNED_ARD_SPARK),
         ("ottertune/dbms-oltp", ottertune_dbms, OTTERTUNE_DBMS),
     ] {
-        check(&format!("{label} alone"), session(), want);
         for got in par_map(&[0, 1], |_| session()) {
             check(&format!("{label} in a parallel region"), got, want);
         }
