@@ -1,22 +1,16 @@
-//! Sparse-surrogate backends and the ball-tree workload-mapping index
-//! under Criterion: fixed-kernel fit + batched predict for exact vs SoD
-//! vs Nyström at a scale where the `O(n³)` → `O(n·m²)` gap is visible in
-//! seconds, and signature nearest-neighbour lookup, scan vs tree.
+//! Sparse-surrogate backends under Criterion: fixed-kernel fit + batched
+//! predict for exact vs SoD vs Nyström at a scale where the `O(n³)` →
+//! `O(n·m²)` gap is visible in seconds.
 //! The committed proof artifact (`bench_results/gp_scale.json`) comes
 //! from the `gp_scale` *bin*; this harness tracks regressions.
 
-use autotune_core::SessionId;
 use autotune_math::gp::{GaussianProcess, Kernel, KernelKind};
 use autotune_math::kmeans::farthest_point_subset;
 use autotune_math::lhs::latin_hypercube;
 use autotune_math::surrogate::{NystromGp, Surrogate};
-use autotune_serve::ann::PlatformIndex;
-use autotune_serve::repo::{nearest_signature, WorkloadSignature};
-use autotune_serve::session::splitmix64;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 use std::hint::black_box;
 
 const DIM: usize = 8;
@@ -91,58 +85,5 @@ fn bench_surrogate_fit(c: &mut Criterion) {
     group.finish();
 }
 
-fn signatures(n: usize, seed: u64) -> Vec<WorkloadSignature> {
-    (0..n)
-        .map(|i| {
-            let h = |k: u64| {
-                let x = splitmix64(seed ^ splitmix64(i as u64 * 13 + k));
-                (x % 100_000) as f64 / 100_000.0
-            };
-            let metrics: BTreeMap<String, f64> = [
-                ("hit_ratio".to_string(), h(1)),
-                ("spill_mb".to_string(), h(2) * 4096.0),
-                ("gc_secs".to_string(), h(3) * 30.0),
-                ("rows".to_string(), 1e6 + h(4) * 1e6),
-            ]
-            .into_iter()
-            .collect();
-            WorkloadSignature {
-                id: SessionId::new(i as u64 + 1),
-                metrics,
-            }
-        })
-        .collect()
-}
-
-fn bench_signature_lookup(c: &mut Criterion) {
-    let sigs = signatures(1_000, 5);
-    let index = PlatformIndex::build(&sigs);
-    let probes: Vec<BTreeMap<String, f64>> =
-        signatures(32, 777).into_iter().map(|s| s.metrics).collect();
-
-    let mut group = c.benchmark_group("signature_nearest_1000");
-    group.sample_size(20);
-    group.bench_function("linear_scan", |b| {
-        b.iter(|| {
-            probes
-                .iter()
-                .map(|q| black_box(nearest_signature(q, &sigs)))
-                .collect::<Vec<_>>()
-        })
-    });
-    group.bench_function("ball_tree", |b| {
-        b.iter(|| {
-            probes
-                .iter()
-                .map(|q| black_box(index.nearest(q, None)))
-                .collect::<Vec<_>>()
-        })
-    });
-    group.bench_function("ball_tree_rebuild", |b| {
-        b.iter(|| black_box(PlatformIndex::build(&sigs)))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_surrogate_fit, bench_signature_lookup);
+criterion_group!(benches, bench_surrogate_fit);
 criterion_main!(benches);

@@ -16,22 +16,15 @@
 //!    on at least 2 of the 3 scenarios — the acceptance bar for the drift
 //!    subsystem.
 //!
-//! Two regression gates ride along:
-//!
-//! * **Determinism**: the detection-off trajectory must be byte-identical
-//!   to a session created from a legacy spec JSON that predates the
-//!   `drift`/`adaptive` fields entirely.
-//! * **Compression recall**: WAter-style compressed nearest-neighbour
-//!   answers on a wide synthetic corpus must agree with full-signature
-//!   answers (recall@1 ≥ 0.9 for near-member queries), quantifying the
-//!   gap the serve ball-tree accepts when it compresses.
+//! A determinism gate rides along: the detection-off trajectory must be
+//! byte-identical to a session created from a legacy spec JSON that
+//! predates the `drift`/`adaptive` fields entirely.
 //!
 //! `cargo run --release -p autotune-bench --bin drift_recovery [--smoke]`
 //!
 //! `--smoke` shrinks budgets for CI; the ≥2-of-3 assertion only runs in
 //! full mode (tiny budgets make the race a coin flip).
 
-use autotune_core::SignatureSummarizer;
 use autotune_serve::repo::{SessionMeta, SessionRepository};
 use autotune_serve::session::LiveSession;
 use autotune_serve::spec::{build_objective, SessionSpec};
@@ -66,17 +59,6 @@ struct ScenarioRow {
 }
 
 #[derive(Serialize)]
-struct RecallRow {
-    /// Corpus size / dimensionality of the synthetic wide-signature set.
-    corpus: usize,
-    input_dim: usize,
-    compressed_dim: usize,
-    /// Fraction of near-member queries whose compressed-NN answer equals
-    /// the full-signature answer.
-    recall_at_1: f64,
-}
-
-#[derive(Serialize)]
 struct DriftRecoveryReport {
     /// Evaluation budget per session (excluding the baseline probe).
     budget: usize,
@@ -93,7 +75,6 @@ struct DriftRecoveryReport {
     /// Detection-off trajectories matched a pre-drift legacy spec
     /// byte-for-byte.
     legacy_identical: bool,
-    compression: RecallRow,
 }
 
 fn spec(system: &str, seed: u64, budget: usize, detector: &str) -> SessionSpec {
@@ -173,55 +154,6 @@ fn evals_to_band(trajectory: &[f64], flip_at: usize, optimum: f64, tol: f64) -> 
         .position(|&rt| rt <= optimum * (1.0 + tol))
         .map(|i| i + 1)
         .unwrap_or(post.len() + 1)
-}
-
-/// Deterministic pseudo-random unit value (SplitMix64 finalizer).
-fn unit(seed: u64, i: u64) -> f64 {
-    let mut z = (seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) % 1_000_000) as f64 / 1e6
-}
-
-/// Compressed-NN vs full-NN recall@1 on a wide synthetic corpus with
-/// near-member queries (±2% jitter) — the workload-mapping regime.
-fn compression_recall(corpus: usize, dim: usize, out_dim: usize) -> RecallRow {
-    let rows: Vec<Vec<f64>> = (0..corpus)
-        .map(|r| {
-            (0..dim)
-                .map(|d| unit(11, (r * dim + d) as u64) * (d as f64 + 1.0).powf(1.5))
-                .collect()
-        })
-        .collect();
-    let summarizer = SignatureSummarizer::fit(&rows, out_dim, 99);
-    let compressed: Vec<Vec<f64>> = rows.iter().map(|r| summarizer.compress(r)).collect();
-    let dist = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>();
-    let argmin = |query: &[f64], pop: &[Vec<f64>]| {
-        pop.iter()
-            .enumerate()
-            .min_by(|a, b| dist(query, a.1).total_cmp(&dist(query, b.1)))
-            .map(|(i, _)| i)
-            .unwrap()
-    };
-    let mut hits = 0usize;
-    for (q, row) in rows.iter().enumerate() {
-        let jittered: Vec<f64> = row
-            .iter()
-            .enumerate()
-            .map(|(d, &v)| v * (1.0 + 0.04 * (unit(77, (q * dim + d) as u64) - 0.5)))
-            .collect();
-        let full = argmin(&jittered, &rows);
-        let comp = argmin(&summarizer.compress(&jittered), &compressed);
-        if full == comp {
-            hits += 1;
-        }
-    }
-    RecallRow {
-        corpus,
-        input_dim: dim,
-        compressed_dim: summarizer.output_dim(),
-        recall_at_1: hits as f64 / corpus as f64,
-    }
 }
 
 fn main() {
@@ -345,19 +277,6 @@ fn main() {
         "detection-off trajectory diverged from the legacy spec"
     );
 
-    let compression = if smoke {
-        compression_recall(60, 48, 16)
-    } else {
-        compression_recall(200, 64, 16)
-    };
-    eprintln!(
-        "compression: recall@1={:.3} ({}→{} dims, corpus {})",
-        compression.recall_at_1,
-        compression.input_dim,
-        compression.compressed_dim,
-        compression.corpus
-    );
-
     let wins = scenarios.iter().filter(|r| r.win).count();
     let report = DriftRecoveryReport {
         budget,
@@ -369,18 +288,12 @@ fn main() {
         scenarios,
         wins,
         legacy_identical,
-        compression,
     };
     if !smoke {
         assert!(
             report.wins >= 2,
             "drift detection won only {}/3 flip scenarios",
             report.wins
-        );
-        assert!(
-            report.compression.recall_at_1 >= 0.9,
-            "compressed-NN recall too low: {}",
-            report.compression.recall_at_1
         );
     }
     println!(

@@ -36,7 +36,6 @@ pub mod param;
 pub mod pareto;
 pub mod ranking;
 pub mod session;
-pub mod signature;
 pub mod space;
 pub mod tuner;
 
@@ -52,7 +51,6 @@ pub use param::{ParamDomain, ParamSpec, ParamValue};
 pub use pareto::{cheapest_within_deadline, hypervolume, pareto_front, ParetoPoint};
 pub use ranking::KnobRanking;
 pub use session::{tune, TuningOutcome, TuningSession};
-pub use signature::SignatureSummarizer;
 pub use space::{ConfigSpace, Configuration};
 pub use tuner::{Recommendation, SurrogateStats, Tuner, TunerFamily, TuningContext};
 

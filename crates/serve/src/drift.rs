@@ -18,10 +18,10 @@
 //! wildly varying, heavy-tailed distances from the reference). Each
 //! canary vector is aligned to the reference's metric names, normalized
 //! per dimension by the reference magnitude, and reduced to one number:
-//! the RMS distance to the reference (optionally after
-//! [`SignatureSummarizer`] compression when the metric vector is wide).
-//! The first [`min_obs`](DriftDetector) distances calibrate a baseline
-//! mean; drift is a sustained *increase* over that baseline.
+//! the RMS distance to the reference over the full metric vector (at most
+//! 26 metrics on any built-in platform, so no compression step). The
+//! first [`min_obs`](DriftDetector) distances calibrate a baseline mean;
+//! drift is a sustained *increase* over that baseline.
 //!
 //! **Detectors.** Two classic sequential change detectors over the
 //! distance stream, selectable per session:
@@ -37,15 +37,8 @@
 //! is persisted beyond the drift events themselves (see
 //! [`crate::wal::WalRecord::Drift`]).
 
-use autotune_core::{Metrics, SignatureSummarizer};
+use autotune_core::Metrics;
 use serde::{Deserialize, Serialize};
-
-/// Metric-vector width above which the detector compresses signatures
-/// before computing distances (also used by [`crate::ann`]).
-pub const COMPRESS_ABOVE_DIM: usize = 32;
-
-/// Target dimensionality of compressed signatures.
-pub const COMPRESS_TARGET_DIM: usize = 16;
 
 /// Which sequential change detector a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,7 +85,7 @@ pub struct DriftEvent {
     pub stat: f64,
     /// Warm-start source re-matched against the re-probe signature, if
     /// any — recorded so recovery rebuilds the very same tuner without
-    /// consulting the (mutable) ball-tree index.
+    /// consulting the (mutable) signature index.
     pub warm_source: Option<autotune_core::SessionId>,
 }
 
@@ -107,14 +100,10 @@ pub struct DriftDetector {
     /// Observations per epoch used to calibrate the baseline distance
     /// before the detector arms itself.
     min_obs: usize,
-    /// Seed of the signature summarizer (per-session, so compression is
-    /// deterministic under recovery).
-    seed: u64,
     // Epoch state, rebuilt by `reset`.
     names: Vec<String>,
     reference: Vec<f64>,
     scales: Vec<f64>,
-    summarizer: Option<SignatureSummarizer>,
     fed: usize,
     baseline_mean: f64,
     cum: f64,
@@ -125,17 +114,15 @@ pub struct DriftDetector {
 impl DriftDetector {
     /// Creates an unarmed detector; call [`Self::reset`] with the epoch's
     /// baseline probe before feeding observations.
-    pub fn new(kind: DetectorKind, threshold: f64, delta: f64, min_obs: usize, seed: u64) -> Self {
+    pub fn new(kind: DetectorKind, threshold: f64, delta: f64, min_obs: usize) -> Self {
         DriftDetector {
             kind,
             threshold,
             delta,
             min_obs: min_obs.max(1),
-            seed,
             names: Vec::new(),
             reference: Vec::new(),
             scales: Vec::new(),
-            summarizer: None,
             fed: 0,
             baseline_mean: 0.0,
             cum: 0.0,
@@ -150,15 +137,6 @@ impl DriftDetector {
         self.names = probe.keys().cloned().collect();
         self.reference = probe.values().copied().collect();
         self.scales = self.reference.iter().map(|r| r.abs().max(1e-9)).collect();
-        self.summarizer = if self.names.len() > COMPRESS_ABOVE_DIM {
-            Some(SignatureSummarizer::fit(
-                std::slice::from_ref(&self.reference),
-                COMPRESS_TARGET_DIM,
-                self.seed,
-            ))
-        } else {
-            None
-        };
         self.fed = 0;
         self.baseline_mean = 0.0;
         self.cum = 0.0;
@@ -166,25 +144,20 @@ impl DriftDetector {
         self.s = 0.0;
     }
 
-    /// Normalized (optionally compressed) RMS distance of one metric
-    /// vector to the epoch reference.
+    /// Normalized RMS distance of one metric vector to the epoch
+    /// reference.
     pub fn distance(&self, metrics: &Metrics) -> f64 {
-        let diff: Vec<f64> = self
+        if self.names.is_empty() {
+            return 0.0;
+        }
+        let sum_sq: f64 = self
             .names
             .iter()
             .zip(self.reference.iter().zip(&self.scales))
             .map(|(n, (r, sc))| (metrics.get(n).copied().unwrap_or(0.0) - r) / sc)
-            .collect();
-        let v = match &self.summarizer {
-            // Projection is linear, so compressing the difference equals
-            // differencing the compressed vectors.
-            Some(s) => s.compress(&diff),
-            None => diff,
-        };
-        if v.is_empty() {
-            return 0.0;
-        }
-        (v.iter().map(|x| x * x).sum::<f64>() / v.len() as f64).sqrt()
+            .map(|x| x * x)
+            .sum();
+        (sum_sq / self.names.len() as f64).sqrt()
     }
 
     /// Feeds one observation's metrics; returns the detector statistic
@@ -221,11 +194,6 @@ impl DriftDetector {
     pub fn kind(&self) -> DetectorKind {
         self.kind
     }
-
-    /// Whether the epoch's signature stream is being compressed.
-    pub fn is_compressing(&self) -> bool {
-        self.summarizer.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -259,7 +227,7 @@ mod tests {
     #[test]
     fn stationary_streams_never_alarm() {
         for kind in [DetectorKind::PageHinkley, DetectorKind::Cusum] {
-            let mut det = DriftDetector::new(kind, 1.0, 0.1, 3, 7);
+            let mut det = DriftDetector::new(kind, 1.0, 0.1, 3);
             det.reset(&reference());
             for i in 0..200 {
                 assert_eq!(det.feed(&stationary(i)), None, "{kind:?} false alarm");
@@ -270,7 +238,7 @@ mod tests {
     #[test]
     fn shifts_are_detected_quickly_by_both_detectors() {
         for kind in [DetectorKind::PageHinkley, DetectorKind::Cusum] {
-            let mut det = DriftDetector::new(kind, 1.0, 0.1, 3, 7);
+            let mut det = DriftDetector::new(kind, 1.0, 0.1, 3);
             det.reset(&reference());
             for i in 0..10 {
                 assert_eq!(det.feed(&stationary(i)), None);
@@ -291,7 +259,7 @@ mod tests {
 
     #[test]
     fn reset_rearms_after_drift() {
-        let mut det = DriftDetector::new(DetectorKind::PageHinkley, 1.0, 0.1, 2, 7);
+        let mut det = DriftDetector::new(DetectorKind::PageHinkley, 1.0, 0.1, 2);
         det.reset(&reference());
         for i in 0..5 {
             det.feed(&stationary(i));
@@ -315,7 +283,7 @@ mod tests {
     #[test]
     fn detection_is_deterministic() {
         let run = || {
-            let mut det = DriftDetector::new(DetectorKind::Cusum, 0.8, 0.05, 2, 3);
+            let mut det = DriftDetector::new(DetectorKind::Cusum, 0.8, 0.05, 2);
             det.reset(&reference());
             let mut trace = Vec::new();
             for i in 0..8 {
@@ -330,35 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn wide_vectors_are_compressed_and_still_detect() {
-        let wide = |shift: f64| -> Metrics {
-            (0..64)
-                .map(|d| (format!("m{d:02}"), (d as f64 + 1.0) * (1.0 + shift)))
-                .collect()
-        };
-        let mut det = DriftDetector::new(DetectorKind::PageHinkley, 1.0, 0.1, 2, 11);
-        det.reset(&wide(0.0));
-        assert!(det.is_compressing());
-        for _ in 0..6 {
-            assert_eq!(det.feed(&wide(0.01)), None);
-        }
-        let mut fired = false;
-        for _ in 0..6 {
-            if det.feed(&wide(3.0)).is_some() {
-                fired = true;
-                break;
-            }
-        }
-        assert!(fired, "compressed detector missed a large shift");
-
-        let mut narrow = DriftDetector::new(DetectorKind::PageHinkley, 1.0, 0.1, 2, 11);
-        narrow.reset(&reference());
-        assert!(!narrow.is_compressing());
-    }
-
-    #[test]
     fn empty_metrics_are_ignored() {
-        let mut det = DriftDetector::new(DetectorKind::Cusum, 1.0, 0.1, 1, 0);
+        let mut det = DriftDetector::new(DetectorKind::Cusum, 1.0, 0.1, 1);
         det.reset(&reference());
         assert_eq!(det.feed(&BTreeMap::new()), None);
         assert_eq!(det.distance(&reference()), 0.0);

@@ -7,11 +7,12 @@
 //!   session appends its observations to a checksum-framed JSONL
 //!   write-ahead log, periodically compacted into a snapshot; on startup
 //!   the daemon replays snapshot + WAL + shared journal to recover
-//!   crashed sessions byte-identically, and a cached per-platform
-//!   ball-tree index over workload signatures ([`ann`]) lets new sessions
-//!   warm-start GP tuners from the nearest past session without
-//!   re-reading every session directory per query (OtterTune-style
-//!   workload mapping: Euclidean distance on normalized metric vectors).
+//!   crashed sessions byte-identically, and a cached per-platform scan
+//!   over normalized workload signatures ([`repo`]) lets
+//!   new sessions warm-start GP tuners from the nearest past session
+//!   without re-reading every session directory per query
+//!   (OtterTune-style workload mapping: Euclidean distance on normalized
+//!   metric vectors).
 //! * **Group commit** ([`group`]) — under `fsync` durability, appends
 //!   from every session are batched into one shared journal and synced
 //!   once per batch, so durable-write throughput scales with batch size
@@ -37,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ann;
 pub mod drift;
 pub mod group;
 pub mod http;

@@ -12,9 +12,9 @@
 //!   again; running or half-created sessions are re-probed on each query
 //!   until they settle.
 //! * settled *finished* sessions with a non-empty baseline probe enter
-//!   their platform's signature list, over which a deterministic
-//!   ball-tree index ([`crate::ann::PlatformIndex`]) is built lazily and
-//!   rebuilt only when the list changes.
+//!   their platform's signature list, from which a [`PlatformIndex`]
+//!   (the normalized vectors, ready to scan) is built lazily and rebuilt
+//!   only when the list changes.
 //! * [`SessionRepository::delete_session`] (the retention/GC path) and a
 //!   defensive sweep against `list_ids` invalidate cache entries whose
 //!   directories are gone, so an evicted session can never be returned as
@@ -34,8 +34,17 @@
 //! not drown out ratios), and returns the session with the smallest
 //! Euclidean distance to the new session's probe — exactly the mapping
 //! step of OtterTune §2.2, reusing `autotune-math` for the distance.
+//!
+//! **Why a scan.** The lookup runs when a warm-started session is created
+//! and when a drift re-matches an epoch, never per advance. Signatures
+//! are narrow (the widest platform, dbms, reports 26 metrics; hadoop 13,
+//! spark 12, mtdbms 10), and a daemon holds every session it recovers in
+//! memory, so the candidate count stays in the thousands at most. Over
+//! 26-dimensional signatures a scan over the cached vectors measured
+//! 15 µs per query at 1k candidates and 158 µs at 10k — against 29 µs and
+//! 610 µs for the exact ball tree it replaced, whose rebuild after every
+//! finished session also cost 7–8× the scan index's.
 
-use crate::ann::PlatformIndex;
 use crate::scheduler::lock;
 use crate::spec::SessionSpec;
 use crate::wal::{self, Durability, SessionStatus};
@@ -80,8 +89,8 @@ struct SigCache {
     settled: BTreeSet<SessionId>,
     /// Platform → signatures of settled finished sessions, ascending id.
     sigs: BTreeMap<String, Vec<WorkloadSignature>>,
-    /// Platform → ball-tree index, built lazily, dropped when the
-    /// platform's signature list changes.
+    /// Platform → scan index, built lazily, dropped when the platform's
+    /// signature list changes.
     indexes: BTreeMap<String, PlatformIndex>,
 }
 
@@ -382,11 +391,11 @@ impl SessionRepository {
     /// nearest to `probe_metrics` — the warm-start source. `None` when no
     /// finished session qualifies.
     ///
-    /// Served by the cached per-platform ball-tree index
-    /// ([`crate::ann::PlatformIndex`]): the index is (re)built only when
-    /// the platform's finished-session set changed, and each query
-    /// descends the tree instead of scanning every candidate. The result
-    /// is identical to [`nearest_signature`] over the same candidates.
+    /// Served by the cached per-platform [`PlatformIndex`]: the
+    /// normalized vectors are (re)built only when the platform's
+    /// finished-session set changed, and each query scans them. The
+    /// result is identical to [`nearest_signature`] over the same
+    /// candidates.
     pub fn nearest_finished(
         &self,
         platform: &str,
@@ -415,9 +424,8 @@ impl SessionRepository {
 /// across the candidates (dimensions with zero spread are inert). Ties
 /// break toward the lowest session id for determinism.
 ///
-/// This is the reference linear scan the cached ball-tree index
-/// ([`crate::ann::PlatformIndex`]) must agree with; the `gp_scale` bench
-/// measures the index's recall against it.
+/// This is the reference [`PlatformIndex`] must agree with; it rebuilds
+/// the vectors on every call, so the daemon serves from the index.
 pub fn nearest_signature(
     query: &BTreeMap<String, f64>,
     candidates: &[WorkloadSignature],
@@ -447,17 +455,7 @@ pub fn nearest_signature(
     // candidates; a query-only dimension then contributes the same
     // constant to every candidate's distance, which never changes the
     // argmin.
-    let scales: Vec<f64> = (0..names.len())
-        .map(|d| {
-            let column: Vec<f64> = cvs.iter().map(|v| v[d]).collect();
-            let sd = std_dev(&column);
-            if sd > 0.0 {
-                sd
-            } else {
-                1.0
-            }
-        })
-        .collect();
+    let scales = candidate_scales(&cvs, names.len());
     let normalize = |v: &[f64]| -> Vec<f64> { v.iter().zip(&scales).map(|(x, s)| x / s).collect() };
 
     let qn = normalize(&qv);
@@ -467,6 +465,97 @@ pub fn nearest_signature(
         .map(|(c, v)| (c.id, dist2(&qn, &normalize(v))))
         .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
         .map(|(id, _)| id)
+}
+
+/// Per-dimension standard deviation of the candidate vectors; a
+/// zero-spread dimension gets scale 1 so it stays inert.
+fn candidate_scales(vectors: &[Vec<f64>], dims: usize) -> Vec<f64> {
+    (0..dims)
+        .map(|d| {
+            let column: Vec<f64> = vectors.iter().map(|v| v[d]).collect();
+            let sd = std_dev(&column);
+            if sd > 0.0 {
+                sd
+            } else {
+                1.0
+            }
+        })
+        .collect()
+}
+
+/// One platform's workload-mapping index: the vectorization recipe
+/// (metric names + per-dimension scales) and the normalized candidate
+/// vectors, ascending id.
+///
+/// Query-only metric names are dropped when vectorizing a query: a
+/// dimension every candidate lacks contributes the same constant to every
+/// distance, so dropping it never changes the argmin ([`nearest_signature`]
+/// keeps such dimensions; both pick the same winner).
+#[derive(Debug, Clone)]
+pub(crate) struct PlatformIndex {
+    names: Vec<String>,
+    scales: Vec<f64>,
+    points: Vec<(SessionId, Vec<f64>)>,
+}
+
+impl PlatformIndex {
+    /// Builds the index over a platform's finished-session signatures.
+    /// Dimensions are the union of candidate metric names; each is scaled
+    /// by the candidate standard deviation (zero-spread dimensions are
+    /// inert), matching [`nearest_signature`].
+    pub(crate) fn build(sigs: &[WorkloadSignature]) -> Self {
+        let mut names: Vec<String> = sigs
+            .iter()
+            .flat_map(|s| s.metrics.keys().cloned())
+            .collect();
+        names.sort();
+        names.dedup();
+        let vectors: Vec<Vec<f64>> = sigs
+            .iter()
+            .map(|s| {
+                names
+                    .iter()
+                    .map(|n| s.metrics.get(n).copied().unwrap_or(0.0))
+                    .collect()
+            })
+            .collect();
+        let scales = candidate_scales(&vectors, names.len());
+        let points = sigs
+            .iter()
+            .zip(vectors)
+            .map(|(s, v)| (s.id, v.iter().zip(&scales).map(|(x, sc)| x / sc).collect()))
+            .collect();
+        PlatformIndex {
+            names,
+            scales,
+            points,
+        }
+    }
+
+    /// The indexed signature nearest to `query` (lowest id on ties),
+    /// skipping `exclude` — the id [`nearest_signature`] would return.
+    /// `None` for an empty index or an empty query.
+    pub(crate) fn nearest(
+        &self,
+        query: &BTreeMap<String, f64>,
+        exclude: Option<SessionId>,
+    ) -> Option<SessionId> {
+        if query.is_empty() {
+            return None;
+        }
+        let qv: Vec<f64> = self
+            .names
+            .iter()
+            .zip(&self.scales)
+            .map(|(n, sc)| query.get(n).copied().unwrap_or(0.0) / sc)
+            .collect();
+        self.points
+            .iter()
+            .filter(|(id, _)| Some(*id) != exclude)
+            .map(|(id, p)| (*id, dist2(&qv, p)))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .map(|(id, _)| id)
+    }
 }
 
 #[cfg(test)]
@@ -513,6 +602,151 @@ mod tests {
             nearest_signature(&BTreeMap::new(), &[sig(1, &[("a", 1.0)])]),
             None
         );
+    }
+
+    /// Deterministic pseudo-random signature population.
+    fn population(n: usize, seed: u64) -> Vec<WorkloadSignature> {
+        use crate::session::splitmix64;
+        (0..n)
+            .map(|i| {
+                let h = |k: u64| {
+                    let x = splitmix64(seed ^ splitmix64(i as u64 * 7 + k));
+                    (x % 10_000) as f64 / 10_000.0
+                };
+                sig(
+                    i as u64 + 1,
+                    &[
+                        ("hit_ratio", h(1)),
+                        ("spill_mb", h(2) * 4096.0),
+                        ("gc_secs", h(3) * 30.0),
+                        ("rows", 1e6 + h(4) * 1e6),
+                    ],
+                )
+            })
+            .collect()
+    }
+
+    /// The index answers every query, with and without an exclusion,
+    /// exactly as the reference scan does — whatever the input order.
+    fn assert_index_matches_reference(
+        sigs: &[WorkloadSignature],
+        queries: &[BTreeMap<String, f64>],
+    ) {
+        let index = PlatformIndex::build(sigs);
+        let mut reversed = sigs.to_vec();
+        reversed.reverse();
+        let reversed = PlatformIndex::build(&reversed);
+        for q in queries {
+            let want = nearest_signature(q, sigs);
+            assert_eq!(index.nearest(q, None), want, "index diverged from scan");
+            assert_eq!(
+                reversed.nearest(q, None),
+                want,
+                "input order changed the answer"
+            );
+            // Excluding a loser changes nothing; excluding the winner
+            // promotes another candidate.
+            let winner = want.expect("non-empty candidates");
+            let loser = sigs.iter().map(|s| s.id).find(|&id| id != winner);
+            assert_eq!(index.nearest(q, loser), want);
+            let runner_up = index.nearest(q, Some(winner));
+            assert!(runner_up.is_some() && runner_up != want);
+        }
+    }
+
+    #[test]
+    fn cached_scan_matches_reference_scan() {
+        let sigs = population(200, 11);
+        let queries: Vec<_> = population(64, 99).into_iter().map(|s| s.metrics).collect();
+        assert_index_matches_reference(&sigs, &queries);
+    }
+
+    #[test]
+    fn cached_scan_matches_reference_on_simulator_probes() {
+        // Real baseline probes (vendor default under realistic noise) of
+        // the two dbms workloads: the metric vectors the daemon indexes.
+        // The noise models perturb runtime only, so every probe of one
+        // workload reports the same 26 metrics and each query is an exact
+        // tie among that workload's sessions: the lowest id must win.
+        use crate::session::baseline_probe;
+        let probe = |system: &str, seed: u64| {
+            let spec = SessionSpec {
+                system: system.into(),
+                tuner: "random".into(),
+                seed,
+                budget: 1,
+                noise: "realistic".into(),
+                warm_start: false,
+                surrogate: "auto".into(),
+                constraints: false,
+                adaptive: Default::default(),
+                drift: Default::default(),
+            };
+            let mut objective = crate::spec::build_objective(&spec).unwrap();
+            baseline_probe(&mut *objective, seed, 0).metrics
+        };
+        let systems = ["dbms-oltp", "dbms-olap"];
+        let sigs: Vec<WorkloadSignature> = (0..24u64)
+            .flat_map(|seed| systems.map(|system| (system, seed)))
+            .enumerate()
+            .map(|(i, (system, seed))| WorkloadSignature {
+                id: SessionId::new(i as u64 + 1),
+                metrics: probe(system, seed),
+            })
+            .collect();
+        let queries: Vec<(usize, BTreeMap<String, f64>)> = (100..124u64)
+            .flat_map(|seed| (0..systems.len()).map(move |w| (w, seed)))
+            .map(|(w, seed)| (w, probe(systems[w], seed)))
+            .collect();
+        let bare: Vec<_> = queries.iter().map(|(_, q)| q.clone()).collect();
+        assert_index_matches_reference(&sigs, &bare);
+        // Workload mapping proper: each probe maps onto the oldest session
+        // of its own workload (candidate ids alternate oltp, olap).
+        let index = PlatformIndex::build(&sigs);
+        for (w, q) in &queries {
+            let oldest = SessionId::new(*w as u64 + 1);
+            assert_eq!(index.nearest(q, None), Some(oldest), "{}", systems[*w]);
+        }
+    }
+
+    #[test]
+    fn cached_scan_respects_exclusion_and_ties() {
+        // Two identical signatures: the lowest id wins; excluding it
+        // promotes the other.
+        let sigs = vec![
+            sig(4, &[("a", 1.0), ("b", 2.0)]),
+            sig(2, &[("a", 1.0), ("b", 2.0)]),
+            sig(9, &[("a", 50.0), ("b", -3.0)]),
+        ];
+        let index = PlatformIndex::build(&sigs);
+        let q = sig(0, &[("a", 1.0), ("b", 2.0)]).metrics;
+        assert_eq!(index.nearest(&q, None), Some(SessionId::new(2)));
+        assert_eq!(nearest_signature(&q, &sigs), Some(SessionId::new(2)));
+        assert_eq!(
+            index.nearest(&q, Some(SessionId::new(2))),
+            Some(SessionId::new(4))
+        );
+    }
+
+    #[test]
+    fn index_empty_cases() {
+        let index = PlatformIndex::build(&[]);
+        assert_eq!(index.nearest(&BTreeMap::new(), None), None);
+        assert_eq!(index.nearest(&sig(0, &[("a", 0.5)]).metrics, None), None);
+        let one = PlatformIndex::build(&[sig(1, &[("a", 1.0)])]);
+        assert_eq!(one.nearest(&BTreeMap::new(), None), None);
+        let q = sig(0, &[("a", 0.5)]).metrics;
+        assert_eq!(one.nearest(&q, None), Some(SessionId::new(1)));
+        assert_eq!(one.nearest(&q, Some(SessionId::new(1))), None);
+    }
+
+    #[test]
+    fn query_only_metrics_do_not_change_the_winner() {
+        let sigs = vec![sig(1, &[("a", 1.0)]), sig(2, &[("a", 4.0)])];
+        let index = PlatformIndex::build(&sigs);
+        let q = sig(0, &[("a", 1.2), ("exotic", 1e9)]).metrics;
+        assert_eq!(index.nearest(&q, None), Some(SessionId::new(1)));
+        assert_eq!(index.nearest(&q, None), nearest_signature(&q, &sigs));
     }
 
     #[test]

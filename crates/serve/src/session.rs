@@ -120,7 +120,7 @@ pub struct LiveSession {
     pub meta: SessionMeta,
     dir: PathBuf,
     /// Repository handle, kept for drift re-matching (warm-source lookup
-    /// against the ball-tree index) and epoch tuner rebuilds.
+    /// against the signature index) and epoch tuner rebuilds.
     repo: SessionRepository,
     objective: Box<dyn Objective + Send>,
     tuner: Box<dyn Tuner + Send>,
@@ -181,7 +181,7 @@ impl LiveSession {
         };
         Ok(LiveSession {
             propose_rng: StdRng::seed_from_u64(meta.spec.seed),
-            detector: meta.spec.drift.build_detector(meta.spec.seed)?,
+            detector: meta.spec.drift.build_detector()?,
             dir: repo.session_dir(meta.id),
             meta,
             repo: repo.clone(),
@@ -312,7 +312,7 @@ impl LiveSession {
     fn replay(&mut self, obs: Observation) -> ServeResult<()> {
         if let Some(event) = self.recorded_drift_at_next() {
             // Rebuild from the *recorded* warm source, not a fresh
-            // ball-tree query — the index may have changed since.
+            // index query — the index may have changed since.
             self.reset_for_epoch(&event)?;
         }
         if self.next_step() == Step::Proposal {
@@ -642,12 +642,6 @@ impl LiveSession {
     /// Every drift event this session has detected, oldest first.
     pub fn drift_events(&self) -> &[DriftEvent] {
         &self.drift_events
-    }
-
-    /// Whether the session's drift detector compresses signatures (wide
-    /// metric vectors only); `None` when detection is off.
-    pub fn drift_detector(&self) -> Option<&DriftDetector> {
-        self.detector.as_ref()
     }
 
     /// Observability snapshot of the tuner's GP surrogate: backend kind,

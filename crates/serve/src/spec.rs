@@ -137,7 +137,7 @@ impl DriftSpec {
 
     /// Builds the session's detector (`None` when off); unknown detector
     /// names fail at create time like every other bad spec field.
-    pub fn build_detector(&self, seed: u64) -> ServeResult<Option<DriftDetector>> {
+    pub fn build_detector(&self) -> ServeResult<Option<DriftDetector>> {
         if !self.is_enabled() {
             return Ok(None);
         }
@@ -152,7 +152,6 @@ impl DriftSpec {
             self.threshold,
             self.delta,
             self.min_obs,
-            seed,
         )))
     }
 }
@@ -239,7 +238,7 @@ impl SessionSpec {
     pub fn validate(&self) -> ServeResult<()> {
         build_objective(self)?;
         build_tuner(self, None)?;
-        self.drift.build_detector(self.seed)?;
+        self.drift.build_detector()?;
         if self.drift.is_enabled() && self.drift.probe_every < 2 {
             return Err(ServeError::BadRequest(
                 "drift.probe_every must be at least 2 (1 would leave no steps for proposals)"
