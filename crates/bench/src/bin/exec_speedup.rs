@@ -2,15 +2,27 @@
 //! sequential wall-clock ratio on a real Table 1 workload, checks that
 //! both paths produce identical (canonicalized) JSON, and quantifies the
 //! incremental-GP overhead win inside iTuned.
+//!
+//! One Table 1 run is short enough that a single ratio is mostly noise,
+//! so the run is repeated as [`PAIRS`] sequential/parallel pairs, the
+//! order alternating from pair to pair, at a budget where one sequential
+//! run takes over a second on 2 cores. The report gives the median
+//! speedup with its minimum and maximum; every pair must produce
+//! identical JSON.
+//!
 //! `cargo run --release -p autotune-bench --bin exec_speedup [budget] [seed]`
 
 use autotune_bench::exec::{canonical_rows, SessionExecutor};
 use autotune_bench::table1::{self, Table1Report};
 use autotune_core::tune;
+use autotune_math::stats::median;
 use autotune_sim::{DbmsSimulator, NoiseModel};
 use autotune_tuners::experiment::ITunedTuner;
 use serde::Serialize;
 use std::time::Instant;
+
+/// Sequential/parallel pairs timed.
+const PAIRS: usize = 7;
 
 #[derive(Serialize)]
 struct ExecSpeedupReport {
@@ -18,14 +30,26 @@ struct ExecSpeedupReport {
     cores: usize,
     /// Worker threads the parallel run used.
     parallel_threads: usize,
-    /// Wall clock of the sequential Table 1 run (s).
+    /// Table 1 budget of every run.
+    budget: usize,
+    /// Table 1 seed of every run.
+    seed: u64,
+    /// Sequential/parallel pairs timed.
+    pairs: usize,
+    /// Median wall clock of the sequential Table 1 runs (s).
     sequential_secs: f64,
-    /// Wall clock of the parallel Table 1 run (s).
+    /// Median wall clock of the parallel Table 1 runs (s).
     parallel_secs: f64,
-    /// sequential / parallel.
+    /// Median over pairs of sequential / parallel.
     speedup: f64,
-    /// Whether the canonicalized parallel report is byte-identical to the
-    /// sequential one.
+    /// Smallest pair speedup.
+    speedup_min: f64,
+    /// Largest pair speedup.
+    speedup_max: f64,
+    /// Every pair's speedup, in run order.
+    speedups: Vec<f64>,
+    /// Whether every pair's canonicalized parallel report is
+    /// byte-identical to its sequential one.
     identical_json: bool,
     /// iTuned tuner overhead at budget 60 with a full kernel re-search
     /// every proposal (s).
@@ -63,26 +87,45 @@ fn ituned_overhead(tuner: ITunedTuner, budget: usize, seed: u64) -> f64 {
     tune(&mut sim, &mut tuner, budget, seed).tuner_overhead_secs
 }
 
+/// Wall clock of one Table 1 run, and its canonical JSON.
+fn timed_run(exec: &SessionExecutor, budget: usize, seed: u64) -> (f64, String) {
+    let t0 = Instant::now();
+    let report = table1::run_with(exec, budget, seed);
+    (t0.elapsed().as_secs_f64(), canonical_json(&report))
+}
+
 fn main() {
-    let budget = arg_or(1, 10);
+    let budget = arg_or(1, 60);
     let seed = arg_or(2, 3);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
-    eprintln!("sequential Table 1 (budget={budget}, seed={seed})…");
-    let t0 = Instant::now();
-    let seq = table1::run_with(&SessionExecutor::with_threads(1), budget, seed);
-    let sequential_secs = t0.elapsed().as_secs_f64();
-
+    let seq_exec = SessionExecutor::with_threads(1);
     let par_exec = SessionExecutor::from_env();
     let parallel_threads = par_exec.threads();
-    eprintln!("parallel Table 1 ({parallel_threads} threads)…");
-    let t0 = Instant::now();
-    let par = table1::run_with(&par_exec, budget, seed);
-    let parallel_secs = t0.elapsed().as_secs_f64();
-
-    let identical_json = canonical_json(&seq) == canonical_json(&par);
+    let (mut seq_secs, mut par_secs, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
+    let mut identical_json = true;
+    for pair in 0..PAIRS {
+        eprintln!(
+            "pair {}/{PAIRS}: Table 1 (budget={budget}, seed={seed}), sequential and {parallel_threads} threads…",
+            pair + 1
+        );
+        // Alternate which side runs first, so drift in the machine's
+        // speed over the run does not favour one side.
+        let (seq, par) = if pair.is_multiple_of(2) {
+            let seq = timed_run(&seq_exec, budget, seed);
+            (seq, timed_run(&par_exec, budget, seed))
+        } else {
+            let par = timed_run(&par_exec, budget, seed);
+            (timed_run(&seq_exec, budget, seed), par)
+        };
+        identical_json &= seq.1 == par.1;
+        speedups.push(seq.0 / par.0.max(1e-9));
+        seq_secs.push(seq.0);
+        par_secs.push(par.0);
+    }
+    let speedup = median(&speedups);
 
     eprintln!("iTuned surrogate overhead (budget 60): refit-per-proposal vs incremental…");
     let gp_refit = ituned_overhead(ITunedTuner::new().with_hyper_interval(1), 60, seed);
@@ -91,21 +134,30 @@ fn main() {
     let report = ExecSpeedupReport {
         cores,
         parallel_threads,
-        sequential_secs,
-        parallel_secs,
-        speedup: sequential_secs / parallel_secs.max(1e-9),
+        budget,
+        seed,
+        pairs: PAIRS,
+        sequential_secs: median(&seq_secs),
+        parallel_secs: median(&par_secs),
+        speedup,
+        speedup_min: speedups.iter().copied().fold(f64::INFINITY, f64::min),
+        speedup_max: speedups.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        speedups,
         identical_json,
         gp_refit_overhead_secs: gp_refit,
         gp_incremental_overhead_secs: gp_incr,
         gp_overhead_ratio: gp_refit / gp_incr.max(1e-9),
     };
     println!(
-        "cores={} threads={} sequential={:.2}s parallel={:.2}s speedup={:.2}x identical_json={}",
+        "cores={} threads={} pairs={} median sequential={:.2}s parallel={:.2}s speedup={:.2}x (min {:.2}x, max {:.2}x) identical_json={}",
         report.cores,
         report.parallel_threads,
+        report.pairs,
         report.sequential_secs,
         report.parallel_secs,
         report.speedup,
+        report.speedup_min,
+        report.speedup_max,
         report.identical_json,
     );
     println!(
@@ -116,13 +168,13 @@ fn main() {
     );
     assert!(
         report.identical_json,
-        "parallel report must match the sequential report byte-for-byte \
+        "every parallel report must match its sequential report byte-for-byte \
          after canonicalization"
     );
     if cores >= 4 {
         assert!(
             report.speedup >= 2.0,
-            "expected >=2x wall-clock speedup on {cores} cores, got {:.2}x",
+            "expected a median >=2x wall-clock speedup on {cores} cores, got {:.2}x",
             report.speedup
         );
     }

@@ -99,14 +99,18 @@ struct GpScaleReport {
     regret_delta_max: f64,
 }
 
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+/// Runs `f` `reps` times (at least once); returns the best wall-clock
+/// seconds and the last result, so a timed fit also yields its model.
+fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
-    for _ in 0..reps {
+    let mut last = None;
+    for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        black_box(f());
+        let out = black_box(f());
         best = best.min(t0.elapsed().as_secs_f64());
+        last = Some(out);
     }
-    best
+    (best, last.expect("at least one rep"))
 }
 
 fn fixed_kernel() -> Kernel {
@@ -147,34 +151,27 @@ fn scale_point(n: usize, m: usize, pool_size: usize, rng: &mut StdRng) -> ScaleP
     let truth = synthetic(&pool);
     let reps = if n <= 1000 { 3 } else { 1 };
 
-    let exact_fit_secs = best_of(reps, || {
+    let (exact_fit_secs, exact) = best_of(reps, || {
         GaussianProcess::fit(kernel.clone(), xs.clone(), &ys).expect("exact fit")
     });
-    let exact = GaussianProcess::fit(kernel.clone(), xs.clone(), &ys).expect("exact fit");
-    let exact_predict_secs = best_of(reps, || exact.predict_batch(&pool));
-    let exact_preds = exact.predict_batch(&pool);
+    let (exact_predict_secs, exact_preds) = best_of(reps, || exact.predict_batch(&pool));
     let exact_means: Vec<f64> = exact_preds.iter().map(|(m, _)| *m).collect();
 
-    let sod_fit_secs = best_of(reps, || {
+    let (sod_fit_secs, (idx, sod)) = best_of(reps, || {
         let idx = farthest_point_subset(&xs, m);
         let sx: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
         let sy: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
-        GaussianProcess::fit(kernel.clone(), sx, &sy).expect("sod fit")
+        let gp = GaussianProcess::fit(kernel.clone(), sx, &sy).expect("sod fit");
+        (idx, gp)
     });
-    let idx = farthest_point_subset(&xs, m);
-    let sx: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
-    let sy: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
-    let sod = GaussianProcess::fit(kernel.clone(), sx, &sy).expect("sod fit");
-    let sod_predict_secs = best_of(reps.max(3), || sod.predict_batch(&pool));
-    let sod_preds = sod.predict_batch(&pool);
+    let (sod_predict_secs, sod_preds) = best_of(reps.max(3), || sod.predict_batch(&pool));
 
     let zs: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
-    let nystrom_fit_secs = best_of(reps, || {
+    let (nystrom_fit_secs, ny) = best_of(reps, || {
         NystromGp::fit(kernel.clone(), xs.clone(), &ys, zs.clone()).expect("nystrom fit")
     });
-    let ny = NystromGp::fit(kernel.clone(), xs.clone(), &ys, zs).expect("nystrom fit");
-    let nystrom_predict_secs = best_of(reps.max(3), || Surrogate::predict_batch(&ny, &pool));
-    let ny_preds = Surrogate::predict_batch(&ny, &pool);
+    let (nystrom_predict_secs, ny_preds) =
+        best_of(reps.max(3), || Surrogate::predict_batch(&ny, &pool));
 
     let exact_total = exact_fit_secs + exact_predict_secs;
     let point = ScalePoint {

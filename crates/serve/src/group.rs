@@ -91,17 +91,17 @@ struct Pending {
     journal_frame: Vec<u8>,
 }
 
-/// A staged snapshot awaiting durability. Once `ticket` is synced the
-/// committer fsyncs the staged tmp file, renames it into place, syncs
-/// the directory entry, drops the session's direct-mode WAL for terminal
-/// snapshots, and releases `covered` journal records — all off the
-/// session worker's critical path.
+/// An appended snapshot-log frame awaiting durability. Once `ticket` is
+/// synced the committer fdatasyncs the session's log (and its directory
+/// entry when the frame created the file), drops the session's
+/// direct-mode WAL for terminal frames, and releases `covered` journal
+/// records — all off the session worker's critical path.
 struct DeferredSnap {
-    tmp: PathBuf,
     dir: PathBuf,
     covered: u64,
     ticket: u64,
     terminal: bool,
+    created: bool,
 }
 
 /// Queue + shutdown flag under one mutex: an append observes shutdown in
@@ -114,7 +114,7 @@ struct Queue {
     /// the committer once `ticket` is synced, so snapshot writers never
     /// stall waiting for the disk just to do retention bookkeeping.
     cleaned: Vec<(u64, u64)>,
-    /// Staged snapshots the committer lands once their ticket is synced.
+    /// Appended frames the committer lands once their ticket is synced.
     deferred: Vec<DeferredSnap>,
     /// Highest ticket any `wait_durable` caller is (or was) blocked on —
     /// the committer's signal that an fdatasync is actually needed.
@@ -272,21 +272,21 @@ impl GroupCommitWal {
         }
     }
 
-    /// Stages a snapshot for deferred durability: once `ticket` is
-    /// synced, the committer fsyncs `tmp`, renames it to the session's
-    /// `snapshot.json`, syncs the directory, deletes the per-session WAL
-    /// for terminal snapshots, and releases `covered` journal records.
-    /// The landing happens *before* waiters at or past `ticket` are
-    /// released, so a client that saw the covering response also sees
-    /// the snapshot on disk. Returns false when the committer has shut
-    /// down (the caller must write its snapshot synchronously).
+    /// Hands over a frame just appended to the snapshot log in `dir` for
+    /// deferred durability: once `ticket` is synced, the committer
+    /// fdatasyncs the log (and the directory, when the frame `created`
+    /// the file), deletes the per-session WAL for `terminal` frames, and
+    /// releases `covered` journal records. The landing happens *before*
+    /// waiters at or past `ticket` are released, so a client that saw the
+    /// covering response also finds the frame durable. Returns false when
+    /// the committer has shut down (the caller must sync the log itself).
     pub fn defer_snapshot(
         &self,
-        tmp: PathBuf,
         dir: PathBuf,
         covered: u64,
         ticket: u64,
         terminal: bool,
+        created: bool,
     ) -> bool {
         {
             let mut queue = lock(&self.shared.queue);
@@ -294,11 +294,11 @@ impl GroupCommitWal {
                 return false;
             }
             queue.deferred.push(DeferredSnap {
-                tmp,
                 dir,
                 covered,
                 ticket,
                 terminal,
+                created,
             });
             // The snapshot itself demands durability of what it covers —
             // usually the same ticket the session's response is about to
@@ -363,8 +363,8 @@ fn committer_loop(shared: &Shared, journal_path: &Path) {
             // Sleep until a commit point actually needs durability (or
             // shutdown). Pending records accumulate in memory meanwhile —
             // that's the batch — and a lone low-load request still syncs
-            // immediately because its own wait declares the demand. A
-            // staged snapshot whose covering ticket is already durable
+            // immediately because its own wait declares the demand. An
+            // appended frame whose covering ticket is already durable
             // also wakes us: nothing else would, and it must land.
             loop {
                 if queue.shutdown
@@ -416,10 +416,10 @@ fn committer_loop(shared: &Shared, journal_path: &Path) {
                 unsynced_records = 0;
             }
         }
-        // Land staged snapshots whose covering ticket is now durable —
-        // before releasing commit waiters, so a client that saw the
-        // covering response also finds the snapshot (and warm-start
-        // reads of a just-finished session) on disk.
+        // Land frames whose covering ticket is now durable — before
+        // releasing commit waiters, so a client that saw the covering
+        // response also finds the frame (and warm-start reads of a
+        // just-finished session) durable.
         if outcome.is_ok() {
             let ready: Vec<DeferredSnap> = {
                 let mut queue = lock(&shared.queue);
@@ -500,25 +500,20 @@ fn write_batch(
     Ok(())
 }
 
-/// Makes one staged snapshot durable: fsync the tmp file, rename it
-/// into place, sync the directory entry, drop the per-session WAL for
-/// terminal snapshots, and release the covered journal records. A
-/// failure is session-local — the journal keeps the uncovered records
-/// (no retention release), the old snapshot stays intact, and recovery
-/// replays the journal tail — so it is logged rather than made sticky.
+/// Makes one appended frame durable: one fdatasync of the snapshot log
+/// (plus a directory sync when the frame created it), drop the
+/// per-session WAL for terminal frames, and release the covered journal
+/// records. A failure is session-local — the journal keeps the uncovered
+/// records (no retention release) and recovery replays the journal tail
+/// — so it is logged rather than made sticky.
 fn land_snapshot(shared: &Shared, snap: &DeferredSnap) {
     let land = || -> std::io::Result<()> {
-        File::open(&snap.tmp)?.sync_data()?;
-        std::fs::rename(&snap.tmp, snap.dir.join(wal::SNAPSHOT_FILE))?;
-        if let Ok(d) = File::open(&snap.dir) {
-            let _ = d.sync_all();
+        File::open(snap.dir.join(wal::SNAPSHOT_FILE))?.sync_data()?;
+        if snap.created {
+            wal::sync_dir(&snap.dir);
         }
         if snap.terminal {
-            match std::fs::remove_file(snap.dir.join(wal::WAL_FILE)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
+            wal::release_wal(&snap.dir, true)?;
         }
         Ok(())
     };
@@ -527,7 +522,6 @@ fn land_snapshot(shared: &Shared, snap: &DeferredSnap) {
             shared.live.fetch_sub(snap.covered as i64, Ordering::SeqCst);
         }
         Err(e) => {
-            let _ = std::fs::remove_file(&snap.tmp);
             if !snap.dir.exists() {
                 // Retention evicted the session while this snapshot was
                 // queued. Its journal records cover nothing anyone can
@@ -660,22 +654,23 @@ mod tests {
         let t1 = group.append(s1, &record(0)).unwrap();
         group.wait_durable(t1).unwrap();
 
-        // Stage a snapshot for a session whose directory retention has
+        // Hand over a frame for a session whose directory retention has
         // already deleted: landing fails, but the covered records must
         // still be released or `live` never returns to zero and the
         // journal can never truncate again.
         let missing_dir = root.join("s-000001");
-        let tmp = root.join("snapshot.json.tmp-evicted");
-        fs::write(&tmp, b"{}").unwrap();
-        assert!(group.defer_snapshot(tmp.clone(), missing_dir, 1, t1, true));
-        // The committer removes the staged tmp when the landing fails.
+        assert!(group.defer_snapshot(missing_dir, 1, t1, true, false));
         for _ in 0..500 {
-            if !tmp.exists() {
+            if group.shared.live.load(Ordering::SeqCst) == 0 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        assert!(!tmp.exists(), "deferred snapshot was processed");
+        assert_eq!(
+            group.shared.live.load(Ordering::SeqCst),
+            0,
+            "deferred frame was processed"
+        );
 
         // With the eviction released, the next batch recycles the
         // journal: only the new session's record survives in it.

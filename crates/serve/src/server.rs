@@ -328,10 +328,11 @@ impl Daemon {
                 Err(ServeError::NotFound(_)) => continue,
                 Err(e) => return Err(e),
             };
-            // A crash can strand staged deferred snapshots (ticket-named
-            // tmp files the committer never landed). Recovery ignores
-            // their contents — the journal retains every record they
-            // would have covered — so just sweep them.
+            // A crash mid-rewrite of a snapshot log can strand its tmp
+            // file (and older daemons staged ticket-named ones). Recovery
+            // ignores their contents — the old log, WAL and journal still
+            // hold every record they would have covered — so just sweep
+            // them.
             if let Ok(entries) = std::fs::read_dir(repo.session_dir(id)) {
                 for entry in entries.flatten() {
                     if entry

@@ -153,7 +153,8 @@ pub struct LiveSession {
     /// the tuner trains and recommends on post-drift data only — handing
     /// it the full history would quietly re-poison a restarted model with
     /// stale pre-drift measurements. Identical to `history` until the
-    /// first drift.
+    /// first drift; left empty in a session recovered terminal, whose
+    /// tuner never runs again.
     epoch_history: History,
     /// Every drift this session has detected, in order.
     drift_events: Vec<DriftEvent>,
@@ -286,12 +287,22 @@ impl LiveSession {
         session.recommendation = recovered.recommendation;
         session.snapshot_seq = recovered.snapshot_seq;
         session.recovery_corruption = recovered.corruption;
+        // A log recovered past an invalid frame or a gap is rewritten
+        // from the recovered state, so no later frame or record lands
+        // behind the damage.
+        let repair = session.recovery_corruption.is_some();
         if session.status != SessionStatus::Running {
             session.restore_terminal(recovered.observations);
+            if repair {
+                session.compact(true)?;
+            }
             return Ok(session);
         }
         for obs in recovered.observations {
             session.replay(obs)?;
+        }
+        if repair {
+            session.compact(true)?;
         }
         // Dangling drift event: the crash fell between the Drift record
         // and its re-probe observation. The event already fixes everything
@@ -325,7 +336,7 @@ impl LiveSession {
     }
 
     /// Restores a terminal session's history and epoch scope without its
-    /// tuner or detector, which no later step can consult.
+    /// tuner, detector or epoch history, which no later step can consult.
     fn restore_terminal(&mut self, observations: Vec<Observation>) {
         let len = observations.len();
         if let Some(event) = self
@@ -336,7 +347,6 @@ impl LiveSession {
             self.epoch = event.epoch;
             self.epoch_start = event.at_seq as usize;
         }
-        self.epoch_history = History::from_observations(observations[self.epoch_start..].to_vec());
         self.history = History::from_observations(observations);
     }
 
@@ -554,9 +564,16 @@ impl LiveSession {
         self.write_snapshot()
     }
 
-    /// Compacts the log: snapshot everything (at the sink's durability),
-    /// truncate the WAL, and release the covered journal records.
+    /// Compacts the log: append to the snapshot log what it lacks (at the
+    /// sink's durability), truncate the WAL, and release the covered
+    /// journal records.
     pub fn write_snapshot(&mut self) -> ServeResult<()> {
+        self.compact(false)
+    }
+
+    /// [`Self::write_snapshot`], or with `rewrite` the repair that
+    /// replaces the whole snapshot log with one frame.
+    fn compact(&mut self, rewrite: bool) -> ServeResult<()> {
         let snapshot = Snapshot {
             seq: self.history.len() as u64,
             history: self.history.clone(),
@@ -564,26 +581,33 @@ impl LiveSession {
             recommendation: self.recommendation.clone(),
             drift_events: self.drift_events.clone(),
         };
-        // Group sinks stage the snapshot and let the committer make it
-        // durable (fsync + rename + retention release) once the covering
+        // Group sinks append the frame and let the committer make it
+        // durable (fdatasync + retention release) once the covering
         // ticket is synced, so the worker never blocks on a snapshot
         // sync. Fall back to the synchronous path when the committer is
         // gone — graceful shutdown writes its final snapshots after the
         // journal drain.
         if let WalSink::Group(group) = &self.sink {
-            if wal::write_snapshot_deferred(
-                &self.dir,
-                &snapshot,
-                group,
-                self.journal_pending,
-                self.last_ticket,
-            )? {
+            if !rewrite
+                && wal::write_snapshot_deferred(
+                    &self.dir,
+                    &snapshot,
+                    group,
+                    self.journal_pending,
+                    self.last_ticket,
+                )?
+            {
                 self.snapshot_seq = self.history.len() as u64;
                 self.journal_pending = 0;
                 return Ok(());
             }
         }
-        wal::write_snapshot(&self.dir, &snapshot, self.sink.durability())?;
+        let durability = self.sink.durability();
+        if rewrite {
+            wal::rewrite_snapshot(&self.dir, &snapshot, durability)?;
+        } else {
+            wal::write_snapshot(&self.dir, &snapshot, durability)?;
+        }
         self.snapshot_seq = self.history.len() as u64;
         // The snapshot may only release journal records that are actually
         // on disk, else the committer could recycle journal entries of

@@ -747,16 +747,16 @@ fn cancel_is_durable_before_acknowledgement() {
     assert_eq!(summary.status, "cancelled");
 
     // The acknowledged cancellation is on disk *now* — no shutdown, no
-    // flush, just what the 200 already promised.
-    let snapshot_json = fs::read_to_string(root.join(id.to_string()).join("snapshot.json"))
+    // flush, just what the 200 already promised. Group-mode sessions
+    // write no WAL, so this reads the snapshot log alone.
+    let recovered = autotune_serve::wal::recover(&root.join(id.to_string()))
         .expect("cancelled snapshot durable before the 200");
-    let snapshot: autotune_serve::wal::Snapshot =
-        serde_json::from_str(&snapshot_json).expect("snapshot decodes");
+    assert!(recovered.corruption.is_none(), "{:?}", recovered.corruption);
     assert_eq!(
-        snapshot.status,
+        recovered.status,
         autotune_serve::wal::SessionStatus::Cancelled
     );
-    assert_eq!(snapshot.history.len(), 3, "probe + 2 evaluations");
+    assert_eq!(recovered.observations.len(), 3, "probe + 2 evaluations");
 
     daemon.graceful_shutdown();
     let _ = fs::remove_dir_all(&root);

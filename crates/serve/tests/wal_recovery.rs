@@ -1,13 +1,16 @@
 //! Crash-recovery guarantees of the session repository: a session killed
 //! at any point and recovered from disk continues exactly where the
-//! uninterrupted run would have been, and a WAL torn at any byte offset
-//! recovers every complete record.
+//! uninterrupted run would have been, a WAL torn at any byte offset
+//! recovers every complete record, a snapshot log torn or corrupted
+//! anywhere recovers a valid prefix and the session still ends as the
+//! uninterrupted run does, a legacy single-object snapshot still
+//! recovers, and compaction writes grow linearly with session length.
 
 use autotune_core::SessionId;
 use autotune_serve::repo::{SessionMeta, SessionRepository};
 use autotune_serve::session::LiveSession;
 use autotune_serve::spec::SessionSpec;
-use autotune_serve::wal::{self, SessionStatus, WalRecord};
+use autotune_serve::wal::{self, SessionStatus, Snapshot, WalRecord};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -251,6 +254,257 @@ proptest! {
         );
         let _ = fs::remove_dir_all(&root);
     }
+}
+
+/// Log-test sessions: random search, so a case runs in milliseconds.
+const LOG_BUDGET: usize = 10;
+/// Steps before the simulated crash: frames at 3 and 6 observations,
+/// observations 6 and 7 in the WAL.
+const LOG_CUT: usize = 7;
+const LOG_EVERY: usize = 3;
+
+/// History, recommendation and status of a finished session, serialized.
+fn outcome(session: &LiveSession) -> (String, String) {
+    assert_eq!(session.status(), SessionStatus::Finished);
+    (
+        history_json(session),
+        serde_json::to_string(&session.recommendation()).expect("json"),
+    )
+}
+
+/// Runs a session to `steps` and drops it; returns its repository, root,
+/// id and history.
+fn crashed_run(
+    tag: &str,
+    seed: u64,
+    steps: usize,
+) -> (
+    PathBuf,
+    SessionRepository,
+    SessionId,
+    Vec<autotune_core::Observation>,
+) {
+    let root = fresh_root(tag);
+    let repo = SessionRepository::open(&root).expect("open");
+    let m = meta(&repo, spec("random", seed, LOG_BUDGET));
+    let id = m.id;
+    let mut s = LiveSession::create(&repo, m, None, LOG_EVERY).expect("create");
+    s.advance(steps).expect("advance");
+    let history = s.history().all().to_vec();
+    (root, repo, id, history)
+}
+
+/// The uninterrupted run of the log tests' spec.
+fn reference_outcome(seed: u64) -> (String, String) {
+    let (root, repo, id, _) = crashed_run(&format!("log-ref-{seed}"), seed, LOG_BUDGET);
+    let back =
+        LiveSession::recover(&repo, repo.read_meta(id).expect("meta"), LOG_EVERY).expect("recover");
+    let want = outcome(&back);
+    let _ = fs::remove_dir_all(&root);
+    want
+}
+
+/// Byte ranges of the snapshot log's frames, newline included.
+fn frame_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b == b'\n' {
+            spans.push((start, i + 1));
+            start = i + 1;
+        }
+    }
+    spans
+}
+
+/// Recovers the damaged session, checks that what survived is a
+/// byte-identical prefix of the original `expect_len` observations long
+/// and that recovery repaired the files, finishes it, and checks it ends
+/// as the uninterrupted run does and leaves a log that recovers cleanly.
+fn recover_and_finish(
+    repo: &SessionRepository,
+    id: SessionId,
+    original: &[autotune_core::Observation],
+    expect_len: usize,
+    seed: u64,
+) {
+    let dir = repo.session_dir(id);
+    let recovered = wal::recover(&dir).expect("recover");
+    assert!(recovered.corruption.is_some(), "damage must be reported");
+    assert_eq!(recovered.observations.len(), expect_len);
+    assert_eq!(
+        serde_json::to_string(&recovered.observations).expect("json"),
+        serde_json::to_string(&original[..expect_len]).expect("json")
+    );
+    let mut back = LiveSession::recover(repo, repo.read_meta(id).expect("meta"), LOG_EVERY)
+        .expect("recover session");
+    // Recovery repairs the damage at once: no later frame or record can
+    // land behind it, so a second crash loses nothing.
+    let repaired = wal::recover(&dir).expect("recover repaired");
+    assert!(repaired.corruption.is_none(), "{:?}", repaired.corruption);
+    assert_eq!(repaired.observations.len(), expect_len);
+    // With every frame lost even the probe is recomputed, and it counts
+    // as a step.
+    back.advance(LOG_BUDGET + 1).expect("finish");
+    assert_eq!(outcome(&back), reference_outcome(seed));
+    let clean = wal::recover(&dir).expect("recover finished");
+    assert!(clean.corruption.is_none(), "{:?}", clean.corruption);
+    assert_eq!(clean.observations.len(), LOG_BUDGET + 1);
+    assert_eq!(clean.status, SessionStatus::Finished);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Cutting the snapshot log at any byte leaves its complete frames:
+    /// recovery keeps them (plus the WAL when no frame was lost) and the
+    /// session recomputes the rest, ending byte-identical.
+    #[test]
+    fn truncated_snapshot_log_recovers_a_prefix_and_continues_identically(
+        seed in 0u64..1000,
+        cut_at in 0usize..100_000,
+    ) {
+        let (root, repo, id, original) =
+            crashed_run(&format!("log-cut-{seed}-{cut_at}"), seed, LOG_CUT);
+        let path = repo.session_dir(id).join(wal::SNAPSHOT_FILE);
+        let bytes = fs::read(&path).expect("read log");
+        let spans = frame_spans(&bytes);
+        prop_assert_eq!(spans.len(), 2, "premise: frames at 3 and 6 observations");
+        let cut = cut_at % bytes.len();
+        fs::write(&path, &bytes[..cut]).expect("truncate log");
+        // A frame is kept when everything but (at most) its newline
+        // survived; a torn frame loses the WAL's continuation too.
+        let kept = spans.iter().filter(|(_, end)| cut + 1 >= *end).count();
+        let expect_len = if kept == spans.len() { LOG_CUT + 1 } else { kept * LOG_EVERY };
+        if kept == spans.len() {
+            // Only the final newline went: nothing to report or lose.
+            prop_assert_eq!(wal::recover(&repo.session_dir(id)).expect("recover").observations.len(), expect_len);
+        } else {
+            recover_and_finish(&repo, id, &original, expect_len, seed);
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Flipping any bit of the snapshot log is detected: recovery keeps
+    /// the frames before the damaged one, ignores the WAL past the gap,
+    /// and the session recomputes the rest, ending byte-identical.
+    #[test]
+    fn flipped_snapshot_log_byte_recovers_a_prefix_and_continues_identically(
+        seed in 0u64..1000,
+        flip_pos in 0usize..100_000,
+        flip_bit in 0u32..8,
+    ) {
+        let (root, repo, id, original) =
+            crashed_run(&format!("log-flip-{seed}-{flip_pos}-{flip_bit}"), seed, LOG_CUT);
+        let path = repo.session_dir(id).join(wal::SNAPSHOT_FILE);
+        let mut bytes = fs::read(&path).expect("read log");
+        let spans = frame_spans(&bytes);
+        let pos = flip_pos % bytes.len();
+        bytes[pos] ^= 1 << flip_bit;
+        fs::write(&path, &bytes).expect("write corrupted log");
+        let hit = spans.iter().position(|(start, end)| (*start..*end).contains(&pos)).expect("frame");
+        recover_and_finish(&repo, id, &original, hit * LOG_EVERY, seed);
+        let _ = fs::remove_dir_all(&root);
+    }
+}
+
+#[test]
+fn legacy_snapshot_recovers_and_its_first_compaction_writes_a_log() {
+    const SEED: u64 = 17;
+    const LEGACY_SEQ: usize = 5;
+    // A session whose files a daemon wrote before the snapshot log
+    // existed: one JSON object covering 5 observations, the rest in the
+    // WAL.
+    let (root, repo, id, original) = crashed_run("legacy", SEED, LOG_CUT);
+    let dir = repo.session_dir(id);
+    let legacy = Snapshot {
+        seq: LEGACY_SEQ as u64,
+        history: autotune_core::History::from_observations(original[..LEGACY_SEQ].to_vec()),
+        status: SessionStatus::Running,
+        recommendation: None,
+        drift_events: Vec::new(),
+    };
+    fs::write(
+        dir.join(wal::SNAPSHOT_FILE),
+        serde_json::to_string(&legacy).expect("legacy json"),
+    )
+    .expect("write legacy snapshot");
+    let mut wal_bytes = Vec::new();
+    for (seq, obs) in original.iter().enumerate().skip(LEGACY_SEQ) {
+        wal_bytes.extend(
+            wal::encode_record(&WalRecord::Obs {
+                seq: seq as u64,
+                obs: obs.clone(),
+            })
+            .expect("frame"),
+        );
+    }
+    fs::write(dir.join(wal::WAL_FILE), wal_bytes).expect("write wal");
+
+    let recovered = wal::recover(&dir).expect("legacy recovers");
+    assert!(recovered.corruption.is_none());
+    assert_eq!(recovered.snapshot_seq, LEGACY_SEQ as u64);
+    assert_eq!(
+        serde_json::to_string(&recovered.observations).expect("json"),
+        serde_json::to_string(&original).expect("json")
+    );
+
+    // The first compaction (due at the next step: 3 observations past
+    // the legacy snapshot) rewrites the file once as a one-frame log;
+    // later ones append to it.
+    let mut back =
+        LiveSession::recover(&repo, repo.read_meta(id).expect("meta"), LOG_EVERY).expect("recover");
+    back.advance(1).expect("step");
+    let log = fs::read(dir.join(wal::SNAPSHOT_FILE)).expect("log");
+    assert_ne!(log.first(), Some(&b'{'), "rewritten as a log");
+    assert_eq!(frame_spans(&log).len(), 1);
+    back.advance(LOG_BUDGET).expect("finish");
+    assert_eq!(outcome(&back), reference_outcome(SEED));
+    let log = fs::read(dir.join(wal::SNAPSHOT_FILE)).expect("log");
+    assert!(frame_spans(&log).len() > 1, "later compactions append");
+    let clean = wal::recover(&dir).expect("recover log");
+    assert!(clean.corruption.is_none());
+    assert_eq!(clean.observations.len(), LOG_BUDGET + 1);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Bytes this thread has passed to `write`-family calls (`wchar`).
+#[cfg(target_os = "linux")]
+fn thread_write_bytes() -> u64 {
+    let io = fs::read_to_string("/proc/thread-self/io").expect("read /proc/thread-self/io");
+    io.lines()
+        .find_map(|l| l.strip_prefix("wchar: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("wchar field")
+}
+
+/// Every byte a session of `observations` writes (metadata, WAL, snapshot
+/// log), compacting at the default interval.
+#[cfg(target_os = "linux")]
+fn session_write_bytes(observations: usize) -> u64 {
+    let root = fresh_root(&format!("linear-{observations}"));
+    let repo = SessionRepository::open(&root).expect("open");
+    let m = meta(&repo, spec("random", 5, observations - 1));
+    let before = thread_write_bytes();
+    let mut s = LiveSession::create(&repo, m, None, wal::DEFAULT_SNAPSHOT_EVERY).expect("create");
+    s.advance(observations).expect("advance");
+    assert_eq!(s.status(), SessionStatus::Finished);
+    let written = thread_write_bytes() - before;
+    let _ = fs::remove_dir_all(&root);
+    written
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn compaction_writes_grow_linearly_with_session_length() {
+    // Rewriting the whole history at every compaction makes writes grow
+    // quadratically: about 3.6x for twice the observations.
+    let short = session_write_bytes(128);
+    let long = session_write_bytes(256);
+    assert!(
+        long as f64 <= 2.2 * short as f64,
+        "256 observations wrote {long} B, 128 wrote {short} B"
+    );
 }
 
 #[test]

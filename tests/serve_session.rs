@@ -1,6 +1,7 @@
 //! The serve session step machine under crashes: a session dropped after
 //! any number of steps and recovered from its log must finish exactly as
-//! the uninterrupted run does, a finished session recovers without
+//! the uninterrupted run does — also when the crash tore the snapshot
+//! log's last frame mid-append — a finished session recovers without
 //! replaying its tuner, a constrained session recovers without any
 //! constraint file on disk, and a daemon restarting on a crash image
 //! recovers all of its sessions — concurrently where that is safe — so
@@ -12,7 +13,8 @@ use autotune_serve::server::{Daemon, DaemonConfig, SessionSummary};
 use autotune_serve::session::LiveSession;
 use autotune_serve::spec::SessionSpec;
 use autotune_serve::wal::{
-    encode_journal_entry, Durability, SessionStatus, WalRecord, WalSink, JOURNAL_FILE,
+    encode_journal_entry, encode_record, Durability, SessionStatus, WalRecord, WalSink,
+    JOURNAL_FILE, SNAPSHOT_FILE, WAL_FILE,
 };
 use std::fs;
 use std::io::{Read, Write};
@@ -125,6 +127,87 @@ fn every_cut_of_a_drifting_session_recovers_byte_identical() {
         }
         assert_eq!(back.status(), SessionStatus::Finished, "cut {cut}");
         assert_eq!(outcome(&back), want, "cut {cut}: recovered run diverged");
+        let _ = fs::remove_dir_all(&root);
+    }
+    let _ = fs::remove_dir_all(&root_ref);
+}
+
+#[test]
+fn every_cut_of_a_compacting_ituned_session_recovers_byte_identical() {
+    const BUDGET: usize = 20;
+    /// Every third observation appends a frame, so the cuts fall just
+    /// before, on and just after each append.
+    const EVERY: usize = 3;
+    let ituned = || spec("dbms-oltp", "ituned", 8, BUDGET, false);
+    let (root_ref, repo_ref) = fresh_repo("ituned-ref");
+    let mut reference =
+        LiveSession::create(&repo_ref, meta(&repo_ref, ituned()), None, 64).expect("create");
+    reference.advance(BUDGET).expect("advance");
+    assert!(
+        reference.surrogate_stats().is_some_and(|st| st.fits >= 1),
+        "premise: the session reaches its GP phase"
+    );
+    let want = outcome(&reference);
+
+    // `torn`: the crash hit the frame append that the last step made:
+    // the frame is half written and the WAL, truncated only after the
+    // append, still holds every record since the previous frame.
+    let torn_cut = 3 * EVERY - 1;
+    let cuts = (0..=BUDGET).map(|cut| (cut, false));
+    for (cut, torn) in cuts.chain([(torn_cut, true)]) {
+        let (root, repo) = fresh_repo(&format!("ituned-cut{cut}-{torn}"));
+        let m = meta(&repo, ituned());
+        let id = m.id;
+        let history = {
+            let mut victim = LiveSession::create(&repo, m, None, EVERY).expect("create");
+            for _ in 0..cut {
+                assert_eq!(victim.advance(1).expect("step"), 1, "cut {cut}");
+            }
+            victim.history().all().to_vec()
+        };
+        if torn {
+            let dir = repo.session_dir(id);
+            let log = fs::read(dir.join(SNAPSHOT_FILE)).expect("log");
+            let body = &log[..log.len() - 1];
+            let last = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            fs::write(
+                dir.join(SNAPSHOT_FILE),
+                &log[..last + (log.len() - last) / 2],
+            )
+            .expect("tear the last frame");
+            let mut wal = Vec::new();
+            for (seq, obs) in history.iter().enumerate().skip(history.len() - EVERY) {
+                let record = WalRecord::Obs {
+                    seq: seq as u64,
+                    obs: obs.clone(),
+                };
+                wal.extend(encode_record(&record).expect("frame"));
+            }
+            fs::write(dir.join(WAL_FILE), wal).expect("restore the WAL");
+        }
+        let mut back =
+            LiveSession::recover(&repo, repo.read_meta(id).expect("meta"), EVERY).expect("recover");
+        assert_eq!(back.history().len(), cut + 1, "cut {cut}: history length");
+        assert_eq!(back.recovery_corruption().is_some(), torn, "cut {cut}");
+        // The torn frame is repaired at recovery, before any new record.
+        let repaired = autotune_serve::wal::recover(&repo.session_dir(id)).expect("reread");
+        assert!(
+            repaired.corruption.is_none(),
+            "cut {cut}: {:?}",
+            repaired.corruption
+        );
+        assert_eq!(repaired.observations.len(), cut + 1, "cut {cut}");
+        if back.status() == SessionStatus::Running {
+            back.advance(BUDGET).expect("finish");
+        }
+        assert_eq!(outcome(&back), want, "cut {cut}: recovered run diverged");
+        let end = LiveSession::recover(&repo, repo.read_meta(id).expect("meta"), EVERY)
+            .expect("recover the finished session");
+        assert!(
+            end.recovery_corruption().is_none(),
+            "cut {cut}: log left damaged"
+        );
+        assert_eq!(outcome(&end), want, "cut {cut}: log lost records");
         let _ = fs::remove_dir_all(&root);
     }
     let _ = fs::remove_dir_all(&root_ref);
