@@ -200,47 +200,70 @@ pub struct PathPoint {
     pub coefficients: Vec<f64>,
 }
 
+/// Points on the path [`rank_by_path`] and [`top_k_by_path`] walk.
+const RANK_STEPS: usize = 30;
+/// λ_min / λ_max of that path.
+const RANK_RATIO: f64 = 1e-3;
+/// A feature has entered the path once its |coefficient| exceeds this.
+const ENTERED: f64 = 1e-10;
+
+impl Standardized {
+    /// The penalties of a geometric `steps`-point path from `lambda_max`
+    /// down to `lambda_max * ratio`.
+    fn path_lambdas(&self, steps: usize, ratio: f64) -> Vec<f64> {
+        assert!(steps >= 2, "lasso_path: need at least 2 steps");
+        assert!(ratio > 0.0 && ratio < 1.0, "lasso_path: ratio in (0,1)");
+        let lmax = self.lambda_max().max(1e-12);
+        let lmin = lmax * ratio;
+        (0..steps)
+            .map(|s| {
+                let t = s as f64 / (steps - 1) as f64;
+                (lmax.ln() + t * (lmin.ln() - lmax.ln())).exp()
+            })
+            .collect()
+    }
+
+    /// The coefficients of one path point: a cold fit from all-zero
+    /// coefficients, independent of every other point.
+    fn path_point(&self, lambda: f64) -> Vec<f64> {
+        self.descend(lambda, 500, 1e-7).0
+    }
+}
+
 /// Computes a geometric lasso path from `lambda_max` down to
 /// `lambda_max * ratio` over `steps` points. The design is standardized
 /// once for the whole path; every fit on it starts from all-zero
 /// coefficients (no warm start), so each point equals a standalone
 /// [`lasso`] fit at its penalty.
 pub fn lasso_path(x: &Matrix, y: &[f64], steps: usize, ratio: f64) -> Vec<PathPoint> {
-    assert!(steps >= 2, "lasso_path: need at least 2 steps");
-    assert!(ratio > 0.0 && ratio < 1.0, "lasso_path: ratio in (0,1)");
     let design = Standardized::new(x, y);
-    let lmax = design.lambda_max().max(1e-12);
-    let lmin = lmax * ratio;
-    (0..steps)
-        .map(|s| {
-            let t = s as f64 / (steps - 1) as f64;
-            let lambda = (lmax.ln() + t * (lmin.ln() - lmax.ln())).exp();
-            PathPoint {
-                lambda,
-                coefficients: design.descend(lambda, 500, 1e-7).0,
-            }
+    design
+        .path_lambdas(steps, ratio)
+        .into_iter()
+        .map(|lambda| PathPoint {
+            lambda,
+            coefficients: design.path_point(lambda),
         })
         .collect()
 }
 
-/// Ranks features by the order in which they first become non-zero along a
-/// lasso path (earlier = more important). Features that never activate are
-/// ranked last by final |coefficient|. Returns feature indices, most
-/// important first.
-pub fn rank_by_path(x: &Matrix, y: &[f64]) -> Vec<usize> {
-    let p = x.cols();
-    let path = lasso_path(x, y, 30, 1e-3);
-    let mut entry_step = vec![usize::MAX; p];
-    for (s, point) in path.iter().enumerate() {
-        for j in 0..p {
-            if entry_step[j] == usize::MAX && point.coefficients[j].abs() > 1e-10 {
-                entry_step[j] = s;
-            }
+/// Records path point `step` as the entry step of every feature that is
+/// non-zero in `coefficients` for the first time; returns how many entered.
+fn mark_entries(entry_step: &mut [usize], coefficients: &[f64], step: usize) -> usize {
+    let mut entered = 0;
+    for (e, c) in entry_step.iter_mut().zip(coefficients) {
+        if *e == usize::MAX && c.abs() > ENTERED {
+            *e = step;
+            entered += 1;
         }
     }
-    // lint:allow(unwrap) lars_path always emits at least the all-zero start point
-    let final_coefs = &path.last().expect("non-empty path").coefficients;
-    let mut order: Vec<usize> = (0..p).collect();
+    entered
+}
+
+/// All features ordered by entry step, ties (and features that never
+/// entered) by descending final |coefficient|, then by index.
+fn path_order(entry_step: &[usize], final_coefs: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..entry_step.len()).collect();
     order.sort_by(|&a, &b| {
         entry_step[a]
             .cmp(&entry_step[b])
@@ -249,9 +272,62 @@ pub fn rank_by_path(x: &Matrix, y: &[f64]) -> Vec<usize> {
     order
 }
 
+/// Ranks features by the order in which they first become non-zero along a
+/// lasso path (earlier = more important). Features that never activate are
+/// ranked last by final |coefficient|. Returns feature indices, most
+/// important first.
+pub fn rank_by_path(x: &Matrix, y: &[f64]) -> Vec<usize> {
+    let path = lasso_path(x, y, RANK_STEPS, RANK_RATIO);
+    let mut entry_step = vec![usize::MAX; x.cols()];
+    for (s, point) in path.iter().enumerate() {
+        mark_entries(&mut entry_step, &point.coefficients, s);
+    }
+    // lint:allow(unwrap) lasso_path asserts at least 2 steps
+    let final_coefs = &path.last().expect("non-empty path").coefficients;
+    path_order(&entry_step, final_coefs)
+}
+
+/// The first `k` features of [`rank_by_path`]'s order, as a sorted index
+/// set, from as few path points as decide it. The path is walked from
+/// `lambda_max` and stops at the point where the `k`-th feature enters.
+/// The last point (λ_min) is fitted only when it is needed: when more
+/// features enter at that point than the set has room for, its final
+/// coefficients pick among them, and when fewer than `k` features ever
+/// enter, the whole path runs. Every point is an independent cold fit on
+/// one standardized design, so the points walked are bit-identical to
+/// [`lasso_path`]'s and the set equals the prefix of [`rank_by_path`].
+pub fn top_k_by_path(x: &Matrix, y: &[f64], k: usize) -> Vec<usize> {
+    let p = x.cols();
+    let design = Standardized::new(x, y);
+    let lambdas = design.path_lambdas(RANK_STEPS, RANK_RATIO);
+    let last = lambdas.len() - 1;
+    let mut entry_step = vec![usize::MAX; p];
+    let mut entered = 0;
+    let mut step = 0;
+    let final_coefs = loop {
+        let coefficients = design.path_point(lambdas[step]);
+        entered += mark_entries(&mut entry_step, &coefficients, step);
+        if entered == k {
+            return (0..p).filter(|&j| entry_step[j] != usize::MAX).collect();
+        }
+        if step == last {
+            break coefficients;
+        }
+        if entered > k {
+            break design.path_point(lambdas[last]);
+        }
+        step += 1;
+    };
+    let mut top = path_order(&entry_step, &final_coefs);
+    top.truncate(k);
+    top.sort_unstable();
+    top
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
 
@@ -498,7 +574,62 @@ mod tests {
                 let want_bits: Vec<u64> = coefs.iter().map(|c| c.to_bits()).collect();
                 assert_eq!(got_bits, want_bits, "seed {seed} lambda {lambda}");
             }
-            assert_eq!(rank_by_path(&x, &ys), reference::rank_by_path(&x, &ys));
+            let order = reference::rank_by_path(&x, &ys);
+            assert_eq!(rank_by_path(&x, &ys), order);
+            assert_top_k_is_prefix(&x, &ys, &order);
+        }
+    }
+
+    /// Checks [`top_k_by_path`] against the sorted first `k` of the
+    /// reference ranking `order`, for every `k` from 0 past `p`.
+    fn assert_top_k_is_prefix(x: &Matrix, y: &[f64], order: &[usize]) {
+        for k in 0..=order.len() + 1 {
+            let mut want = order[..k.min(order.len())].to_vec();
+            want.sort_unstable();
+            assert_eq!(top_k_by_path(x, y, k), want, "k = {k}, order {order:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 64 }))]
+
+        /// Designs whose columns are fresh, rescaled copies of an earlier
+        /// column (the same once standardized, up to rounding) or constant
+        /// (never enter). Several features entering at one path point, and
+        /// fewer than k ever entering, are both common here: the early stop
+        /// must still pick the reference ranking's top-k set.
+        #[test]
+        fn top_k_matches_the_reference_ranking_prefix(
+            seed in 0u64..1_000_000,
+            n in 4usize..40,
+            kinds in collection::vec(0u32..3, 1..10),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = kinds.len();
+            let mut rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..p).map(|_| rng.random_range(0.0..1.0)).collect())
+                .collect();
+            for (j, kind) in kinds.iter().enumerate() {
+                let src = rng.random_range(0..j.max(1));
+                let scale = rng.random_range(0.5..3.0);
+                for r in rows.iter_mut() {
+                    match kind {
+                        1 if j > 0 => r[j] = scale * r[src] + 1.0,
+                        2 => r[j] = 3.0,
+                        _ => {}
+                    }
+                }
+            }
+            let weights: Vec<f64> = (0..p).map(|_| rng.random_range(-2.0..2.0)).collect();
+            let ys: Vec<f64> = rows
+                .iter()
+                .map(|r| {
+                    r.iter().zip(&weights).map(|(v, w)| v * w).sum::<f64>()
+                        + rng.random_range(-0.1..0.1)
+                })
+                .collect();
+            let x = Matrix::from_rows(&rows);
+            assert_top_k_is_prefix(&x, &ys, &reference::rank_by_path(&x, &ys));
         }
     }
 

@@ -7,7 +7,10 @@
 //!    across all past workloads (PCA here), cluster metrics by their
 //!    factor loadings (k-means), keep one representative per cluster.
 //! 2. **Knob ranking** — Lasso path over (knob settings → runtime): knobs
-//!    entering the path first matter most.
+//!    entering the path first matter most. The GP searches only the set
+//!    of the top-k knobs, so each proposal walks the path only until that
+//!    set is decided (`top_knobs`); [`rank_knobs`] still ranks every
+//!    knob, and the set is its first k.
 //! 3. **Workload mapping** — match the target workload to the most similar
 //!    past workload by distance in pruned-metric space at comparable
 //!    configurations.
@@ -24,7 +27,7 @@ use autotune_core::{
 };
 use autotune_math::gp::KernelKind;
 use autotune_math::kmeans::{kmeans, representatives};
-use autotune_math::lasso::rank_by_path;
+use autotune_math::lasso::{rank_by_path, top_k_by_path};
 use autotune_math::lhs::maximin_lhs;
 use autotune_math::matrix::{dist2, Matrix};
 use autotune_math::pca::Pca;
@@ -144,13 +147,29 @@ pub fn prune_metrics(
     kept
 }
 
-/// Stage 2: knob ranking by Lasso path order.
-pub fn rank_knobs(space: &ConfigSpace, observations: &[&Observation]) -> KnobRanking {
+/// The design stage 2 ranks on: encoded knob settings → ln runtime. `None`
+/// below 4 observations, where every knob ranks equal, in space order.
+fn ranking_design(
+    space: &ConfigSpace,
+    observations: &[&Observation],
+) -> Option<(Matrix, Vec<f64>)> {
+    if observations.len() < 4 {
+        return None;
+    }
     let rows: Vec<Vec<f64>> = observations
         .iter()
         .map(|o| space.encode(&o.config))
         .collect();
-    if rows.len() < 4 {
+    let y = observations
+        .iter()
+        .map(|o| o.runtime_secs.max(1e-9).ln())
+        .collect();
+    Some((Matrix::from_rows(&rows), y))
+}
+
+/// Stage 2: knob ranking by Lasso path order.
+pub fn rank_knobs(space: &ConfigSpace, observations: &[&Observation]) -> KnobRanking {
+    let Some((x, y)) = ranking_design(space, observations) else {
         return KnobRanking::new(
             space
                 .params()
@@ -158,12 +177,7 @@ pub fn rank_knobs(space: &ConfigSpace, observations: &[&Observation]) -> KnobRan
                 .map(|p| (p.name.clone(), 0.0))
                 .collect(),
         );
-    }
-    let x = Matrix::from_rows(&rows);
-    let y: Vec<f64> = observations
-        .iter()
-        .map(|o| o.runtime_secs.max(1e-9).ln())
-        .collect();
+    };
     let order = rank_by_path(&x, &y);
     let p = order.len();
     KnobRanking::new(
@@ -180,26 +194,39 @@ pub fn rank_knobs(space: &ConfigSpace, observations: &[&Observation]) -> KnobRan
     )
 }
 
+/// The space indices of [`rank_knobs`]' `k` top knobs, as a sorted set.
+/// The Lasso path stops as soon as the set is decided
+/// ([`top_k_by_path`]), so this is cheaper than ranking every knob.
+fn top_knobs(space: &ConfigSpace, observations: &[&Observation], k: usize) -> Vec<usize> {
+    match ranking_design(space, observations) {
+        Some((x, y)) => top_k_by_path(&x, &y, k),
+        None => (0..k.min(space.dim())).collect(),
+    }
+}
+
 /// Distance between the target history and one repo workload in pruned
 /// metric space: for every target observation, find the repo observation
 /// with the nearest *configuration* and accumulate metric distance.
+/// `target_xs` and `candidate_xs` are the encoded configurations of the
+/// target's and the candidate's observations, in order.
 fn workload_distance(
-    space: &ConfigSpace,
     target: &History,
+    target_xs: &[Vec<f64>],
     candidate: &RepoWorkload,
+    candidate_xs: &[Vec<f64>],
     pruned: &[String],
     scale: &Metrics,
 ) -> f64 {
     let mut total = 0.0;
     let mut count = 0usize;
-    for t in target.all() {
-        let tx = space.encode(&t.config);
-        let nearest = candidate.observations.iter().min_by(|a, b| {
-            let da = dist2(&space.encode(&a.config), &tx);
-            let db = dist2(&space.encode(&b.config), &tx);
-            da.total_cmp(&db)
-        });
-        let Some(near) = nearest else { continue };
+    for (t, tx) in target.all().iter().zip(target_xs) {
+        let nearest = candidate
+            .observations
+            .iter()
+            .zip(candidate_xs)
+            .map(|(o, x)| (o, dist2(x, tx)))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let Some((near, _)) = nearest else { continue };
         let mut d = 0.0;
         for m in pruned {
             let s = scale.get(m).copied().unwrap_or(1.0).max(1e-9);
@@ -237,10 +264,15 @@ pub fn map_workload(
             .collect();
         scale.insert(m.clone(), std_dev(&vals).max(1e-9));
     }
+    let encode = |obs: &[Observation]| -> Vec<Vec<f64>> {
+        obs.iter().map(|o| space.encode(&o.config)).collect()
+    };
+    let target_xs = encode(target.all());
     let mut best = None;
     let mut best_d = f64::INFINITY;
     for (i, w) in repo.workloads.iter().enumerate() {
-        let d = workload_distance(space, target, w, pruned, &scale);
+        let xs = encode(&w.observations);
+        let d = workload_distance(target, &target_xs, w, &xs, pruned, &scale);
         if d < best_d {
             best_d = d;
             best = Some(i);
@@ -435,12 +467,7 @@ impl Tuner for OtterTuneTuner {
                     .flatten(),
             )
             .collect();
-        let ranking = rank_knobs(&ctx.space, &all_obs);
-        let top: Vec<usize> = ranking
-            .top_k(self.top_knobs)
-            .into_iter()
-            .filter_map(|n| ctx.space.index_of(n))
-            .collect();
+        let top = top_knobs(&ctx.space, &all_obs, self.top_knobs);
 
         // Surrogate: reuse the cached GP when the mapped workload hasn't
         // changed and the re-search interval hasn't elapsed. The mapped
@@ -611,6 +638,33 @@ mod tests {
             top5.contains(&"work_mem_mb") || top5.contains(&"shared_buffers_mb"),
             "top5={top5:?}"
         );
+    }
+
+    #[test]
+    fn top_knobs_is_the_ranking_prefix_as_a_set() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut sim = DbmsSimulator::oltp_default().with_noise(NoiseModel::realistic());
+        let space = sim.space().clone();
+        let obs: Vec<Observation> = (0..24)
+            .map(|_| {
+                let c = space.random_config(&mut rng);
+                sim.evaluate(&c, &mut rng)
+            })
+            .collect();
+        // Below 4 observations every knob ranks equal, in space order.
+        for n in [0, 3, 4, 12, 24] {
+            let refs: Vec<&Observation> = obs[..n].iter().collect();
+            let ranking = rank_knobs(&space, &refs);
+            for k in 0..=space.dim() + 1 {
+                let mut want: Vec<usize> = ranking
+                    .top_k(k)
+                    .into_iter()
+                    .filter_map(|name| space.index_of(name))
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(top_knobs(&space, &refs, k), want, "n = {n}, k = {k}");
+            }
+        }
     }
 
     #[test]
