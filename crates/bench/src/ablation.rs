@@ -72,11 +72,8 @@ pub fn acquisition_ablation(budget: usize, trials: u64) -> Vec<AblationRow> {
     rows.push(r);
 
     let mut r = median_speedup(
-        || {
-            let mut t = ITunedTuner::new().with_init(8);
-            t.xi = 2.0; // extreme jitter ≈ pure exploration
-            Box::new(t)
-        },
+        // Extreme jitter ≈ pure exploration.
+        || Box::new(ITunedTuner::new().with_init(8).with_xi(2.0)),
         budget,
         trials,
     );

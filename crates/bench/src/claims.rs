@@ -136,7 +136,7 @@ pub fn hadoop_gap(seed: u64) -> Vec<HadoopGapRow> {
                 // has. Most random Hadoop configs fail outright, so without
                 // the anchor a small budget can stay entirely in failure
                 // regions.
-                let mut tuner = ITunedTuner::new().with_seed_config(benchmark_config(cluster));
+                let mut tuner = ITunedTuner::new().with_seed_configs([benchmark_config(cluster)]);
                 let tuned = tune(&mut sim, &mut tuner, 30, seed)
                     .best
                     .expect("ran")

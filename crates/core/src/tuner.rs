@@ -139,12 +139,6 @@ pub trait Tuner {
         }
     }
 
-    /// How many observations this tuner wants before its model is useful
-    /// (sessions may surface this to users). Default 0.
-    fn min_history(&self) -> usize {
-        0
-    }
-
     /// Stats about the surrogate model currently held, if the tuner is
     /// model-based and has fitted one. Default: `None` (model-free tuners
     /// and tuners still in their initial design phase).

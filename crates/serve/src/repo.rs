@@ -12,7 +12,7 @@
 //!   again; running or half-created sessions are re-probed on each query
 //!   until they settle.
 //! * settled *finished* sessions with a non-empty baseline probe enter
-//!   their platform's signature list, from which a [`PlatformIndex`]
+//!   their platform's signature list, from which a `PlatformIndex`
 //!   (the normalized vectors, ready to scan) is built lazily and rebuilt
 //!   only when the list changes.
 //! * [`SessionRepository::delete_session`] (the retention/GC path) and a
@@ -391,7 +391,7 @@ impl SessionRepository {
     /// nearest to `probe_metrics` — the warm-start source. `None` when no
     /// finished session qualifies.
     ///
-    /// Served by the cached per-platform [`PlatformIndex`]: the
+    /// Served by the cached per-platform `PlatformIndex`: the
     /// normalized vectors are (re)built only when the platform's
     /// finished-session set changed, and each query scans them. The
     /// result is identical to [`nearest_signature`] over the same
@@ -424,7 +424,7 @@ impl SessionRepository {
 /// across the candidates (dimensions with zero spread are inert). Ties
 /// break toward the lowest session id for determinism.
 ///
-/// This is the reference [`PlatformIndex`] must agree with; it rebuilds
+/// This is the reference `PlatformIndex` must agree with; it rebuilds
 /// the vectors on every call, so the daemon serves from the index.
 pub fn nearest_signature(
     query: &BTreeMap<String, f64>,

@@ -387,7 +387,9 @@ pub fn build_tuner(
                 }
                 None => ITunedTuner::new().with_surrogate(surrogate),
             };
-            t.constraints = constraints;
+            if let Some(c) = constraints {
+                t = t.with_constraints(c);
+            }
             Box::new(t)
         }
         "ottertune" => {
@@ -395,7 +397,9 @@ pub fn build_tuner(
                 Some((id, past)) => warm_started_ottertune(id, past).with_surrogate(surrogate),
                 None => OtterTuneTuner::new(WorkloadRepository::new()).with_surrogate(surrogate),
             };
-            t.constraints = constraints;
+            if let Some(c) = constraints {
+                t = t.with_constraints(c);
+            }
             Box::new(t)
         }
         "random" => Box::new(RandomSearchTuner),

@@ -14,9 +14,18 @@ use autotune_serve::wal::{self, SessionStatus, Snapshot, WalRecord};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// A new, empty directory path. The counter keeps two tests that run at
+/// once with the same tag (two reference runs of one seed) out of each
+/// other's files.
 fn fresh_root(tag: &str) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("autotune-recovery-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let root = std::env::temp_dir().join(format!(
+        "autotune-recovery-{tag}-{}-{n}",
+        std::process::id()
+    ));
     let _ = fs::remove_dir_all(&root);
     root
 }

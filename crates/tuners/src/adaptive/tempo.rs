@@ -68,10 +68,6 @@ impl Tuner for TempoTuner {
         TunerFamily::Adaptive
     }
 
-    fn min_history(&self) -> usize {
-        1
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

@@ -230,10 +230,6 @@ impl Tuner for MrTuner {
         TunerFamily::CostModeling
     }
 
-    fn min_history(&self) -> usize {
-        1
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

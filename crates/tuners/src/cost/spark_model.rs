@@ -132,10 +132,6 @@ impl Tuner for SparkCostTuner {
         TunerFamily::CostModeling
     }
 
-    fn min_history(&self) -> usize {
-        1
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

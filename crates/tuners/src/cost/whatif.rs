@@ -237,10 +237,6 @@ impl Tuner for WhatIfTuner {
         TunerFamily::CostModeling
     }
 
-    fn min_history(&self) -> usize {
-        1
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

@@ -72,10 +72,6 @@ impl Tuner for AdaptiveSamplingTuner {
         TunerFamily::ExperimentDriven
     }
 
-    fn min_history(&self) -> usize {
-        self.bootstrap
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

@@ -7,70 +7,42 @@
 //! (3) run the experiment with the highest Expected Improvement; repeat.
 //! This is the tutorial's flagship experiment-driven approach and the
 //! backbone of the Table 1/Table 2 comparisons.
+//!
+//! The loop itself is the shared GP-BO engine (`crate::bo::GpBo`, also
+//! behind OtterTune). iTuned supplies its training set (every observation,
+//! log runtimes) and its pool (600 uniform points plus perturbations of
+//! the three incumbents and the rule-of-thumb seed), and keeps its own
+//! design constants: 10 maximin restarts and at most 3 rule seeds.
 
-use crate::util::{
-    argmax_ei, best_anchors, candidate_pool, log_runtimes, GpCache, SearchConstraints,
-};
+use crate::bo::{GpBo, TrainingSet};
+use crate::util::{best_anchors, candidate_pool, log_runtimes, SearchConstraints};
 use autotune_core::{
     Configuration, History, Recommendation, SurrogateStats, Tuner, TunerFamily, TuningContext,
 };
-use autotune_math::gp::KernelKind;
-use autotune_math::lhs::maximin_lhs;
-use autotune_math::surrogate::{SurrogateConfig, SurrogateModel};
+use autotune_math::surrogate::SurrogateConfig;
 use rand::rngs::StdRng;
+
+/// Maximin restarts of the initial Latin hypercube.
+const LHS_RESTARTS: usize = 10;
+/// Constraint seed configurations the initial design admits.
+const RULE_SEEDS: usize = 3;
+/// Uniform random candidates per EI step (besides the anchor
+/// perturbations).
+const POOL_SIZE: usize = 600;
 
 /// The iTuned tuner.
 #[derive(Debug)]
 pub struct ITunedTuner {
-    /// LHS initialization budget (defaults to `2 * dim`, clamped to 6..=20).
-    pub init_samples: Option<usize>,
-    /// Exploration jitter ξ in the EI criterion.
-    pub xi: f64,
-    /// Candidate-pool size for EI maximization.
-    pub pool_size: usize,
-    /// Kernel family for the response surface.
-    pub kernel: KernelKind,
-    /// Fit per-dimension (ARD) length scales instead of an isotropic
-    /// kernel — slower per proposal, better on spaces with many
-    /// irrelevant knobs.
-    pub ard: bool,
-    /// Kernel hyper-parameters are re-searched from scratch every this-many
-    /// observations; in between, new observations are folded into the GP
-    /// with the `O(n²)` incremental update. `1` restores the original
-    /// refit-every-proposal behaviour.
-    pub hyper_interval: usize,
-    /// Known-good configurations injected into the initial design (after
-    /// the vendor default) — iTuned's "use available information" rule:
-    /// a DBA's current setting or a rule-of-thumb config is free evidence.
-    pub seed_configs: Vec<Configuration>,
-    /// Surrogate backend policy (`exact | sod | nystrom | auto`). The
-    /// default `auto` stays on the exact GP below its threshold, so
-    /// default trajectories are unchanged from the pre-surrogate code.
-    pub surrogate: SurrogateConfig,
-    /// Rule-based knob knowledge: SPEX dependency projection and
-    /// best-practice seed configurations. `None` (the default) leaves
-    /// every trajectory bit-identical to the unconstrained tuner.
-    pub constraints: Option<SearchConstraints>,
-    init_plan: Vec<Vec<f64>>,
-    planned: bool,
-    cache: Option<GpCache>,
+    /// LHS initialization budget (`None`: `2 * dim`, clamped to 6..=20).
+    init_samples: Option<usize>,
+    bo: GpBo,
 }
 
 impl Default for ITunedTuner {
     fn default() -> Self {
         ITunedTuner {
             init_samples: None,
-            xi: 0.01,
-            pool_size: 600,
-            kernel: KernelKind::Matern52,
-            ard: false,
-            hyper_interval: 5,
-            seed_configs: Vec::new(),
-            surrogate: SurrogateConfig::default(),
-            constraints: None,
-            init_plan: Vec::new(),
-            planned: false,
-            cache: None,
+            bo: GpBo::new(LHS_RESTARTS, RULE_SEEDS),
         }
     }
 }
@@ -87,74 +59,52 @@ impl ITunedTuner {
         self
     }
 
-    /// Enables ARD (per-knob length scale) kernel fitting.
+    /// Overrides the exploration jitter ξ of the EI criterion (default
+    /// 0.01).
+    pub fn with_xi(mut self, xi: f64) -> Self {
+        self.bo.xi = xi;
+        self
+    }
+
+    /// Enables ARD (per-knob length scale) kernel fitting: slower per
+    /// proposal, better on spaces with many irrelevant knobs.
     pub fn with_ard(mut self) -> Self {
-        self.ard = true;
+        self.bo.ard = true;
         self
     }
 
-    /// Overrides the hyper-parameter re-search period (`1` = re-search the
-    /// kernel on every proposal, the pre-incremental behaviour).
+    /// Overrides the hyper-parameter re-search period (default 5; `1` =
+    /// re-search the kernel on every proposal, the pre-incremental
+    /// behaviour).
     pub fn with_hyper_interval(mut self, every: usize) -> Self {
-        self.hyper_interval = every.max(1);
+        self.bo.hyper_interval = every.max(1);
         self
     }
 
-    /// Adds a known configuration (a DBA's current setting, a published
-    /// rule-of-thumb) to the initial experiment design. The tuner evaluates
-    /// it early and anchors EI perturbations on it, so the recommendation
-    /// can never be worse than the best seed.
-    pub fn with_seed_config(mut self, cfg: Configuration) -> Self {
-        self.seed_configs.push(cfg);
-        self
-    }
-
-    /// Adds several seed configurations at once — the warm-start entry
-    /// point used by session repositories transferring the best
-    /// configurations of the nearest past session (see
-    /// [`crate::warm::best_k_configs`]).
+    /// Adds known configurations to the initial design, right after the
+    /// vendor default — iTuned's "use available information" rule: a
+    /// DBA's current setting, a published rule of thumb, or the best
+    /// configurations of the nearest past session (the warm-start entry
+    /// point, see [`crate::warm::best_k_configs`]) are free evidence. The
+    /// tuner evaluates them early, so the recommendation can never be
+    /// worse than the best seed.
     pub fn with_seed_configs(mut self, cfgs: impl IntoIterator<Item = Configuration>) -> Self {
-        self.seed_configs.extend(cfgs);
+        self.bo.seeds.extend(cfgs);
         self
     }
 
     /// Selects the surrogate backend (exact GP, subset-of-data, Nyström,
-    /// or the size-triggered auto policy).
+    /// or the size-triggered auto policy, the default).
     pub fn with_surrogate(mut self, config: SurrogateConfig) -> Self {
-        self.surrogate = config;
+        self.bo.surrogate = config;
         self
     }
 
     /// Applies rule-based knob knowledge (dependencies, prior seeds).
     /// Opt-in: without this call the tuner's trajectories are unchanged.
     pub fn with_constraints(mut self, constraints: SearchConstraints) -> Self {
-        self.constraints = Some(constraints);
+        self.bo.constraints = Some(constraints);
         self
-    }
-
-    fn init_count(&self, dim: usize) -> usize {
-        self.init_samples.unwrap_or((2 * dim).clamp(6, 20))
-    }
-
-    /// Brings `self.cache` up to date with the training set: incremental
-    /// `update` for fresh observations inside the re-search window, full
-    /// hyper-parameter search otherwise. `Err` means even the full fit
-    /// failed (degenerate data).
-    fn ensure_surrogate(
-        &mut self,
-        xs: Vec<Vec<f64>>,
-        ys: &[f64],
-    ) -> Result<(), autotune_math::matrix::LinAlgError> {
-        let n = xs.len();
-        if let Some(cache) = &mut self.cache {
-            if cache.try_advance(&self.surrogate, &xs, ys, self.hyper_interval) {
-                return Ok(());
-            }
-        }
-        let fitted = SurrogateModel::fit_auto(&self.surrogate, self.kernel, self.ard, xs, ys)?;
-        let fits = self.cache.as_ref().map_or(0, |c| c.fits) + 1;
-        self.cache = Some(GpCache::new(fitted, n, fits));
-        Ok(())
     }
 }
 
@@ -167,12 +117,8 @@ impl Tuner for ITunedTuner {
         TunerFamily::ExperimentDriven
     }
 
-    fn min_history(&self) -> usize {
-        6
-    }
-
     fn surrogate_stats(&self) -> Option<SurrogateStats> {
-        self.cache.as_ref().map(GpCache::stats)
+        self.bo.stats()
     }
 
     fn propose(
@@ -182,81 +128,25 @@ impl Tuner for ITunedTuner {
         rng: &mut StdRng,
     ) -> Configuration {
         let dim = ctx.space.dim();
-        let n0 = self.init_count(dim);
-        if !self.planned {
-            self.init_plan = maximin_lhs(n0, dim, 10, rng);
-            // Make the vendor default part of the initial design: it is
-            // free knowledge and anchors the model. Caller-supplied seed
-            // configurations come right after it.
-            if let Some(first) = self.init_plan.first_mut() {
-                *first = ctx.space.encode(&ctx.space.default_config());
-            }
-            for (i, cfg) in self.seed_configs.iter().enumerate() {
-                if let Some(slot) = self.init_plan.get_mut(1 + i) {
-                    *slot = ctx.space.encode(cfg);
-                }
-            }
-            if let Some(cons) = &self.constraints {
-                // Prior-derived seed configs take the slots after the
-                // caller's seeds — capped at three so they inform the
-                // design without displacing its space-filling rows. Every
-                // initial point is then projected onto the
-                // dependency-feasible region, so a sliver-thin feasible set
-                // doesn't swallow the whole initial budget on infeasible
-                // rows.
-                let first = 1 + self.seed_configs.len();
-                for (slot, seed) in (first..).zip(cons.seeds().iter().take(3)) {
-                    let Some(s) = self.init_plan.get_mut(slot) else {
-                        break;
-                    };
-                    *s = ctx.space.encode(seed);
-                }
-                for p in self.init_plan.iter_mut() {
-                    cons.repair_point(&ctx.space, p);
-                }
-            }
-            self.planned = true;
+        let n0 = self.init_samples.unwrap_or((2 * dim).clamp(6, 20));
+        if let Some(row) = self.bo.design_row(ctx, n0, history.len(), rng) {
+            return row;
         }
-        let step = history.len();
-        if step < self.init_plan.len() {
-            return ctx.space.decode(&self.init_plan[step]);
-        }
-
-        // Model phase: GP on log runtimes. The surrogate is cached across
-        // proposals: kernel hyper-parameters are re-searched only every
-        // `hyper_interval` observations, and in between each new
-        // observation is folded in with a rank-1 Cholesky extension.
+        // Model phase: GP on log runtimes, EI over random points plus
+        // perturbations of the three incumbents and of the combined
+        // rule-of-thumb config, so the priors' neighbourhood stays
+        // reachable even when the incumbents sit elsewhere.
         let (xs, _) = history.training_set(&ctx.space);
-        let ys = log_runtimes(history);
-        if self.ensure_surrogate(xs, &ys).is_err() {
-            return ctx.space.random_config(rng); // degenerate data
-        }
-        let Some(cache) = self.cache.as_ref() else {
-            return ctx.space.random_config(rng); // unreachable: ensure_surrogate succeeded
+        let train = TrainingSet {
+            xs,
+            ys: log_runtimes(history),
+            moving_prefix: None,
         };
-        let gp = &cache.gp;
-        let y_best = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-
         let mut anchors = best_anchors(history, &ctx.space, 3);
-        if let Some(cons) = &self.constraints {
-            // The combined rule-of-thumb config stays an anchor for EI
-            // perturbations: the priors' neighbourhood remains reachable
-            // even when the incumbents sit elsewhere.
-            if let Some(seed) = cons.seeds().first() {
-                anchors.push(ctx.space.encode(seed));
-            }
-        }
-        let pool = candidate_pool(dim, self.pool_size, &anchors, 40, 0.1, rng);
-        let pool = match &self.constraints {
-            Some(cons) => cons.apply_to_pool(&ctx.space, pool),
-            None => pool,
-        };
-        // Batched EI over the whole pool: one cross-covariance + multi-RHS
-        // solve per chunk instead of a triangular solve per candidate.
-        match argmax_ei(gp, &pool, y_best, self.xi) {
-            Some(j) => ctx.space.decode(&pool[j]),
-            None => ctx.space.random_config(rng),
-        }
+        let rule_of_thumb = self.bo.constraints.as_ref().and_then(|c| c.seeds().first());
+        anchors.extend(rule_of_thumb.map(|seed| ctx.space.encode(seed)));
+        let pool = |rng: &mut StdRng| candidate_pool(dim, POOL_SIZE, &anchors, 40, 0.1, rng);
+        self.bo.propose(ctx, train, pool, rng)
     }
 
     fn recommend(&self, ctx: &TuningContext, history: &History) -> Recommendation {
@@ -300,14 +190,28 @@ mod tests {
 
     #[test]
     fn initial_phase_is_latin() {
+        use autotune_math::lhs::maximin_lhs;
+        use rand::SeedableRng;
         let mut obj = bowl(3);
+        let ctx = TuningContext {
+            space: obj.space().clone(),
+            profile: obj.profile(),
+        };
         let mut tuner = ITunedTuner::new().with_init(8);
-        let out = tune(&mut obj, &mut tuner, 8, 1);
-        // Skip the default-config anchor (index 0); rows 1..8 come from
-        // the hypercube, which as a whole satisfies the Latin property
-        // before the anchor replacement.
-        assert_eq!(out.history.len(), 8);
-        assert!(is_latin(&tuner.init_plan) || tuner.init_plan.len() == 8);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut history = History::new();
+        let mut design = Vec::new();
+        for _ in 0..8 {
+            let cfg = tuner.propose(&ctx, &history, &mut rng);
+            history.push(obj.evaluate(&cfg, &mut rng));
+            design.push(ctx.space.encode(&cfg));
+        }
+        // Row 0 is the vendor default; the rest are the maximin draw from
+        // the same RNG state, which as a whole is Latin.
+        let lhs = maximin_lhs(8, 3, LHS_RESTARTS, &mut StdRng::seed_from_u64(1));
+        assert!(is_latin(&lhs));
+        assert_eq!(design[0], ctx.space.encode(&ctx.space.default_config()));
+        assert_eq!(design[1..], lhs[1..]);
     }
 
     #[test]

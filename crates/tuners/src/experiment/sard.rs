@@ -85,10 +85,6 @@ impl Tuner for SardTuner {
         TunerFamily::ExperimentDriven
     }
 
-    fn min_history(&self) -> usize {
-        8
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

@@ -23,6 +23,7 @@
 
 pub mod adaptive;
 pub mod baselines;
+mod bo;
 pub mod cost;
 pub mod experiment;
 pub mod ml;

@@ -147,10 +147,6 @@ impl Tuner for ErnestTuner {
         TunerFamily::MachineLearning
     }
 
-    fn min_history(&self) -> usize {
-        self.probe_machines.len()
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

@@ -17,22 +17,29 @@
 //! 4. **Recommendation** — Gaussian process over the mapped workload's
 //!    data plus the target's own observations, Expected Improvement on the
 //!    top-ranked knobs.
+//!
+//! Stage 4 runs on the GP-BO engine shared with iTuned (`crate::bo::GpBo`).
+//! OtterTune supplies its training set (the mapped prefix, calibrated onto
+//! the target's moments, then the target's rows; the mapped workload keys
+//! the surrogate cache) and its pool (top-knob random points with the
+//! other knobs pinned to the incumbent, perturbations of the incumbent and
+//! of the mapped workload's best configurations, and those configurations
+//! themselves). Its design constants are a 5-row bootstrap, 8 maximin
+//! restarts and at most 2 rule seeds. Of stages 1–3 only metric pruning
+//! draws from the RNG, once, right after the design is planned.
 
-use crate::util::{
-    argmax_ei, best_anchors, candidate_pool, log_runtimes, GpCache, SearchConstraints,
-};
+use crate::bo::{GpBo, TrainingSet};
+use crate::util::{best_anchors, candidate_pool, log_runtimes, SearchConstraints};
 use autotune_core::{
     ConfigSpace, Configuration, History, KnobRanking, Metrics, Observation, Recommendation,
     SurrogateStats, Tuner, TunerFamily, TuningContext,
 };
-use autotune_math::gp::KernelKind;
 use autotune_math::kmeans::{kmeans, representatives};
 use autotune_math::lasso::{rank_by_path, top_k_by_path};
-use autotune_math::lhs::maximin_lhs;
 use autotune_math::matrix::{dist2, Matrix};
 use autotune_math::pca::Pca;
 use autotune_math::stats::{mean, standardize, std_dev};
-use autotune_math::surrogate::{SurrogateConfig, SurrogateModel};
+use autotune_math::surrogate::SurrogateConfig;
 use rand::rngs::StdRng;
 
 /// A past workload stored in the tuning repository.
@@ -281,45 +288,28 @@ pub fn map_workload(
     best
 }
 
+/// LHS bootstrap size on the target workload.
+const INIT_SAMPLES: usize = 5;
+/// Maximin restarts of the bootstrap design.
+const LHS_RESTARTS: usize = 8;
+/// Constraint seed configurations the bootstrap design admits.
+const RULE_SEEDS: usize = 2;
+/// Knobs the GP varies freely (the Lasso top-k); the rest stay pinned to
+/// the incumbent in the random part of the pool.
+const TOP_KNOBS: usize = 6;
+/// Metric clusters kept in pruning.
+const METRIC_CLUSTERS: usize = 8;
+
 /// The OtterTune tuner.
 pub struct OtterTuneTuner {
     /// Repository of past workloads (may be empty — cold start).
     pub repository: WorkloadRepository,
-    /// LHS bootstrap size on the target workload.
-    pub init_samples: usize,
-    /// Knobs searched by the GP (the Lasso top-k).
-    pub top_knobs: usize,
-    /// Metric clusters kept in pruning.
-    pub metric_clusters: usize,
-    /// EI exploration jitter.
-    pub xi: f64,
-    /// Kernel hyper-parameter re-search period; between searches, new
-    /// target observations extend the cached GP incrementally.
-    pub hyper_interval: usize,
-    /// Surrogate backend policy (`exact | sod | nystrom | auto`); the
-    /// default `auto` keeps the exact GP below its threshold, preserving
-    /// historical trajectories, and goes Nyström for large mapped
-    /// repositories.
-    pub surrogate: SurrogateConfig,
-    /// Rule-based knob knowledge (SPEX dependencies, best-practice seeds).
-    /// `None` (the default) leaves trajectories bit-identical to the
-    /// unconstrained tuner.
-    pub constraints: Option<SearchConstraints>,
-    init_plan: Vec<Vec<f64>>,
-    planned: bool,
-    pruned_metrics: Vec<String>,
     /// Mapped repo workload id (after mapping happens).
     pub mapped_workload: Option<String>,
-    cache: Option<OtterCache>,
-}
-
-/// The incremental surrogate plus the context it was built under: reusing
-/// the factor is only sound while the mapped workload (and hence the fixed
-/// transferred prefix of the training set) stays the same.
-struct OtterCache {
-    inner: GpCache,
-    mapped: Option<String>,
-    n_mapped: usize,
+    /// Retained metric names, pruned once right after the bootstrap design
+    /// is planned.
+    pruned_metrics: Option<Vec<String>>,
+    bo: GpBo,
 }
 
 impl OtterTuneTuner {
@@ -327,24 +317,15 @@ impl OtterTuneTuner {
     pub fn new(repository: WorkloadRepository) -> Self {
         OtterTuneTuner {
             repository,
-            init_samples: 5,
-            top_knobs: 6,
-            metric_clusters: 8,
-            xi: 0.01,
-            hyper_interval: 5,
-            surrogate: SurrogateConfig::default(),
-            constraints: None,
-            init_plan: Vec::new(),
-            planned: false,
-            pruned_metrics: Vec::new(),
             mapped_workload: None,
-            cache: None,
+            pruned_metrics: None,
+            bo: GpBo::new(LHS_RESTARTS, RULE_SEEDS),
         }
     }
 
     /// Retained metrics after pruning (populated lazily).
     pub fn pruned_metrics(&self) -> &[String] {
-        &self.pruned_metrics
+        self.pruned_metrics.as_deref().unwrap_or_default()
     }
 
     /// Adds a past session's observation log to the repository under `id` —
@@ -357,16 +338,17 @@ impl OtterTuneTuner {
     }
 
     /// Selects the surrogate backend (exact GP, subset-of-data, Nyström,
-    /// or the size-triggered auto policy).
+    /// or the size-triggered auto policy, the default, which goes Nyström
+    /// for large mapped repositories).
     pub fn with_surrogate(mut self, config: SurrogateConfig) -> Self {
-        self.surrogate = config;
+        self.bo.surrogate = config;
         self
     }
 
     /// Applies rule-based knob knowledge (dependencies, prior seeds).
     /// Opt-in: without this call the tuner's trajectories are unchanged.
     pub fn with_constraints(mut self, constraints: SearchConstraints) -> Self {
-        self.constraints = Some(constraints);
+        self.bo.constraints = Some(constraints);
         self
     }
 }
@@ -380,12 +362,8 @@ impl Tuner for OtterTuneTuner {
         TunerFamily::MachineLearning
     }
 
-    fn min_history(&self) -> usize {
-        self.init_samples
-    }
-
     fn surrogate_stats(&self) -> Option<SurrogateStats> {
-        self.cache.as_ref().map(|c| c.inner.stats())
+        self.bo.stats()
     }
 
     fn propose(
@@ -395,154 +373,84 @@ impl Tuner for OtterTuneTuner {
         rng: &mut StdRng,
     ) -> Configuration {
         let dim = ctx.space.dim();
-        if !self.planned {
-            self.init_plan = maximin_lhs(self.init_samples.max(2), dim, 8, rng);
-            if let Some(first) = self.init_plan.first_mut() {
-                *first = ctx.space.encode(&ctx.space.default_config());
-            }
-            if let Some(cons) = &self.constraints {
-                // Prior seed configs fill the slots after the default
-                // (capped so they don't displace the space-filling rows);
-                // all initial points are projected onto the
-                // dependency-feasible region.
-                for (i, seed) in cons.seeds().iter().take(2).enumerate() {
-                    let Some(slot) = self.init_plan.get_mut(1 + i) else {
-                        break;
-                    };
-                    *slot = ctx.space.encode(seed);
-                }
-                for p in self.init_plan.iter_mut() {
-                    cons.repair_point(&ctx.space, p);
-                }
-            }
-            self.pruned_metrics = prune_metrics(&self.repository, self.metric_clusters, rng);
-            self.planned = true;
-        }
-        let step = history.len();
-        if step < self.init_plan.len() {
-            return ctx.space.decode(&self.init_plan[step]);
+        let row = self.bo.design_row(ctx, INIT_SAMPLES, history.len(), rng);
+        let pruned = self
+            .pruned_metrics
+            .get_or_insert_with(|| prune_metrics(&self.repository, METRIC_CLUSTERS, rng));
+        if let Some(row) = row {
+            return row;
         }
 
         // Map the target onto the repository.
-        let mapped = map_workload(&ctx.space, history, &self.repository, &self.pruned_metrics);
-        self.mapped_workload = mapped.map(|i| self.repository.workloads[i].id.clone());
+        let mapped = map_workload(&ctx.space, history, &self.repository, pruned)
+            .map(|i| &self.repository.workloads[i]);
+        self.mapped_workload = mapped.map(|w| w.id.clone());
+        let mapped_obs = mapped.map_or(&[][..], |w| &w.observations);
 
-        // Assemble training data: calibrated mapped data first, then the
-        // target history. Mapped-first ordering makes every new target
-        // observation an *append*, which the incremental GP cache turns
-        // into a rank-1 Cholesky extension instead of a refit.
-        let (target_xs, _) = history.training_set(&ctx.space);
+        // Training data: calibrated mapped data first, then the target
+        // history. Mapped-first ordering makes every new target
+        // observation an *append*, which the surrogate cache turns into a
+        // rank-1 Cholesky extension instead of a refit; the calibration
+        // moves with every target observation, so the prefix's targets
+        // move too.
+        let (mut xs, _) = history.training_set(&ctx.space);
         let target_ys = log_runtimes(history);
         let target_mean = mean(&target_ys);
         let target_sd = std_dev(&target_ys).max(1e-6);
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        if let Some(mi) = mapped {
-            let mapped_obs = &self.repository.workloads[mi].observations;
-            let mapped_ys: Vec<f64> = mapped_obs
-                .iter()
-                .map(|o| o.runtime_secs.max(1e-9).ln())
-                .collect();
-            let m_mean = mean(&mapped_ys);
-            let m_sd = std_dev(&mapped_ys).max(1e-6);
-            for (o, my) in mapped_obs.iter().zip(&mapped_ys) {
-                xs.push(ctx.space.encode(&o.config));
-                // Decile-style calibration: shift the mapped workload's
-                // response distribution onto the target's.
-                ys.push((my - m_mean) / m_sd * target_sd + target_mean);
-            }
-        }
-        let n_mapped = xs.len();
-        xs.extend(target_xs);
-        ys.extend(target_ys.iter().copied());
+        let mapped_ys: Vec<f64> = mapped_obs
+            .iter()
+            .map(|o| o.runtime_secs.max(1e-9).ln())
+            .collect();
+        let m_mean = mean(&mapped_ys);
+        let m_sd = std_dev(&mapped_ys).max(1e-6);
+        // Decile-style calibration: shift the mapped workload's response
+        // distribution onto the target's.
+        let mut ys: Vec<f64> = mapped_ys
+            .iter()
+            .map(|my| (my - m_mean) / m_sd * target_sd + target_mean)
+            .collect();
+        ys.extend(target_ys);
+        xs.splice(0..0, mapped_obs.iter().map(|o| ctx.space.encode(&o.config)));
+        let train = TrainingSet {
+            xs,
+            ys,
+            moving_prefix: Some((self.mapped_workload.clone(), mapped_obs.len())),
+        };
 
         // Knob ranking over everything we know.
-        let all_obs: Vec<&Observation> = history
-            .all()
-            .iter()
-            .chain(
-                mapped
-                    .map(|mi| self.repository.workloads[mi].observations.iter())
-                    .into_iter()
-                    .flatten(),
-            )
-            .collect();
-        let top = top_knobs(&ctx.space, &all_obs, self.top_knobs);
-
-        // Surrogate: reuse the cached GP when the mapped workload hasn't
-        // changed and the re-search interval hasn't elapsed. The mapped
-        // prefix's calibration shifts with every target observation, so the
-        // targets are refreshed against the reused factor each step.
-        let n = xs.len();
-        let cache_ok = match &mut self.cache {
-            Some(c) if c.mapped == self.mapped_workload && c.n_mapped == n_mapped => c
-                .inner
-                .try_advance(&self.surrogate, &xs, &ys, self.hyper_interval),
-            _ => false,
-        };
-        if cache_ok {
-            if let Some(c) = self.cache.as_mut() {
-                c.inner.gp.refresh_targets(&ys);
-            }
-        } else {
-            let fits = self.cache.as_ref().map_or(0, |c| c.inner.fits) + 1;
-            match SurrogateModel::fit_auto(&self.surrogate, KernelKind::Matern52, false, xs, &ys) {
-                Ok(gp) => {
-                    self.cache = Some(OtterCache {
-                        inner: GpCache::new(gp, n, fits),
-                        mapped: self.mapped_workload.clone(),
-                        n_mapped,
-                    })
-                }
-                Err(_) => return ctx.space.random_config(rng),
-            }
-        }
-        let Some(cache) = self.cache.as_ref() else {
-            return ctx.space.random_config(rng); // unreachable: ensured above
-        };
-        let gp = &cache.inner.gp;
-        let y_best = ys.iter().cloned().fold(f64::INFINITY, f64::min);
+        let all_obs: Vec<&Observation> = history.all().iter().chain(mapped_obs).collect();
+        let top = top_knobs(&ctx.space, &all_obs, TOP_KNOBS);
 
         // Candidate pool: (a) random points varying only the top knobs
         // (others pinned to the incumbent), and (b) unpinned perturbations
         // of the incumbent AND of the mapped workload's best configurations
         // — the transferred knowledge must stay reachable even when it
-        // differs from the incumbent in low-ranked knobs.
+        // differs from the incumbent in low-ranked knobs — plus (c) those
+        // transferred configurations themselves.
         let base = best_anchors(history, &ctx.space, 1)
             .pop()
             .unwrap_or_else(|| vec![0.5; dim]);
+        let mut best_mapped: Vec<&Observation> = mapped_obs.iter().collect();
+        best_mapped.sort_by(|a, b| a.runtime_secs.total_cmp(&b.runtime_secs));
         let mut anchors = vec![base.clone()];
-        if let Some(mi) = mapped {
-            let mut obs: Vec<&Observation> =
-                self.repository.workloads[mi].observations.iter().collect();
-            obs.sort_by(|a, b| a.runtime_secs.total_cmp(&b.runtime_secs));
-            for o in obs.iter().take(3) {
-                anchors.push(ctx.space.encode(&o.config));
-            }
-        }
-        let mut pool = Vec::new();
-        for mut p in candidate_pool(dim, 400, &[], 0, 0.1, rng) {
-            for d in 0..dim {
-                if !top.contains(&d) {
+        anchors.extend(
+            best_mapped
+                .iter()
+                .take(3)
+                .map(|o| ctx.space.encode(&o.config)),
+        );
+        let pool = |rng: &mut StdRng| {
+            let mut pool = candidate_pool(dim, 400, &[], 0, 0.1, rng);
+            for p in pool.iter_mut() {
+                for d in (0..dim).filter(|d| !top.contains(d)) {
                     p[d] = base[d];
                 }
             }
-            pool.push(p);
-        }
-        pool.extend(candidate_pool(dim, 0, &anchors, 40, 0.08, rng));
-        // The transferred configurations themselves are candidates too.
-        pool.extend(anchors.iter().skip(1).cloned());
-        let pool = match &self.constraints {
-            Some(cons) => cons.apply_to_pool(&ctx.space, pool),
-            None => pool,
+            pool.extend(candidate_pool(dim, 0, &anchors, 40, 0.08, rng));
+            pool.extend(anchors.iter().skip(1).cloned());
+            pool
         };
-
-        // Batched EI over the whole pool (bit-identical to the old
-        // per-point loop, first index winning ties).
-        match argmax_ei(gp, &pool, y_best, self.xi) {
-            Some(j) => ctx.space.decode(&pool[j]),
-            None => ctx.space.random_config(rng),
-        }
+        self.bo.propose(ctx, train, pool, rng)
     }
 
     fn recommend(&self, ctx: &TuningContext, history: &History) -> Recommendation {
@@ -555,7 +463,7 @@ impl Tuner for OtterTuneTuner {
                     self.mapped_workload
                         .as_deref()
                         .unwrap_or("none (cold start)"),
-                    self.pruned_metrics.len()
+                    self.pruned_metrics().len()
                 ),
             },
             None => Recommendation {

@@ -54,10 +54,6 @@ impl Tuner for RoddTuner {
         TunerFamily::MachineLearning
     }
 
-    fn min_history(&self) -> usize {
-        self.bootstrap
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

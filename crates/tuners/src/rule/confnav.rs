@@ -111,10 +111,6 @@ impl Tuner for ConfNavTuner {
         TunerFamily::RuleBased
     }
 
-    fn min_history(&self) -> usize {
-        3
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

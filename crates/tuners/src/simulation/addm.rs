@@ -194,10 +194,6 @@ impl Tuner for AddmTuner {
         TunerFamily::SimulationBased
     }
 
-    fn min_history(&self) -> usize {
-        1
-    }
-
     fn propose(
         &mut self,
         ctx: &TuningContext,

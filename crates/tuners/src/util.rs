@@ -1,119 +1,16 @@
 //! Shared helpers for tuner implementations: candidate-pool generation,
-//! penalized objective extraction from history, and the incremental
-//! Gaussian-process surrogate cache shared by iTuned and OtterTune.
+//! penalized objective extraction from history, and the rule-based search
+//! constraints. The Gaussian-process surrogate cache and the EI step live
+//! in the GP-BO engine (`crate::bo`).
 
 use crate::rule::spex::Constraint as SpexConstraint;
 use crate::rule::{dbms_rulebook, hadoop_rulebook, spark_rulebook, ConstraintSet, RuleBook};
 use autotune_core::{
-    ConfigSpace, Configuration, History, Objective, ParamDomain, ParamValue, SurrogateStats,
-    SystemProfile,
+    ConfigSpace, Configuration, History, Objective, ParamDomain, ParamValue, SystemProfile,
 };
-use autotune_math::batch::{argmax_first, chunked_scores};
-use autotune_math::surrogate::{Surrogate, SurrogateConfig, SurrogateModel};
 use autotune_sim::{DbmsSimulator, HadoopSimulator, SparkSimulator};
 use rand::rngs::StdRng;
 use rand::RngExt;
-
-/// A Gaussian-process surrogate kept alive across proposals.
-///
-/// Refitting the model from scratch costs a full hyper-parameter search
-/// per proposal. The cache instead re-searches hyper-parameters only every
-/// `hyper_interval` observations and folds intermediate observations in
-/// with [`SurrogateModel::update`] (rank-1 Cholesky extension for the
-/// exact/SoD backends, a rank-1 `A`-update for Nyström).
-#[derive(Debug)]
-pub struct GpCache {
-    /// The live surrogate (exact, subset-of-data, or Nyström).
-    pub gp: SurrogateModel,
-    /// Training-set size the last full hyper-parameter search saw.
-    pub last_search: usize,
-    /// Full hyper-parameter-search fits performed over the tuner's
-    /// lifetime (carried across cache replacements for observability).
-    pub fits: u64,
-}
-
-impl GpCache {
-    /// Wraps a freshly fitted surrogate whose hyper-parameters were
-    /// searched over `n` observations; `fits` is the lifetime full-fit
-    /// count including this one.
-    pub fn new(gp: SurrogateModel, n: usize, fits: u64) -> Self {
-        GpCache {
-            gp,
-            last_search: n,
-            fits,
-        }
-    }
-
-    /// Tries to bring the cached surrogate up to date with an append-only
-    /// training set of `xs.len()` rows by incremental updates alone.
-    /// Returns `false` when a full hyper-parameter re-search is due
-    /// instead: the training set shrank or changed shape (new session),
-    /// the re-search interval elapsed, the configured backend changed
-    /// (the `auto` policy crossing its threshold), or a
-    /// numerically-degenerate update failed.
-    pub fn try_advance(
-        &mut self,
-        config: &SurrogateConfig,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        hyper_interval: usize,
-    ) -> bool {
-        let n = xs.len();
-        let m = self.gp.observed_inputs().len();
-        if m > n || n - self.last_search >= hyper_interval.max(1) {
-            return false;
-        }
-        if !self.gp.matches(config, n) {
-            return false;
-        }
-        if self.gp.observed_inputs().first().map(Vec::len) != xs.first().map(Vec::len) {
-            return false;
-        }
-        // Append-only sanity check: the latest row the cache has seen must
-        // still be where it was (a reused tuner on a fresh history refits).
-        if m > 0 && self.gp.observed_inputs()[m - 1] != xs[m - 1] {
-            return false;
-        }
-        for i in m..n {
-            if self.gp.update(xs[i].clone(), ys[i]).is_err() {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Observability snapshot of the cached surrogate.
-    pub fn stats(&self) -> SurrogateStats {
-        SurrogateStats {
-            kind: self.gp.kind_label().to_string(),
-            observed: self.gp.observed_len(),
-            active: self.gp.active_len(),
-            fits: self.fits,
-        }
-    }
-}
-
-/// Scores a candidate pool with batched Expected Improvement and returns
-/// the index of the best candidate (first index wins ties), or `None` for
-/// an empty pool.
-///
-/// The pool goes through [`Surrogate::expected_improvement_batch`] in
-/// fixed-size chunks — one cross-covariance and one multi-RHS solve per
-/// chunk instead of a triangular solve per point — spread over spare cores
-/// when the process has any free (see `autotune_math::batch`).
-/// For the exact backend, scores and pick are bit-identical to the
-/// historical per-point `expected_improvement` loop at any thread count.
-pub fn argmax_ei<S: Surrogate + Sync>(
-    gp: &S,
-    pool: &[Vec<f64>],
-    y_best: f64,
-    xi: f64,
-) -> Option<usize> {
-    let scores = chunked_scores(pool, |chunk| {
-        gp.expected_improvement_batch(chunk, y_best, xi)
-    });
-    argmax_first(&scores)
-}
 
 /// Generates a candidate pool in the unit cube: uniform random points plus
 /// Gaussian-ish perturbations of `anchors` (typically the best configs so

@@ -52,7 +52,7 @@ pub fn warm_started_ottertune(source_id: &str, past: &[Observation]) -> OtterTun
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autotune_core::{tune, Objective, ParamValue};
+    use autotune_core::{tune, History, Objective, Tuner, TuningContext};
     use autotune_sim::noise::NoiseModel;
     use autotune_sim::DbmsSimulator;
     use rand::rngs::StdRng;
@@ -97,7 +97,7 @@ mod tests {
         let mut sim = DbmsSimulator::oltp_default().with_noise(NoiseModel::none());
         let seed_out = tune(&mut sim, &mut ITunedTuner::new(), 25, 11);
         let target = seed_out.best.as_ref().unwrap().runtime_secs * 1.05;
-        let evals_to_target = |history: &autotune_core::History| {
+        let evals_to_target = |history: &History| {
             history
                 .best_so_far()
                 .iter()
@@ -129,10 +129,25 @@ mod tests {
 
     #[test]
     fn seed_configs_survive_builder_composition() {
-        let cfg = autotune_core::Configuration::new().with("x", ParamValue::Int(1));
-        let t = ITunedTuner::new()
-            .with_seed_configs([cfg.clone()])
-            .with_seed_config(cfg.clone());
-        assert_eq!(t.seed_configs.len(), 2);
+        let seeds = best_k_configs(&past_log(12, 3), 2);
+        let mut tuner = ITunedTuner::new()
+            .with_seed_configs([seeds[0].clone()])
+            .with_seed_configs([seeds[1].clone()]);
+        let mut sim = DbmsSimulator::oltp_default().with_noise(NoiseModel::none());
+        let ctx = TuningContext {
+            space: sim.space().clone(),
+            profile: sim.profile(),
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut history = History::new();
+        let mut design = Vec::new();
+        for _ in 0..3 {
+            let cfg = tuner.propose(&ctx, &history, &mut rng);
+            history.push(sim.evaluate(&cfg, &mut rng));
+            design.push(cfg);
+        }
+        // Both calls' seeds follow the vendor default, in call order.
+        assert_eq!(design[0], ctx.space.default_config());
+        assert_eq!(design[1..], seeds[..]);
     }
 }

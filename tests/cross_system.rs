@@ -128,7 +128,7 @@ fn hadoop_tuning_closes_the_parallel_db_gap() {
     // can spend itself entirely in failure regions.
     let seed_cfg = autotune::sim::hadoop::benchmark_config(&cluster);
     let mut sim = HadoopSimulator::new(cluster, job).with_noise(NoiseModel::none());
-    let mut tuner = ITunedTuner::new().with_seed_config(seed_cfg);
+    let mut tuner = ITunedTuner::new().with_seed_configs([seed_cfg]);
     let out = tune(&mut sim, &mut tuner, 40, 29);
     let tuned = out.best.unwrap().runtime_secs;
 

@@ -109,6 +109,106 @@ fn ottertune_dbms() -> (u64, u64) {
     )
 }
 
+/// A repository of three past DBMS workloads, each its default run plus 15
+/// seeded random configurations.
+fn dbms_repository() -> WorkloadRepository {
+    use autotune::sim::dbms::DbmsWorkload;
+    use rand::SeedableRng;
+    let mut repo = WorkloadRepository::new();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    for (id, workload) in [
+        ("oltp", DbmsWorkload::oltp()),
+        ("olap", DbmsWorkload::olap()),
+        ("mixed", DbmsWorkload::mixed()),
+    ] {
+        let mut sim = DbmsSimulator::new(NodeSpec::default(), workload);
+        let mut obs = vec![sim.evaluate(&sim.space().default_config(), &mut rng)];
+        for _ in 0..15 {
+            let cfg = sim.space().random_config(&mut rng);
+            obs.push(sim.evaluate(&cfg, &mut rng));
+        }
+        repo.add(id, obs);
+    }
+    repo
+}
+
+/// OtterTune warm-started from a three-workload repository: the mapped
+/// prefix is calibrated onto the target each step, and the mapping flips
+/// between "olap" and "mixed" four times during the session (after 6, 8,
+/// 12 and 17 observations), so the surrogate is refitted on a new prefix.
+fn ottertune_warm_dbms() -> (u64, u64) {
+    run(
+        Box::new(DbmsSimulator::olap_default()),
+        Box::new(OtterTuneTuner::new(dbms_repository())),
+        30,
+    )
+}
+
+/// iTuned with two caller seeds and the DBMS rule book: the caller seeds
+/// take slots 1 and 2 of the initial design, pushing the (capped) rule
+/// seeds along.
+fn ituned_seeded_constrained_dbms() -> (u64, u64) {
+    use autotune::tuners::util::SearchConstraints;
+    let sim = DbmsSimulator::olap_default();
+    let space = sim.space().clone();
+    let constraints = SearchConstraints::for_platform("dbms", &space).expect("dbms rule book");
+    let mut work_mem = space.default_config();
+    work_mem.set("work_mem_mb", ParamValue::Int(16));
+    let mut buffers = space.default_config();
+    buffers.set("shared_buffers_mb", ParamValue::Int(4096));
+    run(
+        Box::new(sim),
+        Box::new(
+            ITunedTuner::new()
+                .with_seed_configs([work_mem, buffers])
+                .with_constraints(constraints),
+        ),
+        30,
+    )
+}
+
+/// iTuned on the Nyström surrogate with a budget below the session's
+/// length: every step between searches goes through the sparse `update`.
+fn ituned_nystrom_spark() -> (u64, u64) {
+    use autotune::math::surrogate::SurrogateConfig;
+    run(
+        Box::new(SparkSimulator::aggregation_default()),
+        Box::new(ITunedTuner::new().with_surrogate(SurrogateConfig::nystrom(12))),
+        30,
+    )
+}
+
+const OTTERTUNE_WARM_DBMS: (u64, u64) = (0x065b_036c_5bc6_b318, 0xa5e0_e886_20a0_bf1e);
+const ITUNED_SEEDED_CONSTRAINED_DBMS: (u64, u64) = (0xddae_fb50_4182_74d8, 0xceab_1088_5c08_02bf);
+const ITUNED_NYSTROM_SPARK: (u64, u64) = (0x50bd_a046_3967_0160, 0xbeda_b3b3_7711_6801);
+
+#[test]
+fn ottertune_warm_dbms_trajectory_is_pinned() {
+    check(
+        "ottertune-warm/dbms-olap",
+        ottertune_warm_dbms(),
+        OTTERTUNE_WARM_DBMS,
+    );
+}
+
+#[test]
+fn ituned_seeded_constrained_trajectory_is_pinned() {
+    check(
+        "ituned-seeded-constrained/dbms-olap",
+        ituned_seeded_constrained_dbms(),
+        ITUNED_SEEDED_CONSTRAINED_DBMS,
+    );
+}
+
+#[test]
+fn ituned_nystrom_trajectory_is_pinned() {
+    check(
+        "ituned-nystrom/spark-agg",
+        ituned_nystrom_spark(),
+        ITUNED_NYSTROM_SPARK,
+    );
+}
+
 #[test]
 fn ituned_dbms_trajectory_is_pinned() {
     check("ituned/dbms-oltp", ituned_dbms(), ITUNED_DBMS);
@@ -127,6 +227,21 @@ fn trajectories_are_pinned_when_fits_run_serially() {
         ("ituned/dbms-oltp", ituned_dbms as fn() -> _, ITUNED_DBMS),
         ("ituned-ard/spark-agg", ituned_ard_spark, ITUNED_ARD_SPARK),
         ("ottertune/dbms-oltp", ottertune_dbms, OTTERTUNE_DBMS),
+        (
+            "ottertune-warm/dbms-olap",
+            ottertune_warm_dbms,
+            OTTERTUNE_WARM_DBMS,
+        ),
+        (
+            "ituned-seeded-constrained/dbms-olap",
+            ituned_seeded_constrained_dbms,
+            ITUNED_SEEDED_CONSTRAINED_DBMS,
+        ),
+        (
+            "ituned-nystrom/spark-agg",
+            ituned_nystrom_spark,
+            ITUNED_NYSTROM_SPARK,
+        ),
     ] {
         for got in par_map(&[0, 1], |_| session()) {
             check(&format!("{label} in a parallel region"), got, want);
