@@ -6,7 +6,7 @@
 //! One Table 1 run is short enough that a single ratio is mostly noise,
 //! so the run is repeated as [`PAIRS`] sequential/parallel pairs, the
 //! order alternating from pair to pair, at a budget where one sequential
-//! run takes over a second on 2 cores. The report gives the median
+//! run takes well over half a second on 2 cores. The report gives the median
 //! speedup with its minimum and maximum; every pair must produce
 //! identical JSON.
 //!

@@ -4,7 +4,8 @@
 //! claim** of Lu et al. (VLDB 2019): Table 1 ([`table1`]), Table 2
 //! ([`table2`]), and the prose claims C1–C7 ([`claims`]), plus the
 //! ground-truth knob-sensitivity oracle ([`sensitivity`]), shared
-//! session plumbing ([`harness`]), and a repository-backed replay mode
+//! session plumbing ([`harness`]), paired-seed claim statistics
+//! ([`stats`]), and a repository-backed replay mode
 //! ([`replay`]) that summarizes an `autotune-serve` session store without
 //! re-running any evaluations.
 //!
@@ -20,6 +21,7 @@ pub mod exec;
 pub mod harness;
 pub mod replay;
 pub mod sensitivity;
+pub mod stats;
 pub mod table1;
 pub mod table2;
 

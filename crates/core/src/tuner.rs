@@ -81,6 +81,9 @@ pub struct SurrogateStats {
     pub active: usize,
     /// Full hyper-parameter-search fits performed so far.
     pub fits: u64,
+    /// Log-marginal-likelihood evaluations those searches spent, summed
+    /// (a value-plus-gradient evaluation counts as one).
+    pub lml_evals: u64,
 }
 
 /// Final output of a tuning session.

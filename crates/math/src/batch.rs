@@ -2,7 +2,7 @@
 //! scoring, and index-order argmax/argmin.
 //!
 //! [`par_map`] is the one way independent work in this workspace runs in
-//! parallel: the GP hyper-parameter search's Nelder–Mead starts,
+//! parallel: the GP hyper-parameter search's BFGS starts,
 //! candidate-pool scoring ([`chunked_scores`]), and daemon session
 //! recovery. It keeps two properties no matter how it
 //! is scheduled:

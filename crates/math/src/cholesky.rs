@@ -308,17 +308,53 @@ impl Cholesky {
     /// Inverse of `A` (use sparingly; prefer `solve`).
     pub fn inverse(&self) -> Matrix {
         let n = self.dim();
+        let mut w = vec![0.0; n * n];
         let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e);
-            for i in 0..n {
-                inv[(i, j)] = col[i];
+        self.inverse_lower_into(&mut w, inv.data_mut());
+        for i in 0..n {
+            for j in 0..i {
+                inv[(j, i)] = inv[(i, j)];
             }
-            e[j] = 0.0;
         }
         inv
+    }
+
+    /// Writes the lower triangle of `A⁻¹` (diagonal included) into the
+    /// row-major `n × n` buffer `inv`, leaving the entries above the
+    /// diagonal as they were. `w` (`n × n`, overwritten) receives the
+    /// triangular inverse `W = L⁻¹`; then `A⁻¹ = WᵀW` is formed as a
+    /// symmetric product, one triangle only. Both passes are row sweeps of
+    /// `axpy`s, about `n³/3` multiply-adds in all.
+    pub(crate) fn inverse_lower_into(&self, w: &mut [f64], inv: &mut [f64]) {
+        let n = self.dim();
+        assert!(
+            w.len() == n * n && inv.len() == n * n,
+            "inverse: buffer size mismatch"
+        );
+        let l = self.l.data();
+        // Row i of W is (e_i − Σ_{k<i} L[i][k] · W[k]) / L[i][i]; row k of
+        // W is zero past column k.
+        for i in 0..n {
+            let (done, rest) = w.split_at_mut(i * n);
+            let row = &mut rest[..=i];
+            row.fill(0.0);
+            row[i] = 1.0;
+            for k in 0..i {
+                crate::simd::axpy_sub(l[i * n + k], &done[k * n..=k * n + k], &mut row[..=k]);
+            }
+            let pivot = 1.0 / l[i * n + i];
+            row.iter_mut().for_each(|v| *v *= pivot);
+        }
+        // (WᵀW)[i][j] = Σ_{k ≥ i} W[k][i] · W[k][j] for j ≤ i.
+        for i in 0..n {
+            inv[i * n..=i * n + i].fill(0.0);
+        }
+        for k in 0..n {
+            let wk = &w[k * n..=k * n + k];
+            for i in 0..=k {
+                crate::simd::axpy_add(wk[i], &wk[..=i], &mut inv[i * n..=i * n + i]);
+            }
+        }
     }
 }
 
@@ -441,8 +477,8 @@ fn factor_columns(a: &[f64], n: usize, out: &mut [f64]) -> Result<(), LinAlgErro
 
 /// Solves a general (small) linear system `A x = b` by Gaussian elimination
 /// with partial pivoting. Used where symmetry is not guaranteed (e.g. the
-/// normal equations of non-symmetric design matrices are avoided, but
-/// Nelder–Mead restarts and ADDM models occasionally need a general solve).
+/// normal equations of non-symmetric design matrices are avoided, but ADDM
+/// models occasionally need a general solve).
 pub fn solve_linear(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinAlgError> {
     if !a.is_square() {
         return Err(LinAlgError::NotSquare { shape: a.shape() });

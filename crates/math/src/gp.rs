@@ -8,8 +8,19 @@
 
 use crate::cholesky::Cholesky;
 use crate::matrix::{dot, LinAlgError, Matrix};
-use crate::optimize::nelder_mead;
+use crate::optimize::bfgs_box;
 use crate::stats::{mean, normal_cdf, normal_pdf, std_dev};
+
+/// Iteration cap of each start of the hyper-parameter search.
+const SEARCH_ITERATIONS: usize = 100;
+
+/// The search stops once no free coordinate's gradient exceeds this
+/// (nats per unit of log hyper-parameter).
+const SEARCH_GTOL: f64 = 1e-5;
+
+/// The search stops once an accepted step gains at most this share of
+/// `1 + |LML|`.
+const SEARCH_FTOL: f64 = 1e-12;
 
 /// Kernel families supported by [`GaussianProcess`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +187,36 @@ impl Kernel {
         }
     }
 
+    /// [`Kernel::fill_row_from_r2`] plus each entry's derivative with
+    /// respect to the log length scale, `dout[j] = ∂k/∂ln ℓ`, from the
+    /// same `exp`: `σf² r² e^{−r²/2}` for the squared exponential and
+    /// `σf² (s²/3)(1 + s) e^{−s}` (`s = √5 r`) for Matérn-5/2. Every
+    /// `out[j]` is computed with the operations of `value_from_r2`, so the
+    /// covariance is the one the value-only path builds.
+    fn fill_row_with_grad(&self, r2: &[f64], out: &mut [f64], dout: &mut [f64]) {
+        debug_assert!(r2.len() == out.len() && r2.len() == dout.len());
+        let sv = self.signal_variance;
+        match self.kind {
+            KernelKind::SquaredExponential => {
+                for ((slot, d), &v) in out.iter_mut().zip(dout.iter_mut()).zip(r2) {
+                    let e = (-0.5 * v).exp();
+                    *slot = sv * e;
+                    *d = sv * (v * e);
+                }
+            }
+            KernelKind::Matern52 => {
+                let sqrt5 = (5.0f64).sqrt();
+                for ((slot, d), &v) in out.iter_mut().zip(dout.iter_mut()).zip(r2) {
+                    let s = sqrt5 * v.sqrt();
+                    let e = (-s).exp();
+                    let s2_3 = 5.0 * v / 3.0;
+                    *slot = sv * ((1.0 + s + s2_3) * e);
+                    *d = sv * (s2_3 * (1.0 + s) * e);
+                }
+            }
+        }
+    }
+
     /// Full covariance matrix over a point set, noise added on diagonal.
     pub fn covariance(&self, xs: &[Vec<f64>]) -> Matrix {
         let n = xs.len();
@@ -248,16 +289,22 @@ impl PairwiseDiffs {
 
     /// Writes the covariance matrix for `kernel` over the cached training
     /// set into `scratch.cov` (noise added on the diagonal), overwriting
-    /// every entry. Bit-identical to `kernel.covariance(xs)`:
+    /// every entry; with `length_grad`, also `∂K/∂ln ℓ` into the strict
+    /// upper triangle of `scratch.dcov` (row-major `n × n`), computed in
+    /// the same pass from the same `exp` per entry. Bit-identical to
+    /// `kernel.covariance(xs)` either way:
     /// off-diagonals go through the shared `value_from_r2` arithmetic, and
     /// the diagonal `eval(x, x)` is exactly `signal_variance` for both
     /// kernel kinds (`x - x` is `+0.0`, and `exp(-0.0) == 1.0`), to which
     /// `add_diagonal_mut` adds the noise — reproduced here as one `sv + nv`
     /// addition.
-    fn covariance_into(&self, kernel: &Kernel, scratch: &mut MarginalScratch) {
+    fn covariance_into(&self, kernel: &Kernel, scratch: &mut MarginalScratch, length_grad: bool) {
         debug_assert_eq!(self.diffs.len(), self.pairs * kernel.dim());
         debug_assert_eq!(scratch.cov.shape(), (self.n, self.n));
         let n = self.n;
+        if length_grad {
+            scratch.dcov.resize(n * n, 0.0);
+        }
         let diag = kernel.signal_variance + kernel.noise_variance;
         let data = scratch.cov.data_mut();
         // Row i's pairs (i, i+1..n) start at p0 in every dimension.
@@ -271,7 +318,12 @@ impl PairwiseDiffs {
                 crate::simd::scaled_sq_accum_diffs(l, &self.diffs[start..start + len], r2);
             }
             let row = &mut data[i * n + i + 1..(i + 1) * n];
-            kernel.fill_row_from_r2(r2, &mut scratch.tail[..len], row);
+            if length_grad {
+                let drow = &mut scratch.dcov[i * n + i + 1..(i + 1) * n];
+                kernel.fill_row_with_grad(r2, row, drow);
+            } else {
+                kernel.fill_row_from_r2(r2, &mut scratch.tail[..len], row);
+            }
             data[i * n + i] = diag;
             for j in i + 1..n {
                 data[j * n + i] = data[i * n + j];
@@ -291,11 +343,16 @@ struct MarginalCache {
 }
 
 /// One evaluating thread's buffers: the `n × n` covariance plus one row's
-/// r2 and the Matérn tail's scratch, each fully overwritten before use.
+/// r2 and the Matérn tail's scratch, each fully overwritten before use,
+/// and the gradient's `n × n` buffers (`∂K/∂ln ℓ`, `L⁻¹` and `K⁻¹`), sized
+/// on the first gradient evaluation.
 struct MarginalScratch {
     cov: Matrix,
     r2: Vec<f64>,
     tail: Vec<f64>,
+    dcov: Vec<f64>,
+    linv: Vec<f64>,
+    kinv: Vec<f64>,
 }
 
 impl MarginalCache {
@@ -314,6 +371,9 @@ impl MarginalCache {
             cov: Matrix::zeros(n, n),
             r2: vec![0.0; n],
             tail: vec![0.0; n],
+            dcov: Vec::new(),
+            linv: Vec::new(),
+            kinv: Vec::new(),
         }
     }
 
@@ -322,17 +382,71 @@ impl MarginalCache {
     /// `log_marginal` for this kernel. Returns `None` where `fit` would
     /// return a factorization error.
     fn neg_log_marginal(&self, kernel: &Kernel, scratch: &mut MarginalScratch) -> Option<f64> {
-        self.pairs.covariance_into(kernel, scratch);
+        self.pairs.covariance_into(kernel, scratch, false);
         let (chol, _jitter) = Cholesky::decompose_with_jitter(&scratch.cov, 1e-10, 12).ok()?;
         let alpha = chol.solve(&self.centred);
+        Some(-self.log_marginal(&chol, &alpha))
+    }
+
+    /// The log marginal likelihood from a factor and its weights, with
+    /// [`GaussianProcess::fit`]'s arithmetic.
+    fn log_marginal(&self, chol: &Cholesky, alpha: &[f64]) -> f64 {
         let n = self.centred.len() as f64;
-        let lml = -0.5 * dot(&self.centred, &alpha)
+        let lml = -0.5 * dot(&self.centred, alpha)
             - 0.5 * chol.log_det()
             - 0.5 * n * (2.0 * std::f64::consts::PI).ln();
         debug_assert!(
             lml.is_finite(),
             "GP log-marginal-likelihood is non-finite despite a successful factorization"
         );
+        lml
+    }
+
+    /// [`MarginalCache::neg_log_marginal`] for an isotropic kernel,
+    /// together with its gradient with respect to
+    /// θ = (ln ℓ, ln σf², ln σn²), written into `grad`.
+    ///
+    /// Each component is `−½ tr((ααᵀ − K⁻¹) ∂K/∂θ)`. `∂K/∂ln ℓ` comes from
+    /// the covariance pass; `∂K/∂ln σf²` is `K − (σn² + jitter)·I` and
+    /// `∂K/∂ln σn²` is `σn²·I`, so those two reduce to closed forms in
+    /// `yᵀα`, `αᵀα` and `tr K⁻¹`. `K⁻¹` comes from the factor
+    /// ([`Cholesky::inverse_lower_into`]); only its lower triangle is
+    /// formed.
+    fn neg_log_marginal_grad(
+        &self,
+        kernel: &Kernel,
+        scratch: &mut MarginalScratch,
+        grad: &mut [f64],
+    ) -> Option<f64> {
+        debug_assert!(kernel.length_scales.windows(2).all(|w| w[0] == w[1]));
+        self.pairs.covariance_into(kernel, scratch, true);
+        let (chol, jitter) = Cholesky::decompose_with_jitter(&scratch.cov, 1e-10, 12).ok()?;
+        let alpha = chol.solve(&self.centred);
+        let lml = self.log_marginal(&chol, &alpha);
+        let n = self.pairs.n;
+        scratch.linv.resize(n * n, 0.0);
+        scratch.kinv.resize(n * n, 0.0);
+        chol.inverse_lower_into(&mut scratch.linv, &mut scratch.kinv);
+        let kinv = &scratch.kinv;
+        // ½ Σ_ij (α_i α_j − K⁻¹_ij) ∂K_ij: the diagonal of ∂K/∂ln ℓ is zero
+        // and both factors are symmetric, so the strict upper triangle
+        // counted once is the whole sum.
+        let mut d_len = 0.0;
+        for i in 0..n {
+            let drow = &scratch.dcov[i * n + i + 1..(i + 1) * n];
+            for (j, &dk) in (i + 1..n).zip(drow) {
+                d_len += (alpha[i] * alpha[j] - kinv[j * n + i]) * dk;
+            }
+        }
+        let trace_inv: f64 = (0..n).map(|i| kinv[i * n + i]).sum();
+        let y_alpha = dot(&self.centred, &alpha);
+        let alpha_sq = dot(&alpha, &alpha);
+        let diag = kernel.noise_variance + jitter;
+        let d_signal = 0.5 * (y_alpha - diag * alpha_sq - n as f64 + diag * trace_inv);
+        let d_noise = 0.5 * kernel.noise_variance * (alpha_sq - trace_inv);
+        grad[0] = -d_len;
+        grad[1] = -d_signal;
+        grad[2] = -d_noise;
         Some(-lml)
     }
 }
@@ -372,6 +486,9 @@ pub struct GaussianProcess {
     /// same amount to each appended diagonal entry.
     jitter: f64,
     log_marginal: f64,
+    /// Log-marginal-likelihood evaluations the hyper-parameter search that
+    /// chose `kernel` spent (0 for a fit with a given kernel).
+    lml_evals: u64,
 }
 
 impl GaussianProcess {
@@ -409,6 +526,7 @@ impl GaussianProcess {
             chol,
             jitter,
             log_marginal,
+            lml_evals: 0,
         })
     }
 
@@ -456,7 +574,8 @@ impl GaussianProcess {
                 xs.push(x);
                 let mut ys = self.ys.clone();
                 ys.push(y);
-                let refit = Self::fit(self.kernel.clone(), xs, &ys)?;
+                let mut refit = Self::fit(self.kernel.clone(), xs, &ys)?;
+                refit.lml_evals = self.lml_evals;
                 *self = refit;
                 Ok(())
             }
@@ -485,46 +604,79 @@ impl GaussianProcess {
 
     /// Fits a GP and tunes kernel hyper-parameters (shared log length
     /// scale, log signal variance, log noise variance) by maximizing the
-    /// log marginal likelihood with Nelder–Mead. Targets are standardized
-    /// internally via the signal-variance parameter.
-    ///
-    /// The three starts search independently (through
-    /// [`crate::batch::par_map`], on spare cores when there are any) and
-    /// are reduced in start order with a strict `<`, so the chosen θ does
-    /// not depend on the schedule.
+    /// log marginal likelihood: [`GaussianProcess::fit_auto_from`] with no
+    /// earlier fit to start from.
     pub fn fit_auto(kind: KernelKind, xs: Vec<Vec<f64>>, ys: &[f64]) -> Result<Self, LinAlgError> {
+        Self::fit_auto_from(kind, xs, ys, None)
+    }
+
+    /// Fits a GP and tunes θ = (ln ℓ, ln σf², ln σn²) — one shared length
+    /// scale — by maximizing the log marginal likelihood with a projected
+    /// BFGS search ([`bfgs_box`]) on its analytic gradient, inside the box
+    /// ℓ ∈ [1e-3, 1e3], σf² ∈ [1e-8, 1e6], σn² ∈ [1e-10, 1e4]. Targets are
+    /// standardized internally via the signal-variance parameter.
+    ///
+    /// Without `warm`, three fixed starts span short, medium and long
+    /// correlation. With `warm` — the kernel of an earlier fit on a prefix
+    /// of the same data — the search runs from its θ (first length scale)
+    /// plus the medium cold start, which guards against the warm start
+    /// staying in a local optimum the data has since left.
+    ///
+    /// The starts search independently (through [`crate::batch::par_map`],
+    /// on spare cores when there are any) and are reduced in start order
+    /// with a strict `<`, so the chosen θ does not depend on the schedule.
+    pub fn fit_auto_from(
+        kind: KernelKind,
+        xs: Vec<Vec<f64>>,
+        ys: &[f64],
+        warm: Option<&Kernel>,
+    ) -> Result<Self, LinAlgError> {
         assert!(!xs.is_empty());
         let dim = xs[0].len();
-        let y_sd = std_dev(ys).max(1e-6);
+        let var = std_dev(ys).max(1e-6).powi(2);
         // Pairwise differences and centred targets are
         // hyper-parameter-independent: compute them once, outside the
-        // search; each start reuses one covariance buffer of its own.
+        // search; each start reuses one set of buffers of its own.
         let cache = MarginalCache::new(&xs, ys);
-        // Three deterministic starts spanning short/medium/long correlation.
-        let starts = [
-            vec![(0.2f64).ln(), (y_sd * y_sd).ln(), (y_sd * y_sd * 0.01).ln()],
-            vec![(0.5f64).ln(), (y_sd * y_sd).ln(), (y_sd * y_sd * 0.1).ln()],
-            vec![
-                (1.5f64).ln(),
-                (y_sd * y_sd).ln(),
-                (y_sd * y_sd * 0.001).ln(),
+        let cold =
+            |length: f64, noise_share: f64| [length.ln(), var.ln(), (var * noise_share).ln()];
+        let starts = match warm {
+            None => vec![cold(0.2, 0.01), cold(0.5, 0.1), cold(1.5, 0.001)],
+            Some(k) => vec![
+                [
+                    k.length_scales[0].ln(),
+                    k.signal_variance.ln(),
+                    k.noise_variance.ln(),
+                ],
+                cold(0.5, 0.1),
             ],
-        ];
-        let searched = crate::batch::par_map(&starts, |s| {
+        };
+        let kernel_at = |theta: &[f64]| {
+            let mut k = Kernel::new(kind, dim, theta[0].exp().clamp(1e-3, 1e3));
+            k.signal_variance = theta[1].exp().clamp(1e-8, 1e6);
+            k.noise_variance = theta[2].exp().clamp(1e-10, 1e4);
+            k
+        };
+        let lo = [(1e-3f64).ln(), (1e-8f64).ln(), (1e-10f64).ln()];
+        let hi = [(1e3f64).ln(), (1e6f64).ln(), (1e4f64).ln()];
+        let searched = crate::batch::par_map(&starts, |start| {
             let mut scratch = cache.scratch();
-            let mut objective = |theta: &[f64]| -> f64 {
-                let ls = theta[0].exp().clamp(1e-3, 1e3);
-                let sv = theta[1].exp().clamp(1e-8, 1e6);
-                let nv = theta[2].exp().clamp(1e-10, 1e4);
-                let mut k = Kernel::new(kind, dim, ls);
-                k.signal_variance = sv;
-                k.noise_variance = nv;
+            let objective = |theta: &[f64], grad: &mut [f64]| {
                 cache
-                    .neg_log_marginal(&k, &mut scratch)
+                    .neg_log_marginal_grad(&kernel_at(theta), &mut scratch, grad)
                     .unwrap_or(f64::INFINITY)
             };
-            nelder_mead(&mut objective, s, 0.4, 120, 1e-7)
+            bfgs_box(
+                objective,
+                start,
+                &lo,
+                &hi,
+                SEARCH_ITERATIONS,
+                SEARCH_GTOL,
+                SEARCH_FTOL,
+            )
         });
+        let lml_evals = searched.iter().map(|r| r.evaluations as u64).sum();
         let mut best: Option<Vec<f64>> = None;
         let mut best_v = f64::INFINITY;
         for r in searched {
@@ -534,10 +686,9 @@ impl GaussianProcess {
             }
         }
         let theta = best.ok_or(LinAlgError::NoConvergence { iterations: 0 })?;
-        let mut kernel = Kernel::new(kind, dim, theta[0].exp().clamp(1e-3, 1e3));
-        kernel.signal_variance = theta[1].exp().clamp(1e-8, 1e6);
-        kernel.noise_variance = theta[2].exp().clamp(1e-10, 1e4);
-        GaussianProcess::fit(kernel, xs, ys)
+        let mut gp = GaussianProcess::fit(kernel_at(&theta), xs, ys)?;
+        gp.lml_evals = lml_evals;
+        Ok(gp)
     }
 
     /// Fits a GP with **automatic relevance determination**: a separate
@@ -557,6 +708,7 @@ impl GaussianProcess {
         let mut best_lml = iso.log_marginal;
         let cache = MarginalCache::new(&xs, ys);
         let mut scratch = cache.scratch();
+        let mut lml_evals = iso.lml_evals;
         // Coordinate descent: each dimension tries a few multiplicative
         // adjustments of its length scale, keeping improvements.
         for _sweep in 0..2 {
@@ -565,6 +717,7 @@ impl GaussianProcess {
                 for factor in [0.25, 0.5, 2.0, 4.0] {
                     let mut k = kernel.clone();
                     k.length_scales[d] = (current * factor).clamp(1e-3, 1e3);
+                    lml_evals += 1;
                     if let Some(neg) = cache.neg_log_marginal(&k, &mut scratch) {
                         if -neg > best_lml {
                             best_lml = -neg;
@@ -574,7 +727,9 @@ impl GaussianProcess {
                 }
             }
         }
-        GaussianProcess::fit(kernel, xs, ys)
+        let mut gp = GaussianProcess::fit(kernel, xs, ys)?;
+        gp.lml_evals = lml_evals;
+        Ok(gp)
     }
 
     /// Relevance of each input dimension: inverse length scale, normalized
@@ -672,6 +827,13 @@ impl GaussianProcess {
     /// Log marginal likelihood of the fit.
     pub fn log_marginal_likelihood(&self) -> f64 {
         self.log_marginal
+    }
+
+    /// Log-marginal-likelihood evaluations the hyper-parameter search
+    /// spent choosing this fit's kernel (a value-plus-gradient evaluation
+    /// counts as one; 0 when the kernel was given).
+    pub fn lml_evals(&self) -> u64 {
+        self.lml_evals
     }
 
     /// The fitted kernel.
@@ -1040,6 +1202,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An isotropic kernel at θ = (ln ℓ, ln σf², ln σn²), unclamped.
+    fn kernel_at(kind: KernelKind, dim: usize, theta: [f64; 3]) -> Kernel {
+        let mut k = Kernel::new(kind, dim, theta[0].exp());
+        k.signal_variance = theta[1].exp();
+        k.noise_variance = theta[2].exp();
+        k
+    }
+
+    #[test]
+    fn lml_gradient_matches_central_differences() {
+        // Interior points plus two on the search box's bounds: the
+        // shortest length scale (ℓ = 1e-3, K nearly diagonal) and the
+        // smallest noise (σn² = 1e-10).
+        let (n, dim) = if cfg!(miri) { (4, 1) } else { (24, 3) };
+        let mut rng = StdRng::seed_from_u64(31);
+        let xs = latin_hypercube(n, dim, &mut rng);
+        let ys: Vec<f64> = xs.iter().map(|x| (4.0 * x[0]).sin() + x[dim - 1]).collect();
+        let cache = MarginalCache::new(&xs, &ys);
+        let mut scratch = cache.scratch();
+        let thetas = [
+            [(0.3f64).ln(), (0.8f64).ln(), (0.05f64).ln()],
+            [(1.7f64).ln(), (2.5f64).ln(), (1e-3f64).ln()],
+            [(1e-3f64).ln(), (0.5f64).ln(), (0.1f64).ln()],
+            [(0.25f64).ln(), (1.0f64).ln(), (1e-10f64).ln()],
+        ];
+        for kind in [KernelKind::SquaredExponential, KernelKind::Matern52] {
+            for theta in thetas {
+                let k = kernel_at(kind, dim, theta);
+                let mut grad = [0.0; 3];
+                let neg = cache
+                    .neg_log_marginal_grad(&k, &mut scratch, &mut grad)
+                    .unwrap();
+                let value = cache.neg_log_marginal(&k, &mut scratch).unwrap();
+                assert_eq!(neg.to_bits(), value.to_bits(), "{kind:?} {theta:?}");
+                let h = 1e-5;
+                for c in 0..3 {
+                    let mut at = |step: f64| {
+                        let mut t = theta;
+                        t[c] += step;
+                        let k = kernel_at(kind, dim, t);
+                        cache.neg_log_marginal(&k, &mut scratch).unwrap()
+                    };
+                    let fd = (at(h) - at(-h)) / (2.0 * h);
+                    assert!(
+                        (fd - grad[c]).abs() <= 1e-5 * (1.0 + grad[c].abs()),
+                        "{kind:?} θ={theta:?} component {c}: analytic {} vs central {fd}",
+                        grad[c]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_from_the_factor_inverts_the_covariance() {
+        let (xs, ys) = training_data(if cfg!(miri) { 5 } else { 40 }, 17);
+        let gp = GaussianProcess::fit(Kernel::new(KernelKind::Matern52, 2, 0.3), xs.clone(), &ys)
+            .unwrap();
+        let k = gp.kernel().covariance(&xs);
+        let prod = k.matmul(&gp.chol.inverse()).unwrap();
+        assert!(prod.max_abs_diff(&Matrix::identity(xs.len())) < 1e-6);
+    }
+
+    #[test]
+    fn warm_started_search_reaches_the_cold_optimum() {
+        let (xs, ys) = training_data(if cfg!(miri) { 6 } else { 40 }, 19);
+        let m = xs.len() - 5;
+        let earlier =
+            GaussianProcess::fit_auto(KernelKind::Matern52, xs[..m].to_vec(), &ys[..m]).unwrap();
+        let cold = GaussianProcess::fit_auto(KernelKind::Matern52, xs.clone(), &ys).unwrap();
+        let warm =
+            GaussianProcess::fit_auto_from(KernelKind::Matern52, xs, &ys, Some(earlier.kernel()))
+                .unwrap();
+        assert!(cold.lml_evals() > 0 && warm.lml_evals() > 0);
+        let tol = 1e-6 * (1.0 + cold.log_marginal_likelihood().abs());
+        assert!(warm.log_marginal_likelihood() >= cold.log_marginal_likelihood() - tol);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   the OtterTune pipeline stages,
 //! * OLS/ridge/NNLS regression ([`linreg`]) — the Ernest scaling model,
 //! * a small MLP ([`mlp`]) — the Rodd neural-network tuner,
-//! * derivative-free optimizers ([`optimize`]) and effect-size ANOVA
+//! * a bounded BFGS search ([`optimize`]) and effect-size ANOVA
 //!   ([`anova`]),
 //! * deterministic chunked pool scoring and index-order argmax/argmin
 //!   ([`batch`]) — the acquisition hot path shared by the GP tuners,

@@ -1,10 +1,7 @@
-//! Derivative-free optimizers used across the tuners: Nelder–Mead simplex
-//! (GP hyper-parameter fitting, acquisition maximization), plain random
-//! search, and Recursive Random Search (a strong experiment-driven baseline
-//! from the Hadoop-tuning literature).
-
-use rand::rngs::StdRng;
-use rand::RngExt;
+//! Bounded quasi-Newton minimization: BFGS with a backtracking line search,
+//! projected onto a box. The Gaussian-process hyper-parameter search
+//! ([`crate::gp::GaussianProcess::fit_auto`]) runs it on the negated log
+//! marginal likelihood and its analytic gradient.
 
 /// Result of a minimization run.
 #[derive(Debug, Clone)]
@@ -13,330 +10,259 @@ pub struct OptResult {
     pub x: Vec<f64>,
     /// Objective value at `x`.
     pub value: f64,
-    /// Objective evaluations consumed.
+    /// Objective evaluations consumed (a value-plus-gradient call counts
+    /// as one).
     pub evaluations: usize,
 }
 
-/// Nelder–Mead simplex minimization of `f` starting from `x0`.
+/// Largest step, per coordinate, one iteration may take before the line
+/// search shortens it.
+const MAX_STEP: f64 = 2.0;
+
+/// Sufficient-decrease constant of the Armijo condition.
+const ARMIJO: f64 = 1e-4;
+
+/// Halvings the line search tries before giving up on a direction.
+const BACKTRACKS: usize = 30;
+
+/// Minimizes `f` over the box `[lo, hi]` from `x0` (projected onto the box
+/// first) by BFGS with a backtracking line search.
 ///
-/// `scale` sets the initial simplex edge length per dimension. Runs until
-/// `max_iter` iterations or the simplex collapses below `tol` in value
-/// spread. Standard coefficients (reflection 1, expansion 2, contraction
-/// 0.5, shrink 0.5).
-pub fn nelder_mead(
-    mut f: impl FnMut(&[f64]) -> f64,
+/// `f(x, grad)` returns the value at `x` and writes the gradient into
+/// `grad`; a non-finite value marks `x` infeasible, and the line search
+/// backs away from it. Each iteration fixes the coordinates that sit on a
+/// bound with the gradient pushing outward, steps along the quasi-Newton
+/// direction over the rest (capped at `MAX_STEP` = 2 per coordinate),
+/// projects the trial point onto the box and halves the step until the
+/// Armijo condition holds. The run stops after `max_iter` iterations, when
+/// the projected gradient's largest entry is at most `gtol`, when an
+/// accepted step lowers the value by at most `ftol · (1 + |value|)`, or
+/// when the line search fails.
+///
+/// Deterministic: the same inputs give the same iterates, bit for bit.
+pub fn bfgs_box(
+    mut f: impl FnMut(&[f64], &mut [f64]) -> f64,
     x0: &[f64],
-    scale: f64,
-    max_iter: usize,
-    tol: f64,
-) -> OptResult {
-    let dim = x0.len();
-    assert!(dim > 0, "nelder_mead: empty start point");
-    let mut evals = 0usize;
-    let mut eval = |x: &[f64], evals: &mut usize| -> f64 {
-        *evals += 1;
-        let v = f(x);
-        if v.is_nan() {
-            f64::INFINITY
-        } else {
-            v
-        }
-    };
-
-    // Initial simplex: x0 plus unit perturbation along each axis.
-    let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(dim + 1);
-    let v0 = eval(x0, &mut evals);
-    simplex.push((x0.to_vec(), v0));
-    for d in 0..dim {
-        let mut x = x0.to_vec();
-        x[d] += if x[d].abs() > 1e-12 {
-            scale * x[d].abs()
-        } else {
-            scale
-        };
-        let v = eval(&x, &mut evals);
-        simplex.push((x, v));
-    }
-
-    for _ in 0..max_iter {
-        simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let best = simplex[0].1;
-        let worst = simplex[dim].1;
-        if (worst - best).abs() <= tol * (1.0 + best.abs()) {
-            break;
-        }
-        // Centroid of all but the worst.
-        let mut centroid = vec![0.0; dim];
-        for (x, _) in simplex.iter().take(dim) {
-            for (c, xi) in centroid.iter_mut().zip(x) {
-                *c += xi / dim as f64;
-            }
-        }
-        let worst_x = simplex[dim].0.clone();
-        let reflect: Vec<f64> = centroid
-            .iter()
-            .zip(&worst_x)
-            .map(|(c, w)| c + (c - w))
-            .collect();
-        let fr = eval(&reflect, &mut evals);
-        if fr < simplex[0].1 {
-            // Try expansion.
-            let expand: Vec<f64> = centroid
-                .iter()
-                .zip(&worst_x)
-                .map(|(c, w)| c + 2.0 * (c - w))
-                .collect();
-            let fe = eval(&expand, &mut evals);
-            simplex[dim] = if fe < fr { (expand, fe) } else { (reflect, fr) };
-        } else if fr < simplex[dim - 1].1 {
-            simplex[dim] = (reflect, fr);
-        } else {
-            // Contraction.
-            let contract: Vec<f64> = centroid
-                .iter()
-                .zip(&worst_x)
-                .map(|(c, w)| c + 0.5 * (w - c))
-                .collect();
-            let fc = eval(&contract, &mut evals);
-            if fc < simplex[dim].1 {
-                simplex[dim] = (contract, fc);
-            } else {
-                // Shrink toward best.
-                let best_x = simplex[0].0.clone();
-                for item in simplex.iter_mut().skip(1) {
-                    let x: Vec<f64> = best_x
-                        .iter()
-                        .zip(&item.0)
-                        .map(|(b, xi)| b + 0.5 * (xi - b))
-                        .collect();
-                    let v = eval(&x, &mut evals);
-                    *item = (x, v);
-                }
-            }
-        }
-    }
-    simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
-    OptResult {
-        x: simplex[0].0.clone(),
-        value: simplex[0].1,
-        evaluations: evals,
-    }
-}
-
-/// Multi-start Nelder–Mead inside a box: restarts from random points and
-/// clamps iterates into `[lo, hi]` per dimension.
-pub fn nelder_mead_box(
-    mut f: impl FnMut(&[f64]) -> f64,
     lo: &[f64],
     hi: &[f64],
-    starts: usize,
     max_iter: usize,
-    rng: &mut StdRng,
+    gtol: f64,
+    ftol: f64,
 ) -> OptResult {
-    assert_eq!(lo.len(), hi.len());
-    let dim = lo.len();
-    let clamped = |x: &[f64]| -> Vec<f64> {
-        x.iter()
-            .enumerate()
-            .map(|(d, &v)| v.clamp(lo[d], hi[d]))
-            .collect()
+    let dim = x0.len();
+    assert!(dim > 0, "bfgs_box: empty start point");
+    assert!(
+        lo.len() == dim && hi.len() == dim,
+        "bfgs_box: bound length mismatch"
+    );
+    let project = |x: &mut [f64]| {
+        for ((v, &l), &h) in x.iter_mut().zip(lo).zip(hi) {
+            *v = v.clamp(l, h);
+        }
     };
-    let mut g = |x: &[f64]| f(&clamped(x));
-    let mut best: Option<OptResult> = None;
-    for _ in 0..starts.max(1) {
-        let x0: Vec<f64> = (0..dim).map(|d| rng.random_range(lo[d]..=hi[d])).collect();
-        let mut r = nelder_mead(&mut g, &x0, 0.15, max_iter, 1e-8);
-        r.x = clamped(&r.x);
-        let better = match &best {
-            None => true,
-            Some(b) => r.value < b.value,
+    let mut x = x0.to_vec();
+    project(&mut x);
+    let mut g = vec![0.0; dim];
+    let mut fx = f(&x, &mut g);
+    let mut evaluations = 1;
+    if !fx.is_finite() {
+        return OptResult {
+            x,
+            value: f64::INFINITY,
+            evaluations,
         };
-        if better {
-            best = Some(r);
+    }
+    // Inverse-Hessian approximation, row-major; identity until the first
+    // curvature pair rescales it.
+    let identity = |h: &mut [f64]| {
+        h.fill(0.0);
+        for i in 0..dim {
+            h[i * dim + i] = 1.0;
         }
-    }
-    // lint:allow(unwrap) starts.max(1) guarantees the loop body ran
-    best.expect("at least one start")
-}
-
-/// Uniform random search minimization over a unit box `[0,1]^dim`.
-pub fn random_search(
-    mut f: impl FnMut(&[f64]) -> f64,
-    dim: usize,
-    budget: usize,
-    rng: &mut StdRng,
-) -> OptResult {
-    assert!(budget > 0);
-    let mut best_x = vec![0.0; dim];
-    let mut best_v = f64::INFINITY;
-    for _ in 0..budget {
-        let x: Vec<f64> = (0..dim).map(|_| rng.random_range(0.0..1.0)).collect();
-        let v = f(&x);
-        if v < best_v {
-            best_v = v;
-            best_x = x;
+    };
+    let mut h = vec![0.0; dim * dim];
+    identity(&mut h);
+    let mut curved = false;
+    let (mut xn, mut gn, mut p) = (vec![0.0; dim], vec![0.0; dim], vec![0.0; dim]);
+    for _ in 0..max_iter {
+        // Coordinates pinned by a bound the gradient pushes against.
+        let free: Vec<bool> = (0..dim)
+            .map(|i| !((x[i] <= lo[i] && g[i] > 0.0) || (x[i] >= hi[i] && g[i] < 0.0)))
+            .collect();
+        let pg_max = (0..dim)
+            .filter(|&i| free[i])
+            .fold(0.0f64, |m, i| m.max(g[i].abs()));
+        if pg_max <= gtol {
+            break;
         }
-    }
-    OptResult {
-        x: best_x,
-        value: best_v,
-        evaluations: budget,
-    }
-}
-
-/// Recursive Random Search (Ye & Kalyanaraman): alternate *explore* (global
-/// uniform sampling until a promising region is found) and *exploit*
-/// (shrinking box around the incumbent). A robust, assumption-free search
-/// widely used in black-box system tuning.
-pub fn recursive_random_search(
-    mut f: impl FnMut(&[f64]) -> f64,
-    dim: usize,
-    budget: usize,
-    rng: &mut StdRng,
-) -> OptResult {
-    assert!(budget > 0);
-    let explore_samples = (dim * 4).clamp(8, 40).min(budget);
-    let mut spent = 0usize;
-    let mut best_x: Vec<f64> = (0..dim).map(|_| rng.random_range(0.0..1.0)).collect();
-    let mut best_v = f(&best_x);
-    spent += 1;
-
-    while spent < budget {
-        // Explore phase.
-        let mut local_best = best_x.clone();
-        let mut local_v = f64::INFINITY;
-        for _ in 0..explore_samples {
-            if spent >= budget {
+        let direction = |h: &[f64], p: &mut [f64]| {
+            for i in 0..dim {
+                p[i] = if free[i] {
+                    -(0..dim)
+                        .filter(|&j| free[j])
+                        .map(|j| h[i * dim + j] * g[j])
+                        .sum::<f64>()
+                } else {
+                    0.0
+                };
+            }
+        };
+        direction(&h, &mut p);
+        let slope: f64 = p.iter().zip(&g).map(|(a, b)| a * b).sum();
+        if slope >= 0.0 || !slope.is_finite() {
+            // The approximation lost positive definiteness on the free
+            // coordinates: restart from steepest descent.
+            identity(&mut h);
+            curved = false;
+            direction(&h, &mut p);
+        }
+        let longest = p.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        if longest > MAX_STEP {
+            p.iter_mut().for_each(|v| *v *= MAX_STEP / longest);
+        }
+        let mut t = 1.0;
+        let mut accepted = None;
+        for _ in 0..BACKTRACKS {
+            for i in 0..dim {
+                xn[i] = x[i] + t * p[i];
+            }
+            project(&mut xn);
+            let fv = f(&xn, &mut gn);
+            evaluations += 1;
+            let decrease: f64 = (0..dim).map(|i| g[i] * (xn[i] - x[i])).sum();
+            if fv.is_finite() && fv <= fx + ARMIJO * decrease {
+                accepted = Some(fv);
                 break;
             }
-            let x: Vec<f64> = (0..dim).map(|_| rng.random_range(0.0..1.0)).collect();
-            let v = f(&x);
-            spent += 1;
-            if v < local_v {
-                local_v = v;
-                local_best = x;
-            }
+            t *= 0.5;
         }
-        // Exploit phase: shrink around the explore incumbent.
-        let mut radius = 0.25;
-        let mut center = local_best;
-        let mut center_v = local_v;
-        let mut fails = 0;
-        while spent < budget && radius > 1e-3 {
-            let x: Vec<f64> = center
-                .iter()
-                .map(|&c| (c + rng.random_range(-radius..radius)).clamp(0.0, 1.0))
+        let Some(fv) = accepted else {
+            break;
+        };
+        let s: Vec<f64> = (0..dim).map(|i| xn[i] - x[i]).collect();
+        let y: Vec<f64> = (0..dim).map(|i| gn[i] - g[i]).collect();
+        let sy: f64 = s.iter().zip(&y).map(|(a, b)| a * b).sum();
+        let yy: f64 = y.iter().map(|v| v * v).sum();
+        let ss: f64 = s.iter().map(|v| v * v).sum();
+        if sy > 1e-12 * (ss * yy).sqrt() && yy > 0.0 {
+            if !curved {
+                // Scale the identity to the observed curvature before the
+                // first update (Nocedal & Wright, eq. 6.20).
+                identity(&mut h);
+                h.iter_mut().for_each(|v| *v *= sy / yy);
+                curved = true;
+            }
+            // H ← (I − ρ s yᵀ) H (I − ρ y sᵀ) + ρ s sᵀ, with ρ = 1 / sᵀy.
+            let rho = 1.0 / sy;
+            let hy: Vec<f64> = (0..dim)
+                .map(|i| (0..dim).map(|j| h[i * dim + j] * y[j]).sum())
                 .collect();
-            let v = f(&x);
-            spent += 1;
-            if v < center_v {
-                center_v = v;
-                center = x;
-                fails = 0;
-            } else {
-                fails += 1;
-                if fails >= 4 {
-                    radius *= 0.5;
-                    fails = 0;
+            let yhy: f64 = y.iter().zip(&hy).map(|(a, b)| a * b).sum();
+            for i in 0..dim {
+                for j in 0..dim {
+                    h[i * dim + j] +=
+                        rho * ((1.0 + rho * yhy) * s[i] * s[j] - hy[i] * s[j] - s[i] * hy[j]);
                 }
             }
         }
-        if center_v < best_v {
-            best_v = center_v;
-            best_x = center;
+        let gained = fx - fv;
+        std::mem::swap(&mut x, &mut xn);
+        std::mem::swap(&mut g, &mut gn);
+        fx = fv;
+        if gained <= ftol * (1.0 + fx.abs()) {
+            break;
         }
     }
     OptResult {
-        x: best_x,
-        value: best_v,
-        evaluations: spent,
+        x,
+        value: fx,
+        evaluations,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn sphere(x: &[f64]) -> f64 {
+    fn sphere(x: &[f64], g: &mut [f64]) -> f64 {
+        for (gi, v) in g.iter_mut().zip(x) {
+            *gi = 2.0 * (v - 0.3);
+        }
         x.iter().map(|v| (v - 0.3) * (v - 0.3)).sum()
     }
 
-    fn rosenbrock(x: &[f64]) -> f64 {
+    fn rosenbrock(x: &[f64], g: &mut [f64]) -> f64 {
         let a = 1.0 - x[0];
         let b = x[1] - x[0] * x[0];
+        g[0] = -2.0 * a - 400.0 * x[0] * b;
+        g[1] = 200.0 * b;
         a * a + 100.0 * b * b
     }
 
+    const WIDE: [f64; 2] = [-10.0, 10.0];
+
     #[test]
-    fn nelder_mead_minimizes_sphere() {
-        let r = nelder_mead(sphere, &[0.9, 0.9, 0.9], 0.2, 500, 1e-12);
-        assert!(r.value < 1e-8, "value={}", r.value);
+    fn minimizes_a_sphere() {
+        let r = bfgs_box(
+            sphere,
+            &[0.9, 0.9, 0.9],
+            &[-1.0; 3],
+            &[1.0; 3],
+            100,
+            1e-10,
+            0.0,
+        );
+        assert!(r.value < 1e-12, "value={}", r.value);
         for v in &r.x {
-            assert!((v - 0.3).abs() < 1e-3);
+            assert!((v - 0.3).abs() < 1e-6);
         }
+        assert!(r.evaluations < 20, "evaluations={}", r.evaluations);
     }
 
     #[test]
-    fn nelder_mead_rosenbrock() {
-        let r = nelder_mead(rosenbrock, &[-1.2, 1.0], 0.3, 2000, 1e-14);
-        assert!(r.value < 1e-6, "value={}", r.value);
-        assert!((r.x[0] - 1.0).abs() < 1e-2);
+    fn minimizes_rosenbrock() {
+        let lo = [WIDE[0]; 2];
+        let hi = [WIDE[1]; 2];
+        let r = bfgs_box(rosenbrock, &[-1.2, 1.0], &lo, &hi, 500, 1e-8, 0.0);
+        assert!(r.value < 1e-10, "value={}", r.value);
+        assert!((r.x[0] - 1.0).abs() < 1e-4 && (r.x[1] - 1.0).abs() < 1e-4);
     }
 
     #[test]
-    fn nelder_mead_handles_nan() {
-        let f = |x: &[f64]| {
-            if x[0] < 0.0 {
+    fn stops_on_an_active_bound() {
+        // The minimum of (x − 5)² + (y − 0.5)² over [0, 1]² is (1, 0.5).
+        let f = |x: &[f64], g: &mut [f64]| {
+            g[0] = 2.0 * (x[0] - 5.0);
+            g[1] = 2.0 * (x[1] - 0.5);
+            (x[0] - 5.0).powi(2) + (x[1] - 0.5).powi(2)
+        };
+        let r = bfgs_box(f, &[0.2, 0.9], &[0.0; 2], &[1.0; 2], 100, 1e-10, 0.0);
+        assert_eq!(r.x[0], 1.0, "pinned at the upper bound");
+        assert!((r.x[1] - 0.5).abs() < 1e-8, "y={}", r.x[1]);
+    }
+
+    #[test]
+    fn backs_away_from_infeasible_points() {
+        // Infeasible (NaN) above x = 3; the minimum sits at x = 2.9 and
+        // the first quasi-Newton step from 2.5 overshoots to 3.3.
+        let f = |x: &[f64], g: &mut [f64]| {
+            g[0] = 2.0 * (x[0] - 2.9);
+            if x[0] > 3.0 {
                 f64::NAN
             } else {
-                (x[0] - 2.0) * (x[0] - 2.0)
+                (x[0] - 2.9).powi(2)
             }
         };
-        // Start feasible; the search will probe x < 0 (NaN) and must treat
-        // it as infeasible rather than propagating NaN.
-        let r = nelder_mead(f, &[0.5], 2.0, 400, 1e-12);
+        let r = bfgs_box(f, &[2.5], &[-5.0], &[5.0], 100, 1e-10, 0.0);
         assert!(r.value.is_finite());
-        assert!((r.x[0] - 2.0).abs() < 1e-3);
+        assert!((r.x[0] - 2.9).abs() < 1e-6, "x={}", r.x[0]);
     }
 
     #[test]
-    fn box_search_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let r = nelder_mead_box(|x| (x[0] - 5.0).powi(2), &[0.0], &[1.0], 4, 200, &mut rng);
-        assert!(r.x[0] >= 0.0 && r.x[0] <= 1.0);
-        assert!((r.x[0] - 1.0).abs() < 1e-6, "should hit upper bound");
-    }
-
-    #[test]
-    fn random_search_improves_with_budget() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let small = random_search(sphere, 3, 10, &mut rng);
-        let mut rng = StdRng::seed_from_u64(9);
-        let large = random_search(sphere, 3, 500, &mut rng);
-        assert!(large.value <= small.value);
-        assert_eq!(large.evaluations, 500);
-    }
-
-    #[test]
-    fn rrs_beats_pure_random_on_average() {
-        let mut wins = 0;
-        for seed in 0..10u64 {
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed + 1000);
-            let rrs = recursive_random_search(sphere, 5, 150, &mut r1);
-            let rs = random_search(sphere, 5, 150, &mut r2);
-            if rrs.value <= rs.value {
-                wins += 1;
-            }
-        }
-        assert!(wins >= 7, "RRS won only {wins}/10");
-    }
-
-    #[test]
-    fn rrs_respects_budget() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let r = recursive_random_search(sphere, 2, 77, &mut rng);
-        assert!(r.evaluations <= 77);
+    fn an_infeasible_start_is_reported_not_searched() {
+        let r = bfgs_box(|_, _| f64::INFINITY, &[3.0], &[0.0], &[1.0], 10, 1e-8, 0.0);
+        assert_eq!(r.x, vec![1.0], "the start is projected onto the box");
+        assert_eq!(r.value, f64::INFINITY);
+        assert_eq!(r.evaluations, 1);
     }
 }

@@ -234,16 +234,25 @@ impl SodGp {
         ys: &[f64],
         budget: usize,
     ) -> Result<Self, LinAlgError> {
+        Self::fit_auto_from(kind, ard, xs, ys, budget, None)
+    }
+
+    /// [`SodGp::fit_auto`] whose isotropic search starts from `warm` (see
+    /// [`GaussianProcess::fit_auto_from`]).
+    fn fit_auto_from(
+        kind: KernelKind,
+        ard: bool,
+        xs: Vec<Vec<f64>>,
+        ys: &[f64],
+        budget: usize,
+        warm: Option<&Kernel>,
+    ) -> Result<Self, LinAlgError> {
         assert_eq!(xs.len(), ys.len(), "SoD fit: x/y length mismatch");
         assert!(!xs.is_empty(), "SoD fit: empty training set");
         let active_idx = farthest_point_subset(&xs, budget.max(1));
         let sub_xs: Vec<Vec<f64>> = active_idx.iter().map(|&i| xs[i].clone()).collect();
         let sub_ys: Vec<f64> = active_idx.iter().map(|&i| ys[i]).collect();
-        let gp = if ard {
-            GaussianProcess::fit_auto_ard(kind, sub_xs, &sub_ys)?
-        } else {
-            GaussianProcess::fit_auto(kind, sub_xs, &sub_ys)?
-        };
+        let gp = search(kind, ard, sub_xs, &sub_ys, warm)?;
         Ok(SodGp {
             gp,
             active_idx,
@@ -313,6 +322,23 @@ impl Surrogate for SodGp {
     }
 }
 
+/// The hyper-parameter search every backend runs on its (sub)set: the ARD
+/// coordinate sweeps, or the isotropic search started from `warm` when
+/// there is one.
+fn search(
+    kind: KernelKind,
+    ard: bool,
+    xs: Vec<Vec<f64>>,
+    ys: &[f64],
+    warm: Option<&Kernel>,
+) -> Result<GaussianProcess, LinAlgError> {
+    if ard {
+        GaussianProcess::fit_auto_ard(kind, xs, ys)
+    } else {
+        GaussianProcess::fit_auto_from(kind, xs, ys, warm)
+    }
+}
+
 /// Nyström / projected-process (DTC) surrogate.
 ///
 /// With inducing points `Z` (m of them), noise variance `σ²`, and the
@@ -344,6 +370,9 @@ pub struct NystromGp {
     la: Cholesky,
     /// `A⁻¹·Knmᵀ·(y − ȳ)`.
     w: Vec<f64>,
+    /// LML evaluations of the search that chose `kernel` (0 when the
+    /// kernel was given).
+    lml_evals: u64,
 }
 
 impl NystromGp {
@@ -380,6 +409,7 @@ impl NystromGp {
             lmm,
             la,
             w: Vec::new(),
+            lml_evals: 0,
         };
         model.solve_weights();
         Ok(model)
@@ -545,34 +575,61 @@ impl SurrogateModel {
         xs: Vec<Vec<f64>>,
         ys: &[f64],
     ) -> Result<Self, LinAlgError> {
+        Self::fit_auto_from(config, kind, ard, xs, ys, None)
+    }
+
+    /// [`SurrogateModel::fit_auto`] whose isotropic hyper-parameter search
+    /// starts from `warm`, the kernel of an earlier fit, plus one cold
+    /// start (see [`GaussianProcess::fit_auto_from`]); ARD fits ignore
+    /// `warm`.
+    pub fn fit_auto_from(
+        config: &SurrogateConfig,
+        kind: KernelKind,
+        ard: bool,
+        xs: Vec<Vec<f64>>,
+        ys: &[f64],
+        warm: Option<&Kernel>,
+    ) -> Result<Self, LinAlgError> {
         match config.resolve(xs.len()) {
             SurrogateKind::Exact | SurrogateKind::Auto => {
-                let gp = if ard {
-                    GaussianProcess::fit_auto_ard(kind, xs, ys)?
-                } else {
-                    GaussianProcess::fit_auto(kind, xs, ys)?
-                };
-                Ok(SurrogateModel::Exact(gp))
+                Ok(SurrogateModel::Exact(search(kind, ard, xs, ys, warm)?))
             }
-            SurrogateKind::Sod => Ok(SurrogateModel::Sod(SodGp::fit_auto(
+            SurrogateKind::Sod => Ok(SurrogateModel::Sod(SodGp::fit_auto_from(
                 kind,
                 ard,
                 xs,
                 ys,
                 config.budget,
+                warm,
             )?)),
             SurrogateKind::Nystrom => {
                 let idx = farthest_point_subset(&xs, config.budget.max(1));
                 let zs: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
                 let sub_ys: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
-                let hyper = if ard {
-                    GaussianProcess::fit_auto_ard(kind, zs.clone(), &sub_ys)?
-                } else {
-                    GaussianProcess::fit_auto(kind, zs.clone(), &sub_ys)?
-                };
-                let kernel = hyper.kernel().clone();
-                Ok(SurrogateModel::Nystrom(NystromGp::fit(kernel, xs, ys, zs)?))
+                let hyper = search(kind, ard, zs.clone(), &sub_ys, warm)?;
+                let mut model = NystromGp::fit(hyper.kernel().clone(), xs, ys, zs)?;
+                model.lml_evals = hyper.lml_evals();
+                Ok(SurrogateModel::Nystrom(model))
             }
+        }
+    }
+
+    /// The fitted kernel.
+    pub fn kernel(&self) -> &Kernel {
+        match self {
+            SurrogateModel::Exact(gp) => gp.kernel(),
+            SurrogateModel::Sod(s) => s.gp.kernel(),
+            SurrogateModel::Nystrom(n) => n.kernel(),
+        }
+    }
+
+    /// Log-marginal-likelihood evaluations the hyper-parameter search that
+    /// produced this model spent.
+    pub fn lml_evals(&self) -> u64 {
+        match self {
+            SurrogateModel::Exact(gp) => gp.lml_evals(),
+            SurrogateModel::Sod(s) => s.gp.lml_evals(),
+            SurrogateModel::Nystrom(n) => n.lml_evals,
         }
     }
 

@@ -197,9 +197,7 @@ impl GroupCommitWal {
     /// must [`Self::wait_durable`] the ticket before making the promise.
     pub fn append(&self, session: SessionId, record: &WalRecord) -> ServeResult<u64> {
         let journal_frame = wal::encode_journal_entry(session, record)?;
-        if let Some(msg) = lock(&self.shared.commit).error.clone() {
-            return Err(journal_error(msg));
-        }
+        self.check()?;
         let ticket = {
             let mut queue = lock(&self.shared.queue);
             if queue.shutdown {
@@ -217,6 +215,14 @@ impl GroupCommitWal {
         // record until some commit point waits on it. `wait_durable` (and
         // shutdown) notify; until then appends are pure queue pushes.
         Ok(ticket)
+    }
+
+    /// The sticky journal failure, if the journal has failed.
+    pub fn check(&self) -> ServeResult<()> {
+        match lock(&self.shared.commit).error.clone() {
+            Some(msg) => Err(journal_error(msg)),
+            None => Ok(()),
+        }
     }
 
     /// Blocks until the batch containing `ticket` is fsynced (or the
@@ -487,9 +493,13 @@ fn write_batch(
     // Retention: every previously journaled record is covered by a
     // durable snapshot (mark_clean runs only after a durability wait, so
     // live <= 0 implies nothing written is still volatile) — recycle the
-    // file before the batch instead of growing without bound.
+    // file before the batch instead of growing without bound. An empty
+    // journal is left alone: the truncation would be a no-op, and a
+    // journal that is not a regular file refuses it.
     if shared.live.load(Ordering::SeqCst) <= 0 {
-        file.set_len(0).map_err(io)?;
+        if file.metadata().map_err(io)?.len() > 0 {
+            file.set_len(0).map_err(io)?;
+        }
         shared.live.store(0, Ordering::SeqCst);
     }
     for p in batch {

@@ -30,7 +30,7 @@ pub struct SessionMetrics {
     /// Current WAL size in bytes (drops to 0 after each compaction).
     pub wal_bytes: u64,
     /// GP surrogate snapshot (backend kind, training-set / active sizes,
-    /// lifetime fit count); absent for tuners without a surrogate or
+    /// lifetime fit and LML-evaluation counts); absent for tuners without a surrogate or
     /// before the first model fit.
     pub surrogate: Option<SurrogateStats>,
     /// Current drift epoch (0 until the first detected drift; always 0
@@ -260,6 +260,7 @@ mod tests {
                     observed: 300,
                     active: 64,
                     fits: 4,
+                    lml_evals: 200,
                 }),
                 drift_epoch: 1,
                 drifts: 1,

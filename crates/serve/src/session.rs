@@ -588,6 +588,11 @@ impl LiveSession {
         // gone — graceful shutdown writes its final snapshots after the
         // journal drain.
         if let WalSink::Group(group) = &self.sink {
+            // After a journal failure the records since the last durable
+            // point were never acknowledged; a snapshot frame would make
+            // them durable after all (graceful shutdown snapshots every
+            // session).
+            group.check()?;
             if !rewrite
                 && wal::write_snapshot_deferred(
                     &self.dir,

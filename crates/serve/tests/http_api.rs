@@ -1028,6 +1028,10 @@ fn metrics_expose_surrogate_kind_sizes_and_fit_times() {
     let stats = row.surrogate.as_ref().expect("surrogate stats after fits");
     assert_eq!(stats.kind, "nystrom");
     assert!(stats.fits >= 1, "at least one full fit: {stats:?}");
+    assert!(
+        stats.lml_evals >= stats.fits,
+        "each fit searched: {stats:?}"
+    );
     assert!(stats.observed >= stats.active, "{stats:?}");
     assert!(stats.active >= 1, "{stats:?}");
     let fit = report

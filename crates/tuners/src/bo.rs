@@ -55,6 +55,9 @@ struct GpCache {
     /// Full fits over the tuner's lifetime, carried across cache
     /// replacements for observability.
     fits: u64,
+    /// LML evaluations of those fits' hyper-parameter searches, carried
+    /// the same way.
+    lml_evals: u64,
     /// The training set's prefix key when it was fitted.
     prefix: Option<PrefixKey>,
 }
@@ -212,17 +215,24 @@ impl GpBo {
                 &c.gp
             }
             _ => {
-                let fits = self.cache.as_ref().map_or(0, |c| c.fits) + 1;
                 let n = xs.len();
-                let kernel = KernelKind::Matern52;
-                let Ok(gp) = SurrogateModel::fit_auto(&self.surrogate, kernel, self.ard, xs, &ys)
+                let kind = KernelKind::Matern52;
+                // The previous fit's θ, if any, warm-starts the search.
+                let warm = self.cache.as_ref().map(|c| c.gp.kernel());
+                let Ok(gp) =
+                    SurrogateModel::fit_auto_from(&self.surrogate, kind, self.ard, xs, &ys, warm)
                 else {
                     return ctx.space.random_config(rng); // degenerate data
                 };
+                let (fits, lml_evals) = self
+                    .cache
+                    .as_ref()
+                    .map_or((0, 0), |c| (c.fits, c.lml_evals));
                 let cache = GpCache {
+                    fits: fits + 1,
+                    lml_evals: lml_evals + gp.lml_evals(),
                     gp,
                     last_search: n,
-                    fits,
                     prefix: moving_prefix,
                 };
                 &self.cache.insert(cache).gp
@@ -254,6 +264,7 @@ impl GpBo {
             observed: c.gp.observed_len(),
             active: c.gp.active_len(),
             fits: c.fits,
+            lml_evals: c.lml_evals,
         })
     }
 }

@@ -1,9 +1,12 @@
 //! Trajectory guard for the GP tuners: seeded iTuned and OtterTune
 //! sessions must reproduce their exact observation sequence and
-//! recommendation. The GP fit path (covariance assembly, Cholesky
-//! factorization, hyper-parameter search) is optimized under a
-//! bit-identity contract; any change that perturbs a single rounding step
-//! anywhere in it moves these digests.
+//! recommendation. The covariance assembly, the Cholesky factorization
+//! and the batched prediction paths are optimized under a bit-identity
+//! contract; any change that perturbs a single rounding step anywhere in
+//! them moves these digests. The hyper-parameter search is pinned here
+//! too, but what holds its quality is `tests/gp_search.rs`: a search that
+//! changes θ moves these digests by design, and must still reach
+//! Nelder–Mead's log marginal likelihood on that test's corpus.
 //!
 //! A change that is *meant* to alter trajectories recaptures the digests
 //! (the failure message prints them) and says so.
@@ -83,7 +86,7 @@ fn check(label: &str, got: (u64, u64), want: (u64, u64)) {
 
 const ITUNED_DBMS: (u64, u64) = (0xf556_57bf_5fd5_d48e, 0x52b6_e462_6020_b1ac);
 const ITUNED_ARD_SPARK: (u64, u64) = (0xddf1_5b47_51c5_c45e, 0x6cd0_49df_52d5_d784);
-const OTTERTUNE_DBMS: (u64, u64) = (0xc284_c7fd_9adb_582c, 0x730b_798a_97b5_fe81);
+const OTTERTUNE_DBMS: (u64, u64) = (0x7733_7ab3_52b6_43d9, 0xe524_28d3_f1f8_f3c4);
 
 fn ituned_dbms() -> (u64, u64) {
     run(
@@ -256,7 +259,7 @@ fn gp_fits_on_a_session_history_are_pinned() {
     let (xs, ys) = outcome.history.training_set(db.space());
     let got = surrogate_digest(&xs, &ys);
     assert_eq!(
-        got, 0x470d_270d_44e8_2963,
+        got, 0x7fbc_f781_4496_347b,
         "GP fit digest moved (got {got:#018x})"
     );
 }
@@ -281,7 +284,7 @@ fn ottertune_spark_trajectory_is_pinned() {
     check(
         "ottertune/spark-agg",
         got,
-        (0x0b5e_11d7_3d13_3413, 0x419b_0d39_69b7_ed48),
+        (0x8cfc_22cc_a983_90ab, 0x45e4_2ecb_375c_45ba),
     );
 }
 
@@ -320,7 +323,7 @@ fn constrained_trajectories_are_pinned() {
         "dbms-olap",
         "dbms",
         || Box::new(DbmsSimulator::olap_default()),
-        (0x0dab_2ceb_5547_3092, 0x75c4_52bc_d7be_465c),
+        (0xf14e_00cf_ed22_321b, 0x75c4_52bc_d7be_465c),
         (0xcf4c_68cd_cb58_5422, 0x08f1_bcb7_8e01_b610),
     );
     check_constrained(
@@ -335,6 +338,6 @@ fn constrained_trajectories_are_pinned() {
         "spark",
         || Box::new(SparkSimulator::aggregation_default()),
         (0xd2ce_845b_87cd_2c1a, 0x5ba3_0654_3cb0_1808),
-        (0xdb2a_3499_75c7_50f9, 0x34b7_a814_5577_5b2b),
+        (0x24de_69ea_203b_4a1c, 0x34b7_a814_5577_5b2b),
     );
 }

@@ -5,11 +5,13 @@
 //! replaying its tuner, a constrained session recovers without any
 //! constraint file on disk, and a daemon restarting on a crash image
 //! recovers all of its sessions — concurrently where that is safe — so
-//! that each one finishes as the uninterrupted run does.
+//! that each one finishes as the uninterrupted run does. A daemon whose
+//! group journal fails (it points at a full device) acknowledges nothing
+//! more, and a restart recovers exactly the acknowledged prefix.
 
 use autotune_core::SessionId;
 use autotune_serve::repo::{SessionMeta, SessionRepository};
-use autotune_serve::server::{Daemon, DaemonConfig, SessionSummary};
+use autotune_serve::server::{CreateResponse, Daemon, DaemonConfig, SessionSummary};
 use autotune_serve::session::LiveSession;
 use autotune_serve::spec::SessionSpec;
 use autotune_serve::wal::{
@@ -434,6 +436,90 @@ fn daemon_start_recovers_concurrently_without_losing_a_record() {
         assert_eq!(back.status(), SessionStatus::Finished, "{id}");
         assert_eq!(outcome(&back), want, "{id}: restarted run diverged");
     }
+    let _ = fs::remove_dir_all(&root);
+    let _ = fs::remove_dir_all(&root_ref);
+}
+
+/// A journal that fails on write: the group journal of a daemon points at
+/// `/dev/full` (through a symlink in the test's own directory), so its
+/// first batch fails with ENOSPC. The failure must be sticky — later
+/// appends are refused and every durability wait errors — no advance is
+/// acknowledged, and once a regular journal file is back, a restarted
+/// daemon recovers exactly the acknowledged prefix and finishes the
+/// session as an uninterrupted run does.
+#[test]
+fn a_full_journal_fails_sticky_and_recovery_keeps_the_acknowledged_prefix() {
+    const ACKED: usize = 5;
+    let session_spec = || spec("dbms-oltp", "random", 31, BUDGET, false);
+    let (root_ref, repo_ref) = fresh_repo("full-ref");
+    let mut reference = LiveSession::create(&repo_ref, meta(&repo_ref, session_spec()), None, 64)
+        .expect("create reference");
+    reference.advance(BUDGET).expect("finish reference");
+
+    let (root, _repo) = fresh_repo("full");
+    let mut config = DaemonConfig::new(&root);
+    config.durability = Durability::Fsync;
+    config.snapshot_every = SNAPSHOT_EVERY;
+    let journal = root.join(JOURNAL_FILE);
+    let body = serde_json::to_string(&session_spec()).expect("spec json");
+    let advance = |addr: SocketAddr, id: SessionId, steps: usize| {
+        let path = format!("/sessions/{id}/advance");
+        request(addr, "POST", &path, &format!("{{\"steps\":{steps}}}"))
+    };
+
+    // The acknowledged prefix, on a regular journal.
+    let daemon = Daemon::start("127.0.0.1:0", config.clone()).expect("start");
+    let (status, created) = request(daemon.addr(), "POST", "/sessions", &body);
+    assert_eq!(status, 201, "{created}");
+    let id = serde_json::from_str::<CreateResponse>(&created)
+        .expect("create response")
+        .id;
+    let (status, reply) = advance(daemon.addr(), id, ACKED);
+    assert_eq!(status, 200, "{reply}");
+    daemon.graceful_shutdown();
+
+    // Restart, then point the journal at a full device. Startup has
+    // already folded the journal (reads of /dev/full never end).
+    let daemon = Daemon::start("127.0.0.1:0", config.clone()).expect("restart");
+    let _ = fs::remove_file(&journal);
+    std::os::unix::fs::symlink("/dev/full", &journal).expect("symlink the journal");
+    let (status, reply) = advance(daemon.addr(), id, 1);
+    assert_eq!(status, 500, "the first batch fails: {reply}");
+    assert!(reply.contains("os error 28"), "ENOSPC: {reply}");
+    for steps in [1, 3] {
+        let (status, reply) = advance(daemon.addr(), id, steps);
+        assert_eq!(status, 500, "the failure is sticky: {reply}");
+        assert!(reply.contains("os error 28"), "{reply}");
+    }
+    daemon.graceful_shutdown();
+
+    // A regular journal again: recovery yields the acknowledged prefix.
+    fs::remove_file(&journal).expect("remove the symlink");
+    fs::write(&journal, b"").expect("empty journal");
+    let daemon = Daemon::start("127.0.0.1:0", config).expect("recover");
+    let (status, listed) = request(daemon.addr(), "GET", "/sessions", "");
+    assert_eq!(status, 200, "{listed}");
+    let listed: Vec<SessionSummary> = serde_json::from_str(&listed).expect("session list");
+    let evaluations: Vec<(SessionId, usize)> =
+        listed.iter().map(|s| (s.id, s.evaluations)).collect();
+    assert_eq!(
+        evaluations,
+        vec![(id, ACKED)],
+        "recovers at the acknowledged prefix"
+    );
+    let (status, reply) = advance(daemon.addr(), id, BUDGET);
+    assert_eq!(status, 200, "{reply}");
+    daemon.graceful_shutdown();
+
+    let repo = SessionRepository::open(&root).expect("reopen");
+    let back = LiveSession::recover(&repo, repo.read_meta(id).expect("meta"), SNAPSHOT_EVERY)
+        .expect("recover");
+    assert_eq!(back.status(), SessionStatus::Finished);
+    assert_eq!(
+        outcome(&back),
+        outcome(&reference),
+        "restarted run diverged"
+    );
     let _ = fs::remove_dir_all(&root);
     let _ = fs::remove_dir_all(&root_ref);
 }
