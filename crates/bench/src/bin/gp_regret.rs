@@ -113,17 +113,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The checked-out commit (`git rev-parse HEAD`), or `unknown`.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
-}
-
 fn spec(system: &str, tuner: &str, seed: u64, budget: usize) -> SessionSpec {
     SessionSpec {
         system: system.into(),
@@ -325,5 +314,9 @@ fn main() {
         .filter(|&n| n >= 1)
         .unwrap_or_else(|| usage());
     let out = value("--out").unwrap_or_else(|| usage());
-    run(seeds, &out, value("--commit").unwrap_or_else(git_commit));
+    run(
+        seeds,
+        &out,
+        value("--commit").unwrap_or_else(autotune_bench::git_commit),
+    );
 }

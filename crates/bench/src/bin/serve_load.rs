@@ -8,7 +8,7 @@
 //!
 //! ```sh
 //! cargo run --release -p autotune-bench --bin serve_load -- \
-//!     --sessions 1000 --clients 32 --budget 32 --steps 32 --shards 2 \
+//!     --sessions 1000 --clients 32 --budget 32 --steps 32 \
 //!     --workers 1 --queue-cap 64 --durability fsync
 //! ```
 
@@ -32,7 +32,6 @@ struct LoadSpec {
     clients: usize,
     system: String,
     tuner: String,
-    shards: usize,
     workers: usize,
     queue_cap: usize,
     snapshot_every: usize,
@@ -76,13 +75,16 @@ struct RunResult {
 
 #[derive(Serialize)]
 struct LoadReport {
+    /// Commit the daemon was built from.
+    commit: String,
+    /// Cores available to the process.
+    cores: usize,
     sessions: usize,
     budget: usize,
     steps_per_request: usize,
     clients: usize,
-    shards: usize,
-    workers_per_shard: usize,
-    queue_cap_per_shard: usize,
+    workers: usize,
+    queue_cap: usize,
     /// Observations between mid-run snapshot compactions.
     snapshot_every: usize,
     system: String,
@@ -269,7 +271,6 @@ fn run_load(spec: &LoadSpec) -> RunResult {
     config.workers = spec.workers;
     config.queue_cap = spec.queue_cap;
     config.snapshot_every = spec.snapshot_every;
-    config.shards = spec.shards;
     config.durability = spec.durability;
     let daemon = Daemon::start("127.0.0.1:0", config).expect("start daemon");
     let addr = daemon.addr();
@@ -323,7 +324,6 @@ fn main() {
             .get("tuner")
             .cloned()
             .unwrap_or_else(|| "random".to_string()),
-        shards: num("shards", 8).max(1),
         workers: num("workers", 4).max(1),
         queue_cap: num("queue-cap", 32).max(1),
         // Default: compact only at session finish. Mid-run snapshot
@@ -357,13 +357,14 @@ fn main() {
         run.admission_reject_rate * 100.0
     );
     let report = LoadReport {
+        commit: autotune_bench::git_commit(),
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         sessions: spec.sessions,
         budget: spec.budget,
         steps_per_request: spec.steps,
         clients: spec.clients,
-        shards: spec.shards,
-        workers_per_shard: spec.workers,
-        queue_cap_per_shard: spec.queue_cap,
+        workers: spec.workers,
+        queue_cap: spec.queue_cap,
         snapshot_every: spec.snapshot_every,
         system: spec.system.clone(),
         tuner: spec.tuner.clone(),

@@ -39,3 +39,25 @@ pub fn write_json<T: serde::Serialize>(name: &str, value: &T) {
         let _ = std::fs::write(path, json);
     }
 }
+
+/// The checked-out commit (`git rev-parse HEAD`, with `+dirty` when
+/// tracked files differ from it), or `unknown`: the provenance stamp of a
+/// committed timing artifact.
+pub fn git_commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(head) => {
+            let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|changes| !changes.trim().is_empty());
+            format!("{}{}", head.trim(), if dirty { "+dirty" } else { "" })
+        }
+        None => "unknown".to_string(),
+    }
+}

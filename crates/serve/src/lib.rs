@@ -20,12 +20,14 @@
 //! * **HTTP/1.1 JSON API** ([`http`], [`server`]) — a hand-rolled server
 //!   over `std::net::TcpListener` (no external dependencies) with
 //!   endpoints to create, advance, inspect, export, and cancel sessions.
-//! * **Sharded bounded scheduler** ([`scheduler`], [`server`]) — sessions
-//!   hash onto N independent shards, each with its own session index and
-//!   bounded worker pool, so unrelated sessions never contend on one
-//!   lock; concurrent `advance` calls on the *same* session coalesce onto
-//!   a single driver job instead of queueing. A full shard queue rejects
-//!   new work with HTTP 429, and graceful shutdown (SIGTERM or
+//! * **Bounded scheduler** ([`scheduler`], [`server`]) — one session
+//!   index and one bounded worker pool (one worker per core by default);
+//!   concurrent `advance` calls on the *same* session coalesce onto a
+//!   single driver job instead of queueing. A full queue rejects new work
+//!   with HTTP 429. Reads — listing, detail, `/metrics` — come from a
+//!   per-session view the driver republishes after every step, so they
+//!   never wait for a step in flight; cancel and CSV export run at the
+//!   driver's next step boundary. Graceful shutdown (SIGTERM or
 //!   `POST /shutdown`) finishes in-flight evaluations, drains every
 //!   session's tail to the WAL, and snapshots before exit.
 //!

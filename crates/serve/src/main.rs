@@ -17,19 +17,59 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
-    let mut flags = BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            flags.insert(key.to_string(), value);
-            i += 2;
-        } else {
-            i += 1;
-        }
+/// Every flag the daemon takes; each expects a value.
+const FLAGS: [&str; 7] = [
+    "addr",
+    "data-dir",
+    "workers",
+    "queue-cap",
+    "snapshot-every",
+    "durability",
+    "retain",
+];
+
+/// The listen address and daemon settings named on the command line. An
+/// unknown argument, a flag without a value or a malformed value is an
+/// error: a daemon started on a misspelt or stale flag would run with
+/// settings nobody asked for.
+fn parse_args(args: &[String]) -> Result<(String, DaemonConfig), String> {
+    let mut flags: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let key = arg
+            .strip_prefix("--")
+            .filter(|key| FLAGS.contains(key))
+            .ok_or_else(|| format!("unknown argument '{arg}' (see --help)"))?;
+        let value = rest
+            .next()
+            .ok_or_else(|| format!("--{key} expects a value"))?;
+        flags.insert(key, value);
     }
-    flags
+    let num = |key: &str| -> Result<Option<usize>, String> {
+        flags
+            .get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{key} expects a number, got '{v}'"))
+            })
+            .transpose()
+    };
+    let addr = flags.get("addr").unwrap_or(&"127.0.0.1:7071").to_string();
+    let mut config = DaemonConfig::new(*flags.get("data-dir").unwrap_or(&"./autotune-serve-data"));
+    if let Some(n) = num("workers")? {
+        config.workers = n.max(1);
+    }
+    if let Some(n) = num("queue-cap")? {
+        config.queue_cap = n.max(1);
+    }
+    if let Some(n) = num("snapshot-every")? {
+        config.snapshot_every = n.max(1);
+    }
+    if let Some(mode) = flags.get("durability") {
+        config.durability = Durability::parse(mode).map_err(|e| e.to_string())?;
+    }
+    config.retain_finished = num("retain")?;
+    Ok((addr, config))
 }
 
 fn usage() {
@@ -37,11 +77,11 @@ fn usage() {
     println!("USAGE:");
     println!("  autotune-serve [--addr HOST:PORT] [--data-dir DIR]");
     println!("                 [--workers N] [--queue-cap N] [--snapshot-every N]");
-    println!("                 [--shards N] [--durability flush|fsync] [--retain N]\n");
+    println!("                 [--durability flush|fsync] [--retain N]\n");
     println!("DEFAULTS:");
     println!("  --addr 127.0.0.1:7071   --data-dir ./autotune-serve-data");
-    println!("  --workers 2 (per shard) --queue-cap 8 (per shard)");
-    println!("  --snapshot-every {DEFAULT_SNAPSHOT_EVERY}      --shards 4");
+    println!("  --workers (one per core) --queue-cap 32 (advance jobs waiting for a worker)");
+    println!("  --snapshot-every {DEFAULT_SNAPSHOT_EVERY}");
     println!("  --durability flush (survives process crash; fsync survives OS crash,");
     println!("                      batching fsyncs through a group-commit journal)");
     println!("  --retain unlimited (N caps finished-session dirs, oldest evicted)");
@@ -53,44 +93,13 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::SUCCESS;
     }
-    let flags = parse_flags(&args);
-    let addr = flags
-        .get("addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7071".to_string());
-    let data_dir = flags
-        .get("data-dir")
-        .cloned()
-        .unwrap_or_else(|| "./autotune-serve-data".to_string());
-    let parse_num = |key: &str, default: usize| {
-        flags
-            .get(key)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
-    let mut config = DaemonConfig::new(data_dir);
-    config.workers = parse_num("workers", config.workers).max(1);
-    config.queue_cap = parse_num("queue-cap", config.queue_cap).max(1);
-    config.snapshot_every = parse_num("snapshot-every", config.snapshot_every).max(1);
-    config.shards = parse_num("shards", config.shards).max(1);
-    if let Some(mode) = flags.get("durability") {
-        config.durability = match Durability::parse(mode) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("autotune-serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    }
-    if let Some(retain) = flags.get("retain") {
-        match retain.parse() {
-            Ok(n) => config.retain_finished = Some(n),
-            Err(_) => {
-                eprintln!("autotune-serve: --retain expects a number, got '{retain}'");
-                return ExitCode::FAILURE;
-            }
+    let (addr, config) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("autotune-serve: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
 
     signal::install();
     let daemon = match Daemon::start(&addr, config) {
@@ -113,4 +122,58 @@ fn main() -> ExitCode {
     daemon.graceful_shutdown();
     println!("shutdown complete");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(String, DaemonConfig), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn every_flag_sets_its_value() {
+        let (addr, config) = parse(
+            "--addr 0.0.0.0:9 --data-dir /d --workers 3 --queue-cap 5 \
+             --snapshot-every 7 --durability fsync --retain 4",
+        )
+        .unwrap();
+        assert_eq!(addr, "0.0.0.0:9");
+        assert_eq!(config.data_dir, std::path::PathBuf::from("/d"));
+        assert_eq!((config.workers, config.queue_cap), (3, 5));
+        assert_eq!(config.snapshot_every, 7);
+        assert_eq!(config.durability, Durability::Fsync);
+        assert_eq!(config.retain_finished, Some(4));
+    }
+
+    #[test]
+    fn no_flags_keep_the_defaults() {
+        let (addr, config) = parse("").unwrap();
+        let defaults = DaemonConfig::new("./autotune-serve-data");
+        assert_eq!(addr, "127.0.0.1:7071");
+        assert_eq!(config.data_dir, defaults.data_dir);
+        assert_eq!(config.workers, defaults.workers);
+        assert_eq!(config.queue_cap, 32);
+        assert_eq!(config.retain_finished, None);
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_words_are_refused() {
+        let err = parse("--threads 2").unwrap_err();
+        assert!(err.contains("'--threads'"), "{err}");
+        assert!(parse("--workers 1 extra").is_err());
+        assert!(parse("-w 1").is_err());
+    }
+
+    #[test]
+    fn malformed_or_missing_values_are_refused() {
+        let err = parse("--workers two").unwrap_err();
+        assert_eq!(err, "--workers expects a number, got 'two'");
+        assert!(parse("--queue-cap -1").is_err());
+        assert!(parse("--retain all").is_err());
+        assert!(parse("--durability sometimes").is_err());
+        assert_eq!(parse("--workers").unwrap_err(), "--workers expects a value");
+    }
 }

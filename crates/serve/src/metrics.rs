@@ -62,16 +62,12 @@ pub struct EndpointLatency {
 pub struct MetricsReport {
     /// One entry per session, ascending id.
     pub sessions: Vec<SessionMetrics>,
-    /// Jobs waiting in scheduler queues right now (sum over shards).
+    /// Jobs waiting in the scheduler queue right now.
     pub queue_depth: usize,
-    /// Worker threads serving session jobs (sum over shards).
+    /// Worker threads serving session jobs.
     pub workers: usize,
     /// Sum of all sessions' WAL bytes.
     pub wal_bytes_total: u64,
-    /// Scheduler shards.
-    pub shards: usize,
-    /// Pending jobs per shard, shard 0 first.
-    pub shard_queue_depths: Vec<usize>,
     /// WAL durability mode label (`flush`/`fsync`).
     pub durability: String,
     /// Per-endpoint latency summaries (endpoints served at least once).
@@ -268,8 +264,6 @@ mod tests {
             queue_depth: 0,
             workers: 2,
             wal_bytes_total: 120,
-            shards: 4,
-            shard_queue_depths: vec![0, 0, 0, 0],
             durability: "flush".into(),
             endpoints: Vec::new(),
             group_commit: None,
@@ -287,7 +281,7 @@ mod tests {
             back.sessions[0].surrogate.as_ref().map(|s| s.active),
             Some(64)
         );
-        assert_eq!(back.shards, 4);
+        assert_eq!(back.workers, 2);
         assert!(back.surrogate_fit.is_none());
     }
 

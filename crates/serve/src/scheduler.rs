@@ -8,11 +8,12 @@
 //! overload into unbounded latency.
 //!
 //! Shutdown is graceful for *running* work: workers finish the job in
-//! their hands, then exit. Jobs still queued are dropped; their
-//! [`JobHandle`]s resolve to `None` so waiting HTTP handlers can report
-//! 503 instead of hanging. Durability is unaffected — sessions log every
-//! observation to the WAL as it happens, so a dropped advance job loses
-//! requested-but-unstarted work only.
+//! their hands, then exit. Jobs still queued are dropped unrun, so
+//! whatever a job owns is dropped with it; the daemon's driver jobs own a
+//! guard whose `Drop` wakes the HTTP handlers that wait on them, which then
+//! report 503 instead of hanging. Durability is unaffected — sessions log
+//! every observation to the WAL as it happens, so a dropped advance job
+//! loses requested-but-unstarted work only.
 
 use crate::{ServeError, ServeResult};
 use std::collections::VecDeque;
@@ -27,67 +28,6 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 type Job = Box<dyn FnOnce() + Send>;
-
-enum JobState<T> {
-    Pending,
-    Done(T),
-    Dropped,
-}
-
-struct HandleInner<T> {
-    state: Mutex<JobState<T>>,
-    cv: Condvar,
-}
-
-/// Completion handle for one submitted job.
-pub struct JobHandle<T> {
-    inner: Arc<HandleInner<T>>,
-}
-
-impl<T> JobHandle<T> {
-    /// Blocks until the job completes. `None` means the scheduler shut
-    /// down before the job ran.
-    pub fn wait(self) -> Option<T> {
-        let mut state = lock(&self.inner.state);
-        loop {
-            match std::mem::replace(&mut *state, JobState::Pending) {
-                JobState::Done(v) => return Some(v),
-                JobState::Dropped => return None,
-                JobState::Pending => {
-                    state = self
-                        .inner
-                        .cv
-                        .wait(state)
-                        .unwrap_or_else(|poison| poison.into_inner());
-                }
-            }
-        }
-    }
-}
-
-/// Marks a queued job dropped if it never ran (scheduler shutdown), so
-/// waiters wake instead of hanging.
-struct CompletionGuard<T> {
-    inner: Arc<HandleInner<T>>,
-    completed: bool,
-}
-
-impl<T> CompletionGuard<T> {
-    fn complete(mut self, value: T) {
-        *lock(&self.inner.state) = JobState::Done(value);
-        self.completed = true;
-        self.inner.cv.notify_all();
-    }
-}
-
-impl<T> Drop for CompletionGuard<T> {
-    fn drop(&mut self) {
-        if !self.completed {
-            *lock(&self.inner.state) = JobState::Dropped;
-            self.inner.cv.notify_all();
-        }
-    }
-}
 
 struct PoolState {
     queue: Mutex<VecDeque<Job>>,
@@ -125,33 +65,21 @@ impl Scheduler {
     }
 
     /// Submits a job, failing fast with [`ServeError::Busy`] when the
-    /// queue is at capacity (admission control → HTTP 429).
-    pub fn submit<T, F>(&self, job: F) -> ServeResult<JobHandle<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
+    /// queue is at capacity (admission control → HTTP 429). A rejected
+    /// job is dropped before this returns.
+    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> ServeResult<()> {
         if self.state.shutdown.load(Ordering::SeqCst) {
             return Err(ServeError::Busy);
         }
-        let inner = Arc::new(HandleInner {
-            state: Mutex::new(JobState::Pending),
-            cv: Condvar::new(),
-        });
-        let guard = CompletionGuard {
-            inner: Arc::clone(&inner),
-            completed: false,
-        };
-        let wrapped: Job = Box::new(move || guard.complete(job()));
         {
             let mut queue = lock(&self.state.queue);
             if queue.len() >= self.state.cap {
                 return Err(ServeError::Busy);
             }
-            queue.push_back(wrapped);
+            queue.push_back(Box::new(job));
         }
         self.state.cv.notify_one();
-        Ok(JobHandle { inner })
+        Ok(())
     }
 
     /// Pending (not yet running) jobs — the `/metrics` queue depth.
@@ -160,9 +88,8 @@ impl Scheduler {
     }
 
     /// Graceful shutdown: in-flight jobs finish, queued jobs are dropped
-    /// (waking their waiters with `None`), workers join. Takes `&self` so
-    /// a fleet of per-shard schedulers can shut down without an outer
-    /// mutex; concurrent calls are safe (the second joins nothing).
+    /// unrun, workers join. Concurrent calls are safe (the second joins
+    /// nothing).
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         self.state.cv.notify_all();
@@ -170,7 +97,7 @@ impl Scheduler {
         for handle in handles {
             let _ = handle.join();
         }
-        // Dropping the remaining jobs fires their completion guards.
+        // Dropping the remaining jobs drops what they own.
         lock(&self.state.queue).clear();
     }
 }
@@ -205,15 +132,47 @@ fn worker_loop(state: &PoolState) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use std::time::Duration;
 
+    /// A job that blocks its worker until the returned opener runs.
+    fn blocker() -> (impl FnOnce() + Send + 'static, impl FnOnce()) {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        let job = move || {
+            let (lock_, cv) = &*g;
+            let mut open = lock(lock_);
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        };
+        let open = move || {
+            let (lock_, cv) = &*gate;
+            *lock(lock_) = true;
+            cv.notify_all();
+        };
+        (job, open)
+    }
+
+    /// Sends on its channel when dropped: tells a run job from a dropped one.
+    struct DropFlag(mpsc::Sender<&'static str>);
+
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            let _ = self.0.send("dropped");
+        }
+    }
+
     #[test]
-    fn jobs_run_and_handles_resolve() {
+    fn jobs_run() {
         let sched = Scheduler::new(2, 8);
-        let handles: Vec<_> = (0..6)
-            .map(|i| sched.submit(move || i * 2).unwrap())
-            .collect();
-        let mut results: Vec<i32> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
+        let (tx, rx) = mpsc::channel();
+        for i in 0..6 {
+            let tx = tx.clone();
+            sched.submit(move || tx.send(i * 2).unwrap()).unwrap();
+        }
+        drop(tx);
+        let mut results: Vec<i32> = rx.iter().collect();
         results.sort_unstable();
         assert_eq!(results, vec![0, 2, 4, 6, 8, 10]);
     }
@@ -221,59 +180,47 @@ mod tests {
     #[test]
     fn full_queue_rejects_with_busy() {
         let sched = Scheduler::new(1, 1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
         // Occupy the single worker.
-        let g = Arc::clone(&gate);
-        let running = sched
-            .submit(move || {
-                let (lock_, cv) = &*g;
-                let mut open = lock(lock_);
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            })
-            .unwrap();
+        let (job, open) = blocker();
+        sched.submit(job).unwrap();
         // Wait until the worker picked the job up, then fill the queue.
         while sched.queue_depth() > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let _queued = sched.submit(|| ()).unwrap();
-        assert!(matches!(sched.submit(|| ()), Err(ServeError::Busy)));
-
-        let (lock_, cv) = &*gate;
-        *lock(lock_) = true;
-        cv.notify_all();
-        running.wait().unwrap();
+        sched.submit(|| ()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let flag = DropFlag(tx);
+        let rejected = sched.submit(move || drop(flag));
+        assert!(matches!(rejected, Err(ServeError::Busy)));
+        assert_eq!(rx.try_recv(), Ok("dropped"), "rejected job dropped at once");
+        open();
     }
 
     #[test]
-    fn shutdown_drops_queued_jobs_without_hanging_waiters() {
+    fn shutdown_drops_queued_jobs_unrun() {
         let sched = Scheduler::new(1, 16);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let _running = sched.submit(move || {
-            let (lock_, cv) = &*g;
-            let mut open = lock(lock_);
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        });
+        let (job, open) = blocker();
+        sched.submit(job).unwrap();
         while sched.queue_depth() > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let queued = sched.submit(|| 7).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let flag = DropFlag(tx.clone());
+        sched
+            .submit(move || {
+                let _ = flag.0.send("ran");
+            })
+            .unwrap();
+        drop(tx);
         // Release the in-flight job only after shutdown is underway, from
         // a helper thread.
-        let g2 = Arc::clone(&gate);
         let opener = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            let (lock_, cv) = &*g2;
-            *lock(lock_) = true;
-            cv.notify_all();
+            open();
         });
         sched.shutdown();
-        assert_eq!(queued.wait(), None, "queued job dropped, waiter woken");
-        assert!(matches!(sched.submit(|| 1), Err(ServeError::Busy)));
+        assert_eq!(rx.iter().collect::<Vec<_>>(), vec!["dropped"]);
+        assert!(matches!(sched.submit(|| ()), Err(ServeError::Busy)));
         opener.join().unwrap();
     }
 }

@@ -1,5 +1,5 @@
-//! The daemon: sharded session registry, HTTP routing, advance
-//! coalescing, and graceful shutdown.
+//! The daemon: the session index, HTTP routing, advance coalescing, and
+//! graceful shutdown.
 //!
 //! ## Endpoints
 //!
@@ -8,35 +8,42 @@
 //! | `POST /sessions` | [`SessionSpec`] | create session (runs the baseline probe; resolves the warm-start source) |
 //! | `GET /sessions` | — | list all sessions |
 //! | `GET /sessions/{id}` | — | full detail incl. recommendation |
-//! | `POST /sessions/{id}/advance` | `{"steps": N}` | run N evaluations on the session's shard (429 when the shard queue is full) |
+//! | `POST /sessions/{id}/advance` | `{"steps": N}` | run N evaluations on the worker pool (429 when its queue is full) |
 //! | `POST /sessions/{id}/cancel` | — | cancel the session |
 //! | `GET /sessions/{id}/csv` | — | observation history as CSV |
 //! | `GET /metrics` | — | [`MetricsReport`] |
 //! | `GET /healthz` | — | liveness probe |
 //! | `POST /shutdown` | — | request graceful shutdown |
 //!
-//! ## Sharding
+//! ## One index, one pool, a published view
 //!
-//! Sessions hash onto `shards` independent shards
-//! (`splitmix64(id) % shards`), each with its own session index and its
-//! own bounded [`Scheduler`]. Unrelated sessions therefore never contend
-//! on a lock: a slow advance in one shard cannot delay lookups, creates,
-//! or advances in another. `/metrics` reports per-shard queue depths.
+//! Sessions live in one index and advance on one bounded [`Scheduler`].
+//! Each session carries a **gate** mutex beside its session mutex. Under
+//! the gate sits the session's *view* — status, evaluation count, best
+//! runtime, recommendation, drift epoch and events, surrogate stats, the
+//! last durability ticket and the last driver failure — republished
+//! after every step and every other change. Listing, detail, `/metrics`
+//! and advance waiters read only the view and the session's fixed
+//! metadata, so they never wait for a step in flight. Only the driver
+//! job touches a session while it runs; the two requests that need the
+//! live session (cancel and CSV export) hand their work to the driver,
+//! which runs it at its next step boundary, or run it themselves when no
+//! driver runs. The gate is always taken before the session.
 //!
 //! ## Advance coalescing
 //!
 //! Concurrent `POST /sessions/{id}/advance` calls on the *same* session
 //! do not queue one scheduler job each (they would serialize on the
-//! session mutex anyway, wasting queue slots and worker threads).
-//! Instead each session carries an **advance gate** holding an absolute
-//! evaluation-count watermark: a request raises the watermark to
-//! `min(current + steps, budget)` and exactly one **driver job** runs
-//! evaluations until the (possibly re-raised) watermark is reached, while
-//! every other request just waits on the gate's condvar. Each waiter
-//! returns once the session reaches *its* watermark, reporting the
-//! evaluations that ran on its watch. Determinism is unaffected: the
-//! split-RNG scheme (see [`crate::session`]) makes the observation stream
-//! a pure function of (seed, step), however advances are batched.
+//! session anyway, wasting queue slots and worker threads). Instead the
+//! gate holds an absolute evaluation-count watermark: a request raises
+//! the watermark to `min(current + steps, budget)` and exactly one
+//! **driver job** runs evaluations until the (possibly re-raised)
+//! watermark is reached, while every other request just waits on the
+//! gate's condvar. Each waiter returns once the session reaches *its*
+//! watermark, reporting the evaluations that ran on its watch.
+//! Determinism is unaffected: the split-RNG scheme (see
+//! [`crate::session`]) makes the observation stream a pure function of
+//! (seed, step), however advances are batched.
 //!
 //! Every session mutation is WAL-logged before it is acknowledged (at the
 //! configured durability — see [`crate::wal`] and [`crate::group`]), so
@@ -51,17 +58,17 @@ use crate::metrics::{
 };
 use crate::repo::{SessionMeta, SessionRepository};
 use crate::scheduler::{lock, Scheduler};
-use crate::session::{baseline_probe, splitmix64, LiveSession};
+use crate::session::{baseline_probe, LiveSession};
 use crate::spec::{build_objective, SessionSpec};
 use crate::wal::{self, Durability, SessionStatus, WalSink, DEFAULT_SNAPSHOT_EVERY};
 use crate::{ServeError, ServeResult};
-use autotune_core::{history_to_csv, Recommendation, SessionId};
+use autotune_core::{history_to_csv, Recommendation, SessionId, SurrogateStats};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -70,14 +77,12 @@ use std::time::Duration;
 pub struct DaemonConfig {
     /// Root of the persistent session repository.
     pub data_dir: PathBuf,
-    /// Worker threads executing session jobs, **per shard**.
+    /// Worker threads executing session jobs.
     pub workers: usize,
-    /// Max queued (not yet running) jobs before 429, **per shard**.
+    /// Max queued (not yet running) jobs before 429.
     pub queue_cap: usize,
     /// Snapshot-compaction interval in observations.
     pub snapshot_every: usize,
-    /// Independent session shards (index + scheduler each).
-    pub shards: usize,
     /// WAL durability mode. `Flush` (default) survives a process crash
     /// with buffered per-session appends; `Fsync` additionally survives
     /// an OS crash, batching fsyncs through the shared group-commit
@@ -89,14 +94,14 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Config with defaults for everything but the data directory.
+    /// Config with defaults for everything but the data directory: one
+    /// worker per available core and a queue of 32.
     pub fn new(data_dir: impl Into<PathBuf>) -> DaemonConfig {
         DaemonConfig {
             data_dir: data_dir.into(),
-            workers: 2,
-            queue_cap: 8,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            queue_cap: 32,
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            shards: 4,
             durability: Durability::Flush,
             retain_finished: None,
         }
@@ -178,78 +183,184 @@ pub struct SessionDetail {
     pub drift_events: Vec<DriftEvent>,
 }
 
-/// Advance-coalescing state of one session (see module docs).
-struct AdvanceGate {
-    /// Absolute evaluation watermark requested so far.
-    target: usize,
-    /// Whether a driver job is scheduled or running.
-    driver: bool,
+/// What requests read of a session instead of locking it (see module
+/// docs). Republished under the gate after every change to the session;
+/// the recommendation and drift events are shared, so copying a view out
+/// costs the same at any history length.
+#[derive(Clone)]
+struct SessionView {
+    status: SessionStatus,
+    /// Observations in the history, the baseline probe included.
+    observed: usize,
+    best_runtime: Option<f64>,
+    recommendation: Option<Arc<Recommendation>>,
+    epoch: u32,
+    drift_events: Arc<[DriftEvent]>,
+    surrogate: Option<SurrogateStats>,
+    /// Durability ticket of the session's last logged record.
+    ticket: u64,
     /// Last driver failure, reported to waiters that saw no progress.
     failed: Option<String>,
-    /// Generation counter bumped (under this mutex) whenever session
-    /// state changes. Waiters sample it before reading session state and
-    /// sleep only if it is unchanged when they re-acquire the gate —
-    /// otherwise a notify landing between the session read and the wait
-    /// would be lost and every such miss costs a full `GATE_POLL`.
-    progress: u64,
+}
+
+impl SessionView {
+    fn of(session: &LiveSession) -> SessionView {
+        let mut view = SessionView {
+            status: session.status(),
+            observed: 0,
+            best_runtime: None,
+            recommendation: None,
+            epoch: 0,
+            drift_events: Arc::from([]),
+            surrogate: None,
+            ticket: 0,
+            failed: None,
+        };
+        view.refresh(session);
+        view
+    }
+
+    /// Brings the view up to date with `session`. Only the observations
+    /// since the last refresh are read, and the recommendation and drift
+    /// events are copied only when they change.
+    fn refresh(&mut self, session: &LiveSession) {
+        let all = session.history().all();
+        for obs in all.get(self.observed..).unwrap_or_default() {
+            let better = self
+                .best_runtime
+                .is_none_or(|best| obs.runtime_secs.total_cmp(&best).is_lt());
+            if !obs.failed && better {
+                self.best_runtime = Some(obs.runtime_secs);
+            }
+        }
+        self.observed = all.len();
+        self.status = session.status();
+        self.epoch = session.epoch();
+        self.surrogate = session.surrogate_stats();
+        self.ticket = session.durability_barrier().1;
+        if self.recommendation.is_none() {
+            self.recommendation = session.recommendation().cloned().map(Arc::new);
+        }
+        if self.drift_events.len() != session.drift_events().len() {
+            self.drift_events = session.drift_events().into();
+        }
+    }
+
+    /// Tuner-driven evaluations (the baseline probe is excluded).
+    fn evaluations(&self) -> usize {
+        self.observed.saturating_sub(1)
+    }
+
+    fn summary(&self, id: SessionId) -> SessionSummary {
+        SessionSummary {
+            id,
+            status: self.status.label().to_string(),
+            evaluations: self.evaluations(),
+            best_runtime: self.best_runtime,
+        }
+    }
+}
+
+/// Whether a driver job exists for a session, and whether it has started.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Driver {
+    Idle,
+    Queued,
+    Running,
+}
+
+/// Work a request hands to the running driver, run on the live session
+/// at the driver's next step boundary.
+type Errand = Box<dyn FnOnce(&mut LiveSession) + Send>;
+
+/// A session's gate: its published view plus advance coalescing.
+struct Gate {
+    view: SessionView,
+    /// Absolute evaluation watermark requested so far.
+    target: usize,
+    driver: Driver,
     /// Lowest evaluation watermark any current waiter is sleeping for
     /// (`usize::MAX` when nobody waits). The driver notifies only when
     /// the count crosses it — waking every waiter after every single
     /// evaluation just burns the core they are all sharing. Reset to MAX
     /// on each notify; surviving waiters re-arm when they re-check.
     watch: usize,
+    /// Work queued for the running driver's next step boundary.
+    errands: Vec<Errand>,
 }
 
-/// One session as held by a shard: the session itself plus its gate.
+/// One session in the index.
 struct SessionEntry {
+    /// The session's metadata; fixed for its lifetime.
+    meta: SessionMeta,
+    /// The session's directory, for WAL sizes.
+    dir: PathBuf,
+    /// The sink the session logs through, for durability waits.
+    sink: WalSink,
+    /// The live session: locked by its driver, or with the gate held.
     session: Mutex<LiveSession>,
-    /// Requests waiting for `session` through [`SessionEntry::request_lock`].
-    /// The advance driver yields (up to [`HANDOFF_YIELDS`] times) before
-    /// its next step while this is non-zero: a mutex gives no hand-off, so
-    /// a driver re-locking right after each step could keep an inspector
-    /// waiting for the whole advance instead of one step.
-    waiting: AtomicUsize,
-    gate: Mutex<AdvanceGate>,
+    gate: Mutex<Gate>,
     gate_cv: Condvar,
 }
 
 impl SessionEntry {
-    fn new(session: LiveSession) -> Arc<SessionEntry> {
+    fn new(session: LiveSession, dir: PathBuf) -> Arc<SessionEntry> {
         Arc::new(SessionEntry {
-            session: Mutex::new(session),
-            waiting: AtomicUsize::new(0),
-            gate: Mutex::new(AdvanceGate {
+            meta: session.meta.clone(),
+            dir,
+            sink: session.durability_barrier().0,
+            gate: Mutex::new(Gate {
+                view: SessionView::of(&session),
                 target: 0,
-                driver: false,
-                failed: None,
-                progress: 0,
+                driver: Driver::Idle,
                 watch: usize::MAX,
+                errands: Vec::new(),
             }),
+            session: Mutex::new(session),
             gate_cv: Condvar::new(),
         })
     }
 
-    /// Locks the session for a request handler (inspection, cancel, an
-    /// advance reading its progress), announcing the wait so a running
-    /// driver lets the request in at its next step boundary.
-    fn request_lock(&self) -> MutexGuard<'_, LiveSession> {
-        self.waiting.fetch_add(1, Ordering::SeqCst);
-        let session = lock(&self.session);
-        self.waiting.fetch_sub(1, Ordering::SeqCst);
-        session
+    /// A copy of the session's published view.
+    fn view(&self) -> SessionView {
+        lock(&self.gate).view.clone()
     }
-}
 
-/// One shard: an independent session index + worker pool.
-struct Shard {
-    sessions: Mutex<BTreeMap<SessionId, Arc<SessionEntry>>>,
-    scheduler: Scheduler,
+    /// Runs `work` on the live session: at the running driver's next step
+    /// boundary, or here with the gate held when no driver runs. The view
+    /// is republished after the work and waiters are woken.
+    fn with_session<T: Send + 'static>(&self, work: fn(&mut LiveSession) -> T) -> T {
+        loop {
+            let mut gate = lock(&self.gate);
+            if gate.driver != Driver::Running {
+                let mut session = lock(&self.session);
+                let out = work(&mut session);
+                gate.view.refresh(&session);
+                gate.watch = usize::MAX;
+                drop(session);
+                drop(gate);
+                self.gate_cv.notify_all();
+                return out;
+            }
+            let (tx, rx) = mpsc::channel();
+            gate.errands.push(Box::new(move |session| {
+                let _ = tx.send(work(session));
+            }));
+            drop(gate);
+            if let Ok(out) = rx.recv() {
+                return out;
+            }
+            // The driver died before the boundary and dropped the errand;
+            // no driver runs now, so the next round does the work here.
+        }
+    }
 }
 
 struct DaemonState {
     repo: SessionRepository,
     config: DaemonConfig,
-    shards: Vec<Shard>,
+    sessions: Mutex<BTreeMap<SessionId, Arc<SessionEntry>>>,
+    scheduler: Scheduler,
     group: Option<Arc<GroupCommitWal>>,
     endpoint_stats: EndpointHistograms,
     /// Durations of advance steps that performed a full surrogate
@@ -264,20 +375,24 @@ struct DaemonState {
 }
 
 impl DaemonState {
-    fn shard_index(&self, id: SessionId) -> usize {
-        (splitmix64(id.value()) % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, id: SessionId) -> &Shard {
-        &self.shards[self.shard_index(id)]
-    }
-
     /// The WAL sink new and recovered sessions write through.
     fn sink(&self) -> WalSink {
         match &self.group {
             Some(g) => WalSink::Group(Arc::clone(g)),
             None => WalSink::Direct(self.config.durability),
         }
+    }
+
+    /// Adds a session to the index.
+    fn insert(&self, session: LiveSession) {
+        let id = session.meta.id;
+        let entry = SessionEntry::new(session, self.repo.session_dir(id));
+        lock(&self.sessions).insert(id, entry);
+    }
+
+    /// Every indexed session, ascending id, without holding the index.
+    fn entries(&self) -> Vec<Arc<SessionEntry>> {
+        lock(&self.sessions).values().cloned().collect()
     }
 }
 
@@ -393,14 +508,6 @@ impl Daemon {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
 
-        let nshards = config.shards.max(1);
-        let shards: Vec<Shard> = (0..nshards)
-            .map(|_| Shard {
-                sessions: Mutex::new(BTreeMap::new()),
-                scheduler: Scheduler::new(config.workers, config.queue_cap),
-            })
-            .collect();
-
         let id_hwm = recovered
             .iter()
             .map(|(id, _)| id.value())
@@ -408,8 +515,9 @@ impl Daemon {
             .unwrap_or(0);
         let state = Arc::new(DaemonState {
             repo,
+            sessions: Mutex::new(BTreeMap::new()),
+            scheduler: Scheduler::new(config.workers, config.queue_cap),
             config,
-            shards,
             group,
             endpoint_stats: EndpointHistograms::default(),
             fit_stats: LatencyHistogram::default(),
@@ -417,9 +525,9 @@ impl Daemon {
             id_hwm: AtomicU64::new(id_hwm),
             shutdown: AtomicBool::new(false),
         });
-        for (id, mut session) in recovered {
+        for (_, mut session) in recovered {
             session.set_sink(state.sink());
-            lock(&state.shard(id).sessions).insert(id, SessionEntry::new(session));
+            state.insert(session);
         }
 
         let accept_state = Arc::clone(&state);
@@ -453,18 +561,15 @@ impl Daemon {
             let _ = TcpStream::connect(self.addr);
             let _ = handle.join();
         }
-        for shard in &self.state.shards {
-            shard.scheduler.shutdown();
-        }
+        self.state.scheduler.shutdown();
         if let Some(group) = &self.state.group {
             group.shutdown();
         }
-        for shard in &self.state.shards {
-            let sessions = lock(&shard.sessions);
-            for entry in sessions.values() {
-                let _ = lock(&entry.session).write_snapshot();
-                entry.gate_cv.notify_all();
-            }
+        for entry in self.state.entries() {
+            let gate = lock(&entry.gate);
+            let _ = lock(&entry.session).write_snapshot();
+            drop(gate);
+            entry.gate_cv.notify_all();
         }
     }
 }
@@ -635,7 +740,7 @@ fn parse_id(raw: &str) -> ServeResult<SessionId> {
 }
 
 fn find_session(state: &DaemonState, id: SessionId) -> ServeResult<Arc<SessionEntry>> {
-    lock(&state.shard(id).sessions)
+    lock(&state.sessions)
         .get(&id)
         .cloned()
         .ok_or_else(|| ServeError::NotFound(format!("session {id}")))
@@ -648,9 +753,9 @@ fn create_session(state: &Arc<DaemonState>, request: &Request) -> ServeResult<Re
     let spec: SessionSpec = request.json()?;
     spec.validate()?;
 
-    // Serialize id allocation + directory creation (not the whole session
-    // index: creates in different shards proceed while lookups continue).
-    let _create_guard = lock(&state.create_lock);
+    // Serialize id allocation + directory creation (not the session
+    // index: lookups continue while a create runs).
+    let create_guard = lock(&state.create_lock);
     let id = {
         // Retention may have deleted the highest-numbered directory; the
         // in-memory high-water mark keeps ids monotonic regardless.
@@ -684,81 +789,78 @@ fn create_session(state: &Arc<DaemonState>, request: &Request) -> ServeResult<Re
         warm_source,
         created_unix_ms: now_unix_ms(),
     };
-    let session = LiveSession::create_with(
+    let created = LiveSession::create_with(
         &state.repo,
         meta,
         warm_obs,
         state.config.snapshot_every,
         state.sink(),
-    )?;
+    );
+    // The create lock's job (id allocation + directory creation) is done;
+    // holding it across the group sync would serialize every create
+    // behind one fdatasync.
+    drop(create_guard);
+    // A create that fails once its directory exists takes the directory
+    // with it: no client holds the id, so a restart must not find the
+    // session either. (A conflict means the directory is another's.)
+    let discard = |e: ServeError| {
+        if !matches!(e, ServeError::Conflict(_)) {
+            let _ = state.repo.delete_session(id);
+        }
+        e
+    };
+    let session = created.map_err(discard)?;
+    // Commit point: the 201 promises the session (and its probe record)
+    // survives a crash, so wait for the group journal before responding
+    // and before the session joins the index.
+    let (sink, ticket) = session.durability_barrier();
+    sink.wait_durable(ticket).map_err(discard)?;
     let response = CreateResponse {
         id,
         warm_source,
         baseline_runtime: probe.runtime_secs,
         status: session.status().label().to_string(),
     };
-    // Commit point: the 201 promises the session (and its probe record)
-    // survives a crash, so wait for the group journal before responding.
-    // The create lock's job (id allocation + directory creation) is done
-    // once the entry is registered; holding it across the group sync
-    // would serialize every create behind one fdatasync.
-    let (sink, ticket) = session.durability_barrier();
-    lock(&state.shard(id).sessions).insert(id, SessionEntry::new(session));
-    drop(_create_guard);
-    sink.wait_durable(ticket)?;
+    state.insert(session);
     Ok(Response::json(201, &response))
 }
 
 fn list_sessions(state: &DaemonState) -> ServeResult<Response> {
-    let mut rows: Vec<SessionSummary> = Vec::new();
-    for shard in &state.shards {
-        let sessions = lock(&shard.sessions);
-        rows.extend(sessions.values().map(|entry| {
-            let s = entry.request_lock();
-            SessionSummary {
-                id: s.meta.id,
-                status: s.status().label().to_string(),
-                evaluations: s.evaluations(),
-                best_runtime: s.best_runtime(),
-            }
-        }));
-    }
-    rows.sort_by_key(|r| r.id);
+    let rows: Vec<SessionSummary> = state
+        .entries()
+        .iter()
+        .map(|entry| entry.view().summary(entry.meta.id))
+        .collect();
     Ok(Response::json(200, &rows))
 }
 
 fn session_detail(state: &DaemonState, id: SessionId) -> ServeResult<Response> {
     let entry = find_session(state, id)?;
-    let s = entry.request_lock();
+    let view = entry.view();
+    let meta = &entry.meta;
     let detail = SessionDetail {
-        id: s.meta.id,
-        spec: s.meta.spec.clone(),
-        status: s.status().label().to_string(),
-        evaluations: s.evaluations(),
-        remaining_budget: s.meta.spec.budget.saturating_sub(s.evaluations()),
-        best_runtime: s.best_runtime(),
-        warm_source: s.meta.warm_source,
-        recommendation: s.recommendation().cloned(),
-        epoch: s.epoch(),
-        drift_events: s.drift_events().to_vec(),
+        id,
+        spec: meta.spec.clone(),
+        status: view.status.label().to_string(),
+        evaluations: view.evaluations(),
+        remaining_budget: meta.spec.budget.saturating_sub(view.evaluations()),
+        best_runtime: view.best_runtime,
+        warm_source: meta.warm_source,
+        recommendation: view.recommendation.as_deref().cloned(),
+        epoch: view.epoch,
+        drift_events: view.drift_events.to_vec(),
     };
     Ok(Response::json(200, &detail))
 }
 
-/// How often a waiter rechecks session state — a backstop against a
-/// missed notification; the driver notifies after every evaluation.
+/// How often a waiter rechecks the view — a backstop for daemon
+/// shutdown, which sets its flag without taking any gate.
 const GATE_POLL: Duration = Duration::from_millis(50);
-
-/// How many times the advance driver yields to waiting requests before
-/// its next step: enough for a request woken by the unlock to take the
-/// session lock, bounded so that requests that keep arriving cannot stall
-/// the driver.
-const HANDOFF_YIELDS: usize = 64;
 
 /// Clears a session's driver flag if the driver job never reaches its
 /// own hand-off: the queued closure was dropped unrun (scheduler
 /// shutdown, or rejection inside `submit`) or the worker panicked
-/// mid-drive. Without this, `gate.driver` stays true forever — waiters
+/// mid-drive. Without this, the driver flag stays set forever — waiters
 /// spin on the poll instead of getting their 503/partial response, and
 /// the session is wedged because no new driver can ever be submitted.
 struct DriverGuard {
@@ -783,11 +885,13 @@ impl Drop for DriverGuard {
             return;
         }
         let mut gate = lock(&self.entry.gate);
-        gate.driver = false;
-        if std::thread::panicking() && gate.failed.is_none() {
-            gate.failed = Some("driver job panicked".to_string());
+        gate.driver = Driver::Idle;
+        if std::thread::panicking() && gate.view.failed.is_none() {
+            gate.view.failed = Some("driver job panicked".to_string());
         }
-        gate.progress = gate.progress.wrapping_add(1);
+        // Dropping the errands wakes their requests, which then run the
+        // work themselves.
+        gate.errands.clear();
         gate.watch = usize::MAX;
         drop(gate);
         self.entry.gate_cv.notify_all();
@@ -805,126 +909,78 @@ fn advance_session(
     }
     let entry = find_session(state, id)?;
 
-    let (start_evals, budget, finished) = {
-        let s = entry.request_lock();
-        // Advancing a cancelled session is a conflict. Advancing a
-        // *finished* one is not: budget exhaustion is the natural end of
-        // the very operation being requested, and under concurrent
-        // advances "finished before my request was checked" vs "finished
-        // while I waited" is a pure race — both must answer identically
-        // (200, final state, `ran: 0` for the latecomer) or the API is
-        // nondeterministic under load.
-        if s.status() == SessionStatus::Cancelled {
-            return Err(ServeError::Conflict(format!(
-                "session {} is cancelled",
-                s.meta.id
-            )));
-        }
-        (
-            s.evaluations(),
-            s.meta.spec.budget,
-            s.status().is_terminal(),
-        )
-    };
-    let my_target = (start_evals + body.steps).min(budget);
-
-    // Raise the gate; become the driver only if no driver is active. A
+    let mut gate = lock(&entry.gate);
+    // Advancing a cancelled session is a conflict. Advancing a *finished*
+    // one is not: budget exhaustion is the natural end of the very
+    // operation being requested, and under concurrent advances "finished
+    // before my request was checked" vs "finished while I waited" is a
+    // pure race — both must answer identically (200, final state,
+    // `ran: 0` for the latecomer) or the API is nondeterministic under
+    // load.
+    if gate.view.status == SessionStatus::Cancelled {
+        return Err(ServeError::Conflict(format!("session {id} is cancelled")));
+    }
+    let start_evals = gate.view.evaluations();
+    let my_target = (start_evals + body.steps).min(entry.meta.spec.budget);
+    // Raise the gate; become the driver only if no driver exists. A
     // finished session needs no driver: the wait loop below returns its
     // final state on the first iteration.
-    let submit_driver = !finished && {
-        let mut gate = lock(&entry.gate);
-        if gate.target < my_target {
-            gate.target = my_target;
+    if !gate.view.status.is_terminal() {
+        gate.target = gate.target.max(my_target);
+        if gate.driver == Driver::Idle {
+            gate.driver = Driver::Queued;
+            gate.view.failed = None;
+            drop(gate);
+            let job_state = Arc::clone(state);
+            // The guard travels inside the closure: if the job is
+            // rejected here (queue full → 429, the closure is dropped
+            // before `submit` returns), dropped from the queue at
+            // shutdown, or its worker panics, the guard's Drop resets the
+            // gate and wakes waiters — only a driver that runs may hand
+            // off itself.
+            let guard = DriverGuard::new(Arc::clone(&entry));
+            state
+                .scheduler
+                .submit(move || drive_session(&job_state, guard))?;
+            gate = lock(&entry.gate);
         }
-        if gate.driver {
-            false
-        } else {
-            gate.driver = true;
-            gate.failed = None;
-            true
-        }
-    };
-    if submit_driver {
-        let job_state = Arc::clone(state);
-        // The guard travels inside the closure: if the job is rejected
-        // here, dropped from the queue at shutdown, or its worker
-        // panics, the guard's Drop clears the driver flag and wakes
-        // waiters — only a driver that runs may hand off itself.
-        let guard = DriverGuard::new(Arc::clone(&entry));
-        // On rejection (queue full → 429) submit drops the closure before
-        // returning, so the guard has already reset the gate.
-        state
-            .shard(id)
-            .scheduler
-            .submit(move || drive_session(&job_state, guard))?;
     }
 
-    // Wait for the session to reach *our* watermark (or stop early).
+    // Wait for the session to reach *our* watermark (or stop early). The
+    // view is read and the wait begins under the same gate lock, so no
+    // notify can slip in between.
     loop {
-        // Sample the gate generation *before* the session read: any
-        // evaluation landing after this point bumps it under the gate
-        // mutex, so the wait below cannot miss it.
-        let seen = lock(&entry.gate).progress;
-        let (evals, status, best, barrier) = {
-            let s = entry.request_lock();
-            (
-                s.evaluations(),
-                s.status(),
-                s.best_runtime(),
-                s.durability_barrier(),
-            )
-        };
-        if evals >= my_target || status.is_terminal() {
+        let view = &gate.view;
+        let ran = view
+            .evaluations()
+            .saturating_sub(start_evals)
+            .min(body.steps);
+        let reached = view.evaluations() >= my_target || view.status.is_terminal();
+        let stopped = gate.driver == Driver::Idle || state.shutdown.load(Ordering::SeqCst);
+        if reached || (stopped && ran > 0) {
             // Commit point: every observation this response reports must
-            // be durable before the client hears about it. The wait runs
-            // outside the session lock so the driver keeps evaluating.
-            let (sink, ticket) = barrier;
-            sink.wait_durable(ticket)?;
-            let ran = evals.saturating_sub(start_evals).min(body.steps);
-            return Ok(Response::json(
-                200,
-                &AdvanceResponse {
-                    id,
-                    ran,
-                    evaluations: evals,
-                    status: status.label().to_string(),
-                    best_runtime: best,
-                },
-            ));
-        }
-        let mut gate = lock(&entry.gate);
-        if gate.progress != seen {
-            // Steps landed (or the driver stepped down) since the sample:
-            // `evals` may be stale — e.g. the driver reached our watermark
-            // and stepped down between the session read and this lock.
-            // Re-read before judging the driver's absence or waiting.
-            continue;
-        }
-        if !gate.driver || state.shutdown.load(Ordering::SeqCst) {
-            // The driver stopped short of our watermark (scheduler
-            // shutdown, a dropped or panicked driver job, a WAL failure)
-            // — or the daemon is shutting down, in which case waiting
-            // further is pointless: the driver stops at its next step
-            // boundary anyway.
-            let failed = gate.failed.clone();
+            // be durable before the client hears about it. Partial
+            // progress — the driver stopped short of our watermark — is
+            // still progress and is reported the same way.
+            let reply = AdvanceResponse {
+                id,
+                ran,
+                evaluations: view.evaluations(),
+                status: view.status.label().to_string(),
+                best_runtime: view.best_runtime,
+            };
+            let ticket = view.ticket;
             drop(gate);
-            let ran = evals.saturating_sub(start_evals).min(body.steps);
-            if ran > 0 {
-                // Partial progress is still progress; report it (durably).
-                let (sink, ticket) = barrier;
-                sink.wait_durable(ticket)?;
-                return Ok(Response::json(
-                    200,
-                    &AdvanceResponse {
-                        id,
-                        ran,
-                        evaluations: evals,
-                        status: status.label().to_string(),
-                        best_runtime: best,
-                    },
-                ));
-            }
-            return match failed {
+            entry.sink.wait_durable(ticket)?;
+            return Ok(Response::json(200, &reply));
+        }
+        if stopped {
+            // The driver stopped short of our watermark with nothing run
+            // (scheduler shutdown, a dropped or panicked driver job, a WAL
+            // failure) — or the daemon is shutting down, in which case
+            // waiting further is pointless: the driver stops at its next
+            // step boundary anyway.
+            return match gate.view.failed.clone() {
                 Some(msg) => Err(ServeError::Io(std::io::Error::other(msg))),
                 None => Ok(Response::text(503, "daemon is shutting down\n")),
             };
@@ -932,103 +988,85 @@ fn advance_session(
         // Arm the wake watermark: the driver notifies once the count
         // crosses the lowest armed target (GATE_POLL is the backstop).
         gate.watch = gate.watch.min(my_target);
-        let gate = entry
+        gate = entry
             .gate_cv
             .wait_timeout(gate, GATE_POLL)
             .map(|(g, _)| g)
             .unwrap_or_else(|poison| poison.into_inner().0);
-        drop(gate);
     }
 }
 
 /// The single driver job for one session: runs evaluations until the
-/// gate's watermark (re-read after reaching it, so watermarks raised
+/// gate's watermark (re-read at every step boundary, so watermarks raised
 /// mid-run extend the same job), the session turns terminal, or shutdown.
-/// Owns the [`DriverGuard`]: the normal hand-off below disarms it; every
-/// abnormal exit (panic, never ran) leaves it armed so its Drop resets
-/// the gate.
+/// At each boundary it runs the errands requests left on the gate and
+/// republishes the view. Owns the [`DriverGuard`]: the normal hand-off
+/// below disarms it; every abnormal exit (panic, never ran) leaves it
+/// armed so its Drop resets the gate.
 fn drive_session(state: &Arc<DaemonState>, mut guard: DriverGuard) {
     let entry = Arc::clone(&guard.entry);
+    lock(&entry.gate).driver = Driver::Running;
     let mut failure: Option<String> = None;
-    let mut finished_terminal = false;
     loop {
-        let target = lock(&entry.gate).target;
-        loop {
-            if state.shutdown.load(Ordering::SeqCst) || failure.is_some() {
-                break;
-            }
-            for _ in 0..HANDOFF_YIELDS {
-                if entry.waiting.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            let mut s = lock(&entry.session);
-            if s.status().is_terminal() || s.evaluations() >= target {
-                finished_terminal = s.status().is_terminal();
-                break;
-            }
-            // One evaluation per lock hold, and a yield to waiting
-            // requests before the next: inspection endpoints and cancel
-            // stay responsive during a long advance.
-            let fits_before = s.surrogate_stats().map_or(0, |st| st.fits);
-            // lint:allow(wall-clock) step duration feeds the surrogate-fit /metrics histogram only, never a tuning decision
-            let step_start = std::time::Instant::now();
-            if let Err(e) = s.advance(1) {
-                failure = Some(e.to_string());
-            }
-            let stats_after = s.surrogate_stats();
-            if stats_after.map_or(0, |st| st.fits) > fits_before {
-                // Attribute the step to the fit histogram only when this
-                // advance actually re-searched hyper-parameters.
-                let micros = u64::try_from(step_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                state.fit_stats.record_micros(micros);
-            }
-            let evals = s.evaluations();
-            let terminal = s.status().is_terminal();
-            drop(s);
-            let mut gate = lock(&entry.gate);
-            gate.progress = gate.progress.wrapping_add(1);
-            // Wake waiters only when one of them can actually return:
-            // their lowest armed watermark was crossed, the session went
-            // terminal, or the step failed.
-            let wake = terminal || failure.is_some() || evals >= gate.watch;
-            if wake {
-                gate.watch = usize::MAX;
-            }
-            drop(gate);
-            if wake {
-                entry.gate_cv.notify_all();
-            }
-        }
-        // Hand off under the gate lock: either the watermark was raised
-        // while we were finishing (keep driving) or we step down.
+        // Step boundary, gate before session.
         let mut gate = lock(&entry.gate);
-        let done = failure.is_some() || state.shutdown.load(Ordering::SeqCst) || {
-            let s = lock(&entry.session);
-            s.status().is_terminal() || s.evaluations() >= gate.target
-        };
-        if done {
-            gate.driver = false;
-            gate.failed = failure.take();
-            gate.progress = gate.progress.wrapping_add(1);
-            gate.watch = usize::MAX;
-            guard.disarm();
-            drop(gate);
-            entry.gate_cv.notify_all();
-            break;
+        let mut session = lock(&entry.session);
+        for errand in std::mem::take(&mut gate.errands) {
+            errand(&mut session);
         }
-    }
-    if finished_terminal {
-        if let Some(retain) = state.config.retain_finished {
-            enforce_retention(state, retain);
+        gate.view.refresh(&session);
+        drop(session);
+        let view = &gate.view;
+        let terminal = view.status.is_terminal();
+        let done = terminal
+            || failure.is_some()
+            || state.shutdown.load(Ordering::SeqCst)
+            || view.evaluations() >= gate.target;
+        // Wake waiters only when one of them can actually return: their
+        // lowest armed watermark was crossed, or the driver stops.
+        let wake = done || view.evaluations() >= gate.watch;
+        if wake {
+            gate.watch = usize::MAX;
+        }
+        if done {
+            // Hand off under the gate lock: a watermark raised from here
+            // on finds no driver and submits a new one.
+            gate.driver = Driver::Idle;
+            gate.view.failed = failure.take();
+            guard.disarm();
+        }
+        drop(gate);
+        if wake {
+            entry.gate_cv.notify_all();
+        }
+        if done {
+            if terminal {
+                if let Some(retain) = state.config.retain_finished {
+                    enforce_retention(state, retain);
+                }
+            }
+            return;
+        }
+
+        let mut session = lock(&entry.session);
+        let fits_before = session.surrogate_stats().map_or(0, |st| st.fits);
+        // lint:allow(wall-clock) step duration feeds the surrogate-fit /metrics histogram only, never a tuning decision
+        let step_start = std::time::Instant::now();
+        if let Err(e) = session.advance(1) {
+            failure = Some(e.to_string());
+        }
+        if session.surrogate_stats().map_or(0, |st| st.fits) > fits_before {
+            // Attribute the step to the fit histogram only when this
+            // advance actually re-searched hyper-parameters.
+            let micros = u64::try_from(step_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+            state.fit_stats.record_micros(micros);
         }
     }
 }
 
 /// Applies the retention cap after a session turned terminal: evicts the
 /// oldest terminal session directories (protecting warm-start sources)
-/// and drops the evicted sessions from their shards.
+/// and drops the evicted sessions from the index.
 fn enforce_retention(state: &Arc<DaemonState>, retain: usize) {
     let evicted = match state.repo.enforce_retention(retain) {
         Ok(ids) => ids,
@@ -1037,65 +1075,47 @@ fn enforce_retention(state: &Arc<DaemonState>, retain: usize) {
             return;
         }
     };
+    let mut sessions = lock(&state.sessions);
     for id in evicted {
-        lock(&state.shard(id).sessions).remove(&id);
+        sessions.remove(&id);
     }
 }
 
 fn cancel_session(state: &DaemonState, id: SessionId) -> ServeResult<Response> {
     let entry = find_session(state, id)?;
-    let mut s = entry.request_lock();
-    s.cancel()?;
-    let summary = SessionSummary {
-        id,
-        status: s.status().label().to_string(),
-        evaluations: s.evaluations(),
-        best_runtime: s.best_runtime(),
-    };
-    let barrier = s.durability_barrier();
-    drop(s);
-    let mut gate = lock(&entry.gate);
-    gate.progress = gate.progress.wrapping_add(1);
-    gate.watch = usize::MAX;
-    drop(gate);
-    entry.gate_cv.notify_all();
-    // Commit point: the 200 promises the cancellation survives a crash,
-    // so wait for the Cancelled record's group journal sync (outside the
-    // session lock) exactly as create and advance do for theirs.
-    let (sink, ticket) = barrier;
-    sink.wait_durable(ticket)?;
-    Ok(Response::json(200, &summary))
+    entry.with_session(LiveSession::cancel)?;
+    // The view was republished with the cancellation before the work
+    // returned. Commit point: the 200 promises the cancellation survives
+    // a crash, so wait for the Cancelled record's group journal sync
+    // (outside any lock) exactly as create and advance do for theirs.
+    let view = entry.view();
+    entry.sink.wait_durable(view.ticket)?;
+    Ok(Response::json(200, &view.summary(id)))
 }
 
 fn export_csv(state: &DaemonState, id: SessionId) -> ServeResult<Response> {
     let entry = find_session(state, id)?;
-    let s = entry.request_lock();
-    Ok(Response::csv(history_to_csv(s.history(), s.space())))
+    let csv = entry.with_session(|s| history_to_csv(s.history(), s.space()));
+    Ok(Response::csv(csv))
 }
 
 fn metrics(state: &DaemonState) -> ServeResult<Response> {
-    let mut rows: Vec<SessionMetrics> = Vec::new();
-    for shard in &state.shards {
-        let sessions = lock(&shard.sessions);
-        rows.extend(sessions.values().map(|entry| {
-            let s = entry.request_lock();
-            SessionMetrics {
-                id: s.meta.id,
-                status: s.status().label().to_string(),
-                evaluations: s.evaluations(),
-                best_runtime: s.best_runtime(),
-                wal_bytes: s.wal_bytes(),
-                surrogate: s.surrogate_stats(),
-                drift_epoch: s.epoch(),
-                drifts: s.drift_events().len(),
-            }
-        }));
-    }
-    rows.sort_by_key(|r| r.id);
-    let shard_queue_depths: Vec<usize> = state
-        .shards
+    let rows: Vec<SessionMetrics> = state
+        .entries()
         .iter()
-        .map(|s| s.scheduler.queue_depth())
+        .map(|entry| {
+            let view = entry.view();
+            SessionMetrics {
+                id: entry.meta.id,
+                status: view.status.label().to_string(),
+                evaluations: view.evaluations(),
+                best_runtime: view.best_runtime,
+                wal_bytes: wal::wal_bytes(&entry.dir),
+                surrogate: view.surrogate,
+                drift_epoch: view.epoch,
+                drifts: view.drift_events.len(),
+            }
+        })
         .collect();
     // In group mode records live in the shared journal, not per-session
     // WAL files, so count the journal toward the WAL byte total too.
@@ -1106,11 +1126,9 @@ fn metrics(state: &DaemonState) -> ServeResult<Response> {
         .map(|m| m.len())
         .unwrap_or(0);
     let report = MetricsReport {
-        queue_depth: shard_queue_depths.iter().sum(),
-        workers: state.config.workers * state.shards.len(),
+        queue_depth: state.scheduler.queue_depth(),
+        workers: state.config.workers.max(1),
         wal_bytes_total: rows.iter().map(|r| r.wal_bytes).sum::<u64>() + journal_bytes,
-        shards: state.shards.len(),
-        shard_queue_depths,
         durability: state.config.durability.label().to_string(),
         endpoints: state.endpoint_stats.report(),
         group_commit: state.group.as_ref().map(|g| g.stats()),

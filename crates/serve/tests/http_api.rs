@@ -295,7 +295,6 @@ fn full_queue_returns_429() {
     let mut config = DaemonConfig::new(&root);
     config.workers = 1;
     config.queue_cap = 1;
-    config.shards = 1;
     let daemon = Daemon::start("127.0.0.1:0", config).expect("start");
     let addr = daemon.addr();
 
@@ -385,7 +384,6 @@ fn concurrent_advances_on_one_session_coalesce() {
     let mut config = DaemonConfig::new(&root);
     config.workers = 1;
     config.queue_cap = 1;
-    config.shards = 1;
     let daemon = Daemon::start("127.0.0.1:0", config).expect("start");
     let addr = daemon.addr();
 
@@ -447,7 +445,6 @@ fn one_step_advances_racing_driver_step_down_never_503() {
     let root = fresh_root("step-down-race");
     let mut config = DaemonConfig::new(&root);
     config.workers = 1;
-    config.shards = 1;
     let daemon = Daemon::start("127.0.0.1:0", config).expect("start");
     let addr = daemon.addr();
     const BUDGET: usize = 600;
@@ -605,19 +602,18 @@ fn advance_after_finish_is_deterministic_200_and_cancel_still_conflicts() {
 }
 
 #[test]
-fn same_seed_same_recommendation_across_shard_configs() {
-    // The split-RNG scheme makes shard count, group-commit batching, and
-    // coalesced concurrent advances irrelevant to the outcome: the same
-    // spec + seed must produce byte-identical recommendations under
-    // radically different daemon shapes (direct appends under flush,
-    // the group journal under fsync).
+fn same_seed_same_recommendation_across_worker_configs() {
+    // The split-RNG scheme makes the worker count, group-commit batching,
+    // and coalesced concurrent advances irrelevant to the outcome: the
+    // same spec + seed must produce byte-identical recommendations under
+    // radically different daemon shapes (one worker with direct appends
+    // under flush, two workers with the group journal under fsync).
     let mut recommendations = Vec::new();
-    for (tag, shards, durability) in [("cfg-a", 1, "flush"), ("cfg-b", 4, "fsync")] {
-        let root = fresh_root(&format!("shardcfg-{tag}"));
+    for (tag, workers, durability) in [("cfg-a", 1, "flush"), ("cfg-b", 2, "fsync")] {
+        let root = fresh_root(&format!("workercfg-{tag}"));
         let mut config = DaemonConfig::new(&root);
-        config.shards = shards;
         config.durability = autotune_serve::wal::Durability::parse(durability).expect("mode");
-        config.workers = 2;
+        config.workers = workers;
         let daemon = Daemon::start("127.0.0.1:0", config).expect("start");
         let addr = daemon.addr();
 
@@ -664,15 +660,16 @@ fn same_seed_same_recommendation_across_shard_configs() {
     }
     assert_eq!(
         recommendations[0], recommendations[1],
-        "shard count, batching, and coalescing must not change the recommendation"
+        "worker count, batching, and coalescing must not change the recommendation"
     );
 }
 
 #[test]
-fn metrics_report_shards_endpoints_and_group_commit() {
+fn metrics_report_workers_endpoints_and_group_commit() {
     let root = fresh_root("metricsext");
     let mut config = DaemonConfig::new(&root);
     config.durability = autotune_serve::wal::Durability::Fsync;
+    config.workers = 3;
     let daemon = Daemon::start("127.0.0.1:0", config).expect("start");
     let addr = daemon.addr();
 
@@ -694,8 +691,8 @@ fn metrics_report_shards_endpoints_and_group_commit() {
     let (status, body) = request(addr, "GET", "/metrics", None);
     assert_eq!(status, 200);
     let report: MetricsReport = serde_json::from_str(&body).expect("metrics");
-    assert_eq!(report.shards, 4);
-    assert_eq!(report.shard_queue_depths.len(), 4);
+    assert_eq!(report.workers, 3);
+    assert_eq!(report.queue_depth, 0, "the only advance has returned");
     assert_eq!(report.durability, "fsync");
     let stats = report.group_commit.expect("group commit under fsync");
     assert!(stats.records >= 3, "probe + 2 evaluations journaled");
@@ -810,7 +807,6 @@ fn shutdown_drops_queued_driver_without_hanging_waiters() {
     let mut config = DaemonConfig::new(&root);
     config.workers = 1;
     config.queue_cap = 4;
-    config.shards = 1;
     let daemon = Daemon::start("127.0.0.1:0", config).expect("start");
     let addr = daemon.addr();
 

@@ -7,11 +7,16 @@
 //! recovers all of its sessions — concurrently where that is safe — so
 //! that each one finishes as the uninterrupted run does. A daemon whose
 //! group journal fails (it points at a full device) acknowledges nothing
-//! more, and a restart recovers exactly the acknowledged prefix.
+//! more, keeps no session it failed to create, and a restart recovers
+//! exactly the acknowledged prefix. While one worker runs a long advance,
+//! listing, detail, `/metrics` and CSV export answer, and a cancel is
+//! durable before its acknowledgement.
 
 use autotune_core::SessionId;
 use autotune_serve::repo::{SessionMeta, SessionRepository};
-use autotune_serve::server::{CreateResponse, Daemon, DaemonConfig, SessionSummary};
+use autotune_serve::server::{
+    AdvanceResponse, CreateResponse, Daemon, DaemonConfig, SessionDetail, SessionSummary,
+};
 use autotune_serve::session::LiveSession;
 use autotune_serve::spec::SessionSpec;
 use autotune_serve::wal::{
@@ -442,11 +447,12 @@ fn daemon_start_recovers_concurrently_without_losing_a_record() {
 
 /// A journal that fails on write: the group journal of a daemon points at
 /// `/dev/full` (through a symlink in the test's own directory), so its
-/// first batch fails with ENOSPC. The failure must be sticky — later
-/// appends are refused and every durability wait errors — no advance is
-/// acknowledged, and once a regular journal file is back, a restarted
-/// daemon recovers exactly the acknowledged prefix and finishes the
-/// session as an uninterrupted run does.
+/// first batch — a new session's baseline probe — fails with ENOSPC. The
+/// create answers 500 and leaves no session behind. The failure must be
+/// sticky — later appends are refused and every durability wait errors —
+/// no advance is acknowledged, and once a regular journal file is back, a
+/// restarted daemon recovers exactly the acknowledged prefix and finishes
+/// the session as an uninterrupted run does.
 #[test]
 fn a_full_journal_fails_sticky_and_recovery_keeps_the_acknowledged_prefix() {
     const ACKED: usize = 5;
@@ -483,10 +489,10 @@ fn a_full_journal_fails_sticky_and_recovery_keeps_the_acknowledged_prefix() {
     let daemon = Daemon::start("127.0.0.1:0", config.clone()).expect("restart");
     let _ = fs::remove_file(&journal);
     std::os::unix::fs::symlink("/dev/full", &journal).expect("symlink the journal");
-    let (status, reply) = advance(daemon.addr(), id, 1);
+    let (status, reply) = request(daemon.addr(), "POST", "/sessions", &body);
     assert_eq!(status, 500, "the first batch fails: {reply}");
     assert!(reply.contains("os error 28"), "ENOSPC: {reply}");
-    for steps in [1, 3] {
+    for steps in [1, 1, 3] {
         let (status, reply) = advance(daemon.addr(), id, steps);
         assert_eq!(status, 500, "the failure is sticky: {reply}");
         assert!(reply.contains("os error 28"), "{reply}");
@@ -522,4 +528,72 @@ fn a_full_journal_fails_sticky_and_recovery_keeps_the_acknowledged_prefix() {
     );
     let _ = fs::remove_dir_all(&root);
     let _ = fs::remove_dir_all(&root_ref);
+}
+
+/// One worker runs a 200-step iTuned advance. Once the session is past
+/// its initial design (at most 20 points), so that every step fits a GP,
+/// each read answers while the advance still runs, and a cancel sent mid
+/// advance is acknowledged, durable before the acknowledgement, and ends
+/// the advance with its partial progress.
+#[test]
+fn reads_and_cancel_are_served_while_an_advance_runs() {
+    const STEPS: usize = 200;
+    let (root, _repo) = fresh_repo("concurrent");
+    let mut config = DaemonConfig::new(&root);
+    config.workers = 1;
+    config.durability = Durability::Fsync;
+    let daemon = Daemon::start("127.0.0.1:0", config).expect("start");
+    let addr = daemon.addr();
+    let body = serde_json::to_string(&spec("dbms-oltp", "ituned", 41, STEPS, false)).expect("spec");
+    let (status, created) = request(addr, "POST", "/sessions", &body);
+    assert_eq!(status, 201, "{created}");
+    let id = serde_json::from_str::<CreateResponse>(&created)
+        .expect("create response")
+        .id;
+    let advance = std::thread::spawn(move || {
+        let path = format!("/sessions/{id}/advance");
+        request(addr, "POST", &path, &format!("{{\"steps\":{STEPS}}}"))
+    });
+
+    let detail = format!("/sessions/{id}");
+    loop {
+        let (status, reply) = request(addr, "GET", &detail, "");
+        assert_eq!(status, 200, "{reply}");
+        let evaluations = serde_json::from_str::<SessionDetail>(&reply)
+            .expect("detail")
+            .evaluations;
+        assert!(!advance.is_finished(), "the advance ended at {evaluations}");
+        if evaluations > 20 {
+            break;
+        }
+    }
+    let csv = format!("/sessions/{id}/csv");
+    for path in ["/sessions", detail.as_str(), "/metrics", csv.as_str()] {
+        let (status, reply) = request(addr, "GET", path, "");
+        assert_eq!(status, 200, "{path}: {reply}");
+        assert!(
+            !advance.is_finished(),
+            "GET {path} waited for the whole advance"
+        );
+    }
+
+    let (status, reply) = request(addr, "POST", &format!("/sessions/{id}/cancel"), "");
+    assert_eq!(status, 200, "{reply}");
+    let cancelled: SessionSummary = serde_json::from_str(&reply).expect("cancel summary");
+    assert_eq!(cancelled.status, "cancelled");
+    // Durable now: no shutdown, no flush, just what the 200 promised.
+    let on_disk = autotune_serve::wal::recover(&root.join(id.to_string()))
+        .expect("cancelled log durable before the 200");
+    assert!(on_disk.corruption.is_none(), "{:?}", on_disk.corruption);
+    assert_eq!(on_disk.status, SessionStatus::Cancelled);
+    assert_eq!(on_disk.observations.len(), cancelled.evaluations + 1);
+
+    let (status, reply) = advance.join().expect("advance thread");
+    assert_eq!(status, 200, "{reply}");
+    let advanced: AdvanceResponse = serde_json::from_str(&reply).expect("advance response");
+    assert_eq!(advanced.status, "cancelled", "{reply}");
+    assert!(advanced.ran > 20 && advanced.ran < STEPS, "{reply}");
+    assert_eq!(advanced.evaluations, cancelled.evaluations, "{reply}");
+    daemon.graceful_shutdown();
+    let _ = fs::remove_dir_all(&root);
 }
