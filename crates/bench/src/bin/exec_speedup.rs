@@ -1,7 +1,6 @@
 //! Proof artifact for the execution layer: measures the parallel-vs-
-//! sequential wall-clock ratio on a real Table 1 workload, checks that
-//! both paths produce identical (canonicalized) JSON, and quantifies the
-//! incremental-GP overhead win inside iTuned.
+//! sequential wall-clock ratio on a real Table 1 workload and checks that
+//! both paths produce identical (canonicalized) JSON.
 //!
 //! One Table 1 run is short enough that a single ratio is mostly noise,
 //! so the run is repeated as [`PAIRS`] sequential/parallel pairs, the
@@ -14,10 +13,7 @@
 
 use autotune_bench::exec::{canonical_rows, SessionExecutor};
 use autotune_bench::table1::{self, Table1Report};
-use autotune_core::tune;
 use autotune_math::stats::median;
-use autotune_sim::{DbmsSimulator, NoiseModel};
-use autotune_tuners::experiment::ITunedTuner;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -51,13 +47,6 @@ struct ExecSpeedupReport {
     /// Whether every pair's canonicalized parallel report is
     /// byte-identical to its sequential one.
     identical_json: bool,
-    /// iTuned tuner overhead at budget 60 with a full kernel re-search
-    /// every proposal (s).
-    gp_refit_overhead_secs: f64,
-    /// Same session with the incremental (rank-1 Cholesky) surrogate (s).
-    gp_incremental_overhead_secs: f64,
-    /// refit / incremental.
-    gp_overhead_ratio: f64,
 }
 
 /// Serializes a report with the wall-clock `overhead_secs` fields zeroed —
@@ -76,15 +65,6 @@ fn canonical_json(report: &Table1Report) -> String {
         &serde_json::to_string_pretty(&report.noise_robustness).expect("noise rows serialize"),
     );
     out
-}
-
-/// Tuner overhead of one budget-60 iTuned session; `hyper_interval = 1`
-/// restores the pre-incremental refit-every-proposal behaviour, the
-/// default (5) is what ships.
-fn ituned_overhead(tuner: ITunedTuner, budget: usize, seed: u64) -> f64 {
-    let mut sim = DbmsSimulator::oltp_default().with_noise(NoiseModel::realistic());
-    let mut tuner = tuner;
-    tune(&mut sim, &mut tuner, budget, seed).tuner_overhead_secs
 }
 
 /// Wall clock of one Table 1 run, and its canonical JSON.
@@ -127,10 +107,6 @@ fn main() {
     }
     let speedup = median(&speedups);
 
-    eprintln!("iTuned surrogate overhead (budget 60): refit-per-proposal vs incremental…");
-    let gp_refit = ituned_overhead(ITunedTuner::new().with_hyper_interval(1), 60, seed);
-    let gp_incr = ituned_overhead(ITunedTuner::new(), 60, seed);
-
     let report = ExecSpeedupReport {
         cores,
         parallel_threads,
@@ -144,9 +120,6 @@ fn main() {
         speedup_max: speedups.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         speedups,
         identical_json,
-        gp_refit_overhead_secs: gp_refit,
-        gp_incremental_overhead_secs: gp_incr,
-        gp_overhead_ratio: gp_refit / gp_incr.max(1e-9),
     };
     println!(
         "cores={} threads={} pairs={} median sequential={:.2}s parallel={:.2}s speedup={:.2}x (min {:.2}x, max {:.2}x) identical_json={}",
@@ -159,12 +132,6 @@ fn main() {
         report.speedup_min,
         report.speedup_max,
         report.identical_json,
-    );
-    println!(
-        "iTuned@60 overhead: refit-every-proposal={:.3}s incremental={:.3}s ratio={:.1}x",
-        report.gp_refit_overhead_secs,
-        report.gp_incremental_overhead_secs,
-        report.gp_overhead_ratio,
     );
     assert!(
         report.identical_json,

@@ -20,11 +20,12 @@ use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct LoadSpec {
     sessions: usize,
     budget: usize,
@@ -287,61 +288,82 @@ fn run_load(spec: &LoadSpec) -> RunResult {
     result
 }
 
-fn parse_flags(args: &[String]) -> BTreeMap<String, String> {
-    let mut flags = BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            flags.insert(key.to_string(), value);
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    flags
-}
+/// Every flag `serve_load` accepts; each takes one value.
+const FLAGS: [&str; 13] = [
+    "sessions",
+    "budget",
+    "steps",
+    "clients",
+    "system",
+    "tuner",
+    "workers",
+    "queue-cap",
+    "snapshot-every",
+    "durability",
+    "data-dir",
+    "addr",
+    "out",
+];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = parse_flags(&args);
-    let num = |key: &str, default: usize| {
-        flags
-            .get(key)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
+/// Parses the command line into the load's shape and the report name. An
+/// unknown flag, a flag without a value, a stray word, a malformed number
+/// or an unknown durability mode is an error, so a stale comparison
+/// command never silently measures a different shape.
+fn parse_args(args: &[String]) -> Result<(LoadSpec, String), String> {
+    let mut flags: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let key = arg
+            .strip_prefix("--")
+            .filter(|key| FLAGS.contains(key))
+            .ok_or_else(|| format!("unknown argument '{arg}'"))?;
+        let value = rest
+            .next()
+            .ok_or_else(|| format!("--{key} expects a value"))?;
+        flags.insert(key, value);
+    }
+    let num = |key: &str, default: usize| -> Result<usize, String> {
+        flags.get(key).map_or(Ok(default), |v| {
+            v.parse()
+                .map_err(|_| format!("--{key} expects a number, got '{v}'"))
+        })
+    };
+    let text = |key: &str, default: &str| flags.get(key).unwrap_or(&default).to_string();
+    let budget = num("budget", 4)?;
+    let durability = match flags.get("durability") {
+        Some(mode) => Durability::parse(mode).map_err(|e| e.to_string())?,
+        None => Durability::Flush,
     };
     let spec = LoadSpec {
-        sessions: num("sessions", 64),
-        budget: num("budget", 4),
-        steps: num("steps", 2),
-        clients: num("clients", 16),
-        system: flags
-            .get("system")
-            .cloned()
-            .unwrap_or_else(|| "dbms-oltp".to_string()),
-        tuner: flags
-            .get("tuner")
-            .cloned()
-            .unwrap_or_else(|| "random".to_string()),
-        workers: num("workers", 4).max(1),
-        queue_cap: num("queue-cap", 32).max(1),
+        sessions: num("sessions", 64)?,
+        budget,
+        steps: num("steps", 2)?,
+        clients: num("clients", 16)?,
+        system: text("system", "dbms-oltp"),
+        tuner: text("tuner", "random"),
+        workers: num("workers", 4)?.max(1),
+        queue_cap: num("queue-cap", 32)?.max(1),
         // Default: compact only at session finish. Mid-run snapshot
         // cadence (un-batched fsyncs on the worker thread) is a
         // recovery-cost knob, not an append cost; keep it out of the
         // append-path measurement by default.
-        snapshot_every: num("snapshot-every", num("budget", 4)).max(1),
-        durability: flags
-            .get("durability")
-            .map(|m| Durability::parse(m).expect("--durability flush|fsync"))
-            .unwrap_or(Durability::Flush),
-        data_dir: flags.get("data-dir").cloned(),
-        addr: flags.get("addr").cloned(),
+        snapshot_every: num("snapshot-every", budget)?.max(1),
+        durability,
+        data_dir: flags.get("data-dir").map(|d| d.to_string()),
+        addr: flags.get("addr").map(|a| a.to_string()),
     };
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "serve_load".to_string());
+    Ok((spec, text("out", "serve_load")))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (spec, out) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("serve_load: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let run = run_load(&spec);
     println!(
@@ -372,4 +394,64 @@ fn main() {
     };
     autotune_bench::write_json(&out, &report);
     eprintln!("wrote bench_results/{out}.json");
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(LoadSpec, String), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn every_flag_sets_its_value() {
+        let (spec, out) = parse(
+            "--sessions 3 --budget 5 --steps 2 --clients 4 --system spark-agg \
+             --tuner ituned --workers 2 --queue-cap 6 --snapshot-every 7 \
+             --durability fsync --data-dir /d --addr 127.0.0.1:9 --out run",
+        )
+        .unwrap();
+        assert_eq!((spec.sessions, spec.budget, spec.steps), (3, 5, 2));
+        assert_eq!((spec.clients, spec.workers, spec.queue_cap), (4, 2, 6));
+        assert_eq!(
+            (spec.system.as_str(), spec.tuner.as_str()),
+            ("spark-agg", "ituned")
+        );
+        assert_eq!(spec.snapshot_every, 7);
+        assert_eq!(spec.durability, Durability::Fsync);
+        assert_eq!(spec.data_dir.as_deref(), Some("/d"));
+        assert_eq!(spec.addr.as_deref(), Some("127.0.0.1:9"));
+        assert_eq!(out, "run");
+    }
+
+    #[test]
+    fn no_flags_keep_the_defaults() {
+        let (spec, out) = parse("").unwrap();
+        assert_eq!((spec.sessions, spec.budget, spec.steps), (64, 4, 2));
+        assert_eq!((spec.clients, spec.workers, spec.queue_cap), (16, 4, 32));
+        assert_eq!(spec.snapshot_every, 4, "defaults to the budget");
+        assert_eq!(spec.durability, Durability::Flush);
+        assert_eq!(out, "serve_load");
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_words_are_refused() {
+        let err = parse("--sessions 2 --wrokers 3").unwrap_err();
+        assert!(err.contains("'--wrokers'"), "{err}");
+        assert!(parse("--shards 4").is_err());
+        assert!(parse("--workers 1 extra").is_err());
+        assert!(parse("-w 1").is_err());
+        assert!(parse("--workers").unwrap_err().contains("expects a value"));
+    }
+
+    #[test]
+    fn malformed_numbers_and_modes_are_refused() {
+        let err = parse("--workers three").unwrap_err();
+        assert_eq!(err, "--workers expects a number, got 'three'");
+        assert!(parse("--budget -1").is_err());
+        assert!(parse("--durability paranoid").is_err());
+    }
 }

@@ -122,6 +122,12 @@ pub trait Tuner {
     /// Receives the result of the last proposal. Default: no-op.
     fn observe(&mut self, _obs: &crate::objective::Observation) {}
 
+    /// The session has ended (finished or cancelled): no further proposal
+    /// will be asked for, so the tuner may drop state only proposing uses.
+    /// [`Tuner::recommend`] and [`Tuner::surrogate_stats`] must still
+    /// answer as before. Default: no-op.
+    fn finish(&mut self) {}
+
     /// Produces the final recommendation given everything observed.
     fn recommend(&self, ctx: &TuningContext, history: &History) -> Recommendation {
         match history.best() {

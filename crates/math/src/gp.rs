@@ -824,6 +824,75 @@ impl GaussianProcess {
         })
     }
 
+    /// Extends `v`, the row-major whitened cross-covariance
+    /// `V = L⁻¹·K(X, Q)` of the leading training points against `queries`
+    /// (one column per query), to every training point. `v` holds whole
+    /// rows on entry (none, or the rows of an earlier, smaller fit with
+    /// the same kernel and jitter). From no rows, `V` is built with one
+    /// multi-RHS solve; otherwise each appended row is one
+    /// forward-substitution step against the rows above it, `O(n·m)`.
+    ///
+    /// [`GaussianProcess::update`] never changes the factor's leading rows
+    /// unless it refactors, which changes [`GaussianProcess::jitter`]. So
+    /// either way entry `(i, j)` is bit-identical to the `i`-th entry of
+    /// `L⁻¹k*_j` that [`GaussianProcess::predict_batch`] solves for, and a
+    /// column's squared norm summed over ascending rows is the `vᵀv` its
+    /// variance subtracts.
+    pub fn extend_whitened_columns(&self, queries: &[Vec<f64>], v: &mut Vec<f64>) {
+        let (n, m) = (self.xs.len(), queries.len());
+        if m == 0 {
+            return;
+        }
+        let from = v.len() / m;
+        assert!(
+            v.len() == from * m && from <= n,
+            "extend_whitened_columns: {} entries are not whole rows of at most {n} × {m}",
+            v.len()
+        );
+        v.resize(n * m, 0.0);
+        let mut scratch = CrossCovScratch::default();
+        self.kernel.cross_covariance_rows(
+            &self.xs[from..],
+            queries,
+            &mut scratch,
+            &mut v[from * m..],
+        );
+        if from == 0 {
+            self.chol.solve_lower_multi_in_place(v, m);
+            return;
+        }
+        let l = self.chol.l();
+        for i in from..n {
+            let (solved, rest) = v.split_at_mut(i * m);
+            let row = &mut rest[..m];
+            let li = l.row(i);
+            for (k, krow) in solved.chunks_exact(m).enumerate() {
+                crate::simd::axpy_sub(li[k], krow, row);
+            }
+            let d = li[i];
+            for x in row.iter_mut() {
+                *x /= d;
+            }
+        }
+    }
+
+    /// The targets' mean `ȳ` and the whitened centred targets
+    /// `w = L⁻¹(y − ȳ)`. With `V` from
+    /// [`GaussianProcess::extend_whitened_columns`], query `j`'s predictive
+    /// mean is `ȳ + Σ_i V[i,j]·w[i]`: `k*ᵀα` regrouped, equal to
+    /// [`GaussianProcess::predict_batch`]'s mean up to rounding. `O(n²)`.
+    pub fn whitened_targets(&self) -> (f64, Vec<f64>) {
+        let centred: Vec<f64> = self.ys.iter().map(|y| y - self.y_mean).collect();
+        (self.y_mean, self.chol.solve_lower(&centred))
+    }
+
+    /// Diagonal jitter the factor carries beyond the kernel's noise
+    /// variance. It changes only when [`GaussianProcess::update`] falls
+    /// back to a full refactorization.
+    pub fn jitter(&self) -> f64 {
+        self.jitter
+    }
+
     /// Log marginal likelihood of the fit.
     pub fn log_marginal_likelihood(&self) -> f64 {
         self.log_marginal
@@ -855,7 +924,7 @@ impl GaussianProcess {
     /// single formula behind the scalar and batch entry points — and the
     /// sparse surrogates' acquisition path ([`crate::surrogate`]), so every
     /// backend scores candidates with identical arithmetic.
-    pub(crate) fn ei_from_moments(mu: f64, var: f64, y_best: f64, xi: f64) -> f64 {
+    pub fn ei_from_moments(mu: f64, var: f64, y_best: f64, xi: f64) -> f64 {
         let sigma = var.sqrt();
         if sigma < 1e-12 {
             return (y_best - mu - xi).max(0.0);
@@ -1125,6 +1194,45 @@ mod tests {
                 assert_eq!(m.to_bits(), bm.to_bits(), "mean drifted for {kind:?}");
                 assert_eq!(v.to_bits(), bv.to_bits(), "variance drifted for {kind:?}");
             }
+        }
+    }
+
+    #[test]
+    fn whitened_columns_follow_updates_and_reproduce_predict_batch() {
+        let (xs, ys) = training_data(if cfg!(miri) { 8 } else { 40 }, 27);
+        let (n0, n) = (xs.len() * 5 / 8, xs.len());
+        let mut rng = StdRng::seed_from_u64(28);
+        let pool = latin_hypercube(if cfg!(miri) { 5 } else { 150 }, 2, &mut rng);
+        let m = pool.len();
+        let mut k = Kernel::new(KernelKind::Matern52, 2, 0.35);
+        k.length_scales[1] = 0.6;
+        k.noise_variance = 1e-4;
+        let mut gp = GaussianProcess::fit(k, xs[..n0].to_vec(), &ys[..n0]).unwrap();
+        let mut v = Vec::new();
+        gp.extend_whitened_columns(&pool, &mut v);
+        // Extend after some updates, and after a run of several.
+        for i in n0..n {
+            gp.update(xs[i].clone(), ys[i]).unwrap();
+            if i % 4 == 0 {
+                gp.extend_whitened_columns(&pool, &mut v);
+            }
+        }
+        gp.extend_whitened_columns(&pool, &mut v);
+        assert_eq!(v.len(), n * m);
+        assert_eq!(gp.jitter(), 0.0, "no update refactored");
+        let shifted: Vec<f64> = ys.iter().map(|y| 2.0 * y - 0.3).collect();
+        gp.refresh_targets(&shifted);
+        let (y_mean, w) = gp.whitened_targets();
+        for (j, (q, (mu_b, var_b))) in pool.iter().zip(gp.predict_batch(&pool)).enumerate() {
+            let column = || (0..n).map(|i| v[i * m + j]);
+            let vv = column().fold(0.0, |acc, x| acc + x * x);
+            let var = (gp.kernel().eval(q, q) + gp.kernel().noise_variance - vv).max(0.0);
+            assert_eq!(var.to_bits(), var_b.to_bits(), "variance of point {j}");
+            let mu = y_mean + column().zip(&w).fold(0.0, |acc, (x, wi)| acc + x * wi);
+            assert!(
+                (mu - mu_b).abs() <= 1e-12 * mu_b.abs().max(1.0),
+                "mean of point {j}: {mu} vs {mu_b}"
+            );
         }
     }
 

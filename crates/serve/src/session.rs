@@ -547,6 +547,7 @@ impl LiveSession {
         })?;
         self.recommendation = Some(recommendation);
         self.status = SessionStatus::Finished;
+        self.tuner.finish();
         self.write_snapshot()
     }
 
@@ -561,6 +562,7 @@ impl LiveSession {
         }
         self.log(&WalRecord::Cancelled)?;
         self.status = SessionStatus::Cancelled;
+        self.tuner.finish();
         self.write_snapshot()
     }
 

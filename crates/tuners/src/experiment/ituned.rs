@@ -10,11 +10,13 @@
 //!
 //! The loop itself is the shared GP-BO engine (`crate::bo::GpBo`, also
 //! behind OtterTune). iTuned supplies its training set (every observation,
-//! log runtimes) and its pool (600 uniform points plus perturbations of
-//! the three incumbents and the rule-of-thumb seed), and keeps its own
+//! log runtimes) and its pool (600 uniform points kept for a few steps of
+//! a search epoch, plus 128 uniform points and perturbations of the three
+//! incumbents and the rule-of-thumb seed drawn at every step), and keeps
+//! its own
 //! design constants: 10 maximin restarts and at most 3 rule seeds.
 
-use crate::bo::{GpBo, TrainingSet};
+use crate::bo::{GpBo, Pool, TrainingSet, FRESH_RANDOM};
 use crate::util::{best_anchors, candidate_pool, log_runtimes, SearchConstraints};
 use autotune_core::{
     Configuration, History, Recommendation, SurrogateStats, Tuner, TunerFamily, TuningContext,
@@ -26,8 +28,8 @@ use rand::rngs::StdRng;
 const LHS_RESTARTS: usize = 10;
 /// Constraint seed configurations the initial design admits.
 const RULE_SEEDS: usize = 3;
-/// Uniform random candidates per EI step (besides the anchor
-/// perturbations).
+/// Uniform random candidates of the persistent set (besides the fresh
+/// part's).
 const POOL_SIZE: usize = 600;
 
 /// The iTuned tuner.
@@ -70,14 +72,6 @@ impl ITunedTuner {
     /// proposal, better on spaces with many irrelevant knobs.
     pub fn with_ard(mut self) -> Self {
         self.bo.ard = true;
-        self
-    }
-
-    /// Overrides the hyper-parameter re-search period (default 5; `1` =
-    /// re-search the kernel on every proposal, the pre-incremental
-    /// behaviour).
-    pub fn with_hyper_interval(mut self, every: usize) -> Self {
-        self.bo.hyper_interval = every.max(1);
         self
     }
 
@@ -145,8 +139,16 @@ impl Tuner for ITunedTuner {
         let mut anchors = best_anchors(history, &ctx.space, 3);
         let rule_of_thumb = self.bo.constraints.as_ref().and_then(|c| c.seeds().first());
         anchors.extend(rule_of_thumb.map(|seed| ctx.space.encode(seed)));
-        let pool = |rng: &mut StdRng| candidate_pool(dim, POOL_SIZE, &anchors, 40, 0.1, rng);
+        let pool = Pool {
+            key: Default::default(),
+            persistent: |rng: &mut StdRng| candidate_pool(dim, POOL_SIZE, &[], 0, 0.1, rng),
+            fresh: |rng: &mut StdRng| candidate_pool(dim, FRESH_RANDOM, &anchors, 40, 0.1, rng),
+        };
         self.bo.propose(ctx, train, pool, rng)
+    }
+
+    fn finish(&mut self) {
+        self.bo.release();
     }
 
     fn recommend(&self, ctx: &TuningContext, history: &History) -> Recommendation {

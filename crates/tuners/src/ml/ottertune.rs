@@ -21,15 +21,17 @@
 //! Stage 4 runs on the GP-BO engine shared with iTuned (`crate::bo::GpBo`).
 //! OtterTune supplies its training set (the mapped prefix, calibrated onto
 //! the target's moments, then the target's rows; the mapped workload keys
-//! the surrogate cache) and its pool (top-knob random points with the
-//! other knobs pinned to the incumbent, perturbations of the incumbent and
+//! the surrogate cache) and its pool: 400 top-knob random points with the
+//! other knobs pinned to the incumbent, kept for a few steps of a search
+//! epoch unless the top knobs or the incumbent change; then, drawn at
+//! every step, 128 more such points, perturbations of the incumbent and
 //! of the mapped workload's best configurations, and those configurations
-//! themselves). Its design constants are a 5-row bootstrap, 8 maximin
+//! themselves. Its design constants are a 5-row bootstrap, 8 maximin
 //! restarts and at most 2 rule seeds. Of stages 1–3 only metric pruning
 //! draws from the RNG, once, right after the design is planned.
 
-use crate::bo::{GpBo, TrainingSet};
-use crate::util::{best_anchors, candidate_pool, log_runtimes, SearchConstraints};
+use crate::bo::{GpBo, Pool, TrainingSet, FRESH_RANDOM};
+use crate::util::{best_anchors, candidate_pool, log_runtimes, log_target, SearchConstraints};
 use autotune_core::{
     ConfigSpace, Configuration, History, KnobRanking, Metrics, Observation, Recommendation,
     SurrogateStats, Tuner, TunerFamily, TuningContext,
@@ -154,7 +156,8 @@ pub fn prune_metrics(
     kept
 }
 
-/// The design stage 2 ranks on: encoded knob settings → ln runtime. `None`
+/// The design stage 2 ranks on: encoded knob settings → the GP's target
+/// ([`log_target`], so a failed run ranks as the surrogate sees it). `None`
 /// below 4 observations, where every knob ranks equal, in space order.
 fn ranking_design(
     space: &ConfigSpace,
@@ -167,10 +170,7 @@ fn ranking_design(
         .iter()
         .map(|o| space.encode(&o.config))
         .collect();
-    let y = observations
-        .iter()
-        .map(|o| o.runtime_secs.max(1e-9).ln())
-        .collect();
+    let y = observations.iter().map(|o| log_target(o)).collect();
     Some((Matrix::from_rows(&rows), y))
 }
 
@@ -397,10 +397,7 @@ impl Tuner for OtterTuneTuner {
         let target_ys = log_runtimes(history);
         let target_mean = mean(&target_ys);
         let target_sd = std_dev(&target_ys).max(1e-6);
-        let mapped_ys: Vec<f64> = mapped_obs
-            .iter()
-            .map(|o| o.runtime_secs.max(1e-9).ln())
-            .collect();
+        let mapped_ys: Vec<f64> = mapped_obs.iter().map(log_target).collect();
         let m_mean = mean(&mapped_ys);
         let m_sd = std_dev(&mapped_ys).max(1e-6);
         // Decile-style calibration: shift the mapped workload's response
@@ -422,7 +419,8 @@ impl Tuner for OtterTuneTuner {
         let top = top_knobs(&ctx.space, &all_obs, TOP_KNOBS);
 
         // Candidate pool: (a) random points varying only the top knobs
-        // (others pinned to the incumbent), and (b) unpinned perturbations
+        // (others pinned to the incumbent), most of them kept while both
+        // stay the same, and (b) unpinned perturbations
         // of the incumbent AND of the mapped workload's best configurations
         // — the transferred knowledge must stay reachable even when it
         // differs from the incumbent in low-ranked knobs — plus (c) those
@@ -439,18 +437,30 @@ impl Tuner for OtterTuneTuner {
                 .take(3)
                 .map(|o| ctx.space.encode(&o.config)),
         );
-        let pool = |rng: &mut StdRng| {
-            let mut pool = candidate_pool(dim, 400, &[], 0, 0.1, rng);
+        let pinned = |k: usize, rng: &mut StdRng| {
+            let mut pool = candidate_pool(dim, k, &[], 0, 0.1, rng);
             for p in pool.iter_mut() {
                 for d in (0..dim).filter(|d| !top.contains(d)) {
                     p[d] = base[d];
                 }
             }
-            pool.extend(candidate_pool(dim, 0, &anchors, 40, 0.08, rng));
-            pool.extend(anchors.iter().skip(1).cloned());
             pool
         };
+        let pool = Pool {
+            key: (top.clone(), base.clone()),
+            persistent: |rng: &mut StdRng| pinned(400, rng),
+            fresh: |rng: &mut StdRng| {
+                let mut pool = pinned(FRESH_RANDOM, rng);
+                pool.extend(candidate_pool(dim, 0, &anchors, 40, 0.08, rng));
+                pool.extend(anchors.iter().skip(1).cloned());
+                pool
+            },
+        };
         self.bo.propose(ctx, train, pool, rng)
+    }
+
+    fn finish(&mut self) {
+        self.bo.release();
     }
 
     fn recommend(&self, ctx: &TuningContext, history: &History) -> Recommendation {

@@ -6,7 +6,8 @@
 use crate::rule::spex::Constraint as SpexConstraint;
 use crate::rule::{dbms_rulebook, hadoop_rulebook, spark_rulebook, ConstraintSet, RuleBook};
 use autotune_core::{
-    ConfigSpace, Configuration, History, Objective, ParamDomain, ParamValue, SystemProfile,
+    ConfigSpace, Configuration, History, Objective, Observation, ParamDomain, ParamValue,
+    SystemProfile,
 };
 use autotune_sim::{DbmsSimulator, HadoopSimulator, SparkSimulator};
 use rand::rngs::StdRng;
@@ -411,30 +412,35 @@ pub fn best_anchors(history: &History, space: &ConfigSpace, k: usize) -> Vec<Vec
         .collect()
 }
 
-/// Runtimes with failures inflated so models learn to avoid them
-/// (a failed run's measured runtime already includes the penalty, but we
-/// additionally guard against zero-runtime artifacts).
-pub fn penalized_runtimes(history: &History) -> Vec<f64> {
-    history
-        .all()
-        .iter()
-        .map(|o| {
-            if o.failed {
-                o.runtime_secs.max(1e-6) * 1.5
-            } else {
-                o.runtime_secs.max(1e-6)
-            }
-        })
-        .collect()
+/// One observation's runtime with a failure inflated ×1.5, so models
+/// learn to avoid failures (a failed run's measured runtime already
+/// includes the penalty, but we additionally guard against zero-runtime
+/// artifacts).
+fn penalized_runtime(obs: &Observation) -> f64 {
+    let runtime = obs.runtime_secs.max(1e-6);
+    if obs.failed {
+        runtime * 1.5
+    } else {
+        runtime
+    }
 }
 
-/// Log-transformed penalized runtimes — GP/Lasso targets are far better
-/// behaved in log space because runtimes span orders of magnitude.
+/// The model target of one observation: the log of its runtime, a
+/// failure's inflated ×1.5. GP and Lasso targets are far better behaved in log space
+/// because runtimes span orders of magnitude; every model of one proposal
+/// fits this same target.
+pub fn log_target(obs: &Observation) -> f64 {
+    penalized_runtime(obs).ln()
+}
+
+/// Every observation's runtime, a failure's inflated ×1.5, in order.
+pub fn penalized_runtimes(history: &History) -> Vec<f64> {
+    history.all().iter().map(penalized_runtime).collect()
+}
+
+/// [`log_target`] of every observation, in order.
 pub fn log_runtimes(history: &History) -> Vec<f64> {
-    penalized_runtimes(history)
-        .into_iter()
-        .map(|r| r.ln())
-        .collect()
+    history.all().iter().map(log_target).collect()
 }
 
 #[cfg(test)]

@@ -84,9 +84,9 @@ fn check(label: &str, got: (u64, u64), want: (u64, u64)) {
     );
 }
 
-const ITUNED_DBMS: (u64, u64) = (0xf556_57bf_5fd5_d48e, 0x52b6_e462_6020_b1ac);
-const ITUNED_ARD_SPARK: (u64, u64) = (0xddf1_5b47_51c5_c45e, 0x6cd0_49df_52d5_d784);
-const OTTERTUNE_DBMS: (u64, u64) = (0x7733_7ab3_52b6_43d9, 0xe524_28d3_f1f8_f3c4);
+const ITUNED_DBMS: (u64, u64) = (0xeb2b_305a_bd49_b44a, 0x7c06_2a50_d43f_249c);
+const ITUNED_ARD_SPARK: (u64, u64) = (0x02c5_2c26_00a7_9ece, 0x6cd0_49df_52d5_d784);
+const OTTERTUNE_DBMS: (u64, u64) = (0x73b6_1253_da9c_e3f3, 0xc506_9f23_ba75_a6f3);
 
 fn ituned_dbms() -> (u64, u64) {
     run(
@@ -181,9 +181,9 @@ fn ituned_nystrom_spark() -> (u64, u64) {
     )
 }
 
-const OTTERTUNE_WARM_DBMS: (u64, u64) = (0x065b_036c_5bc6_b318, 0xa5e0_e886_20a0_bf1e);
-const ITUNED_SEEDED_CONSTRAINED_DBMS: (u64, u64) = (0xddae_fb50_4182_74d8, 0xceab_1088_5c08_02bf);
-const ITUNED_NYSTROM_SPARK: (u64, u64) = (0x50bd_a046_3967_0160, 0xbeda_b3b3_7711_6801);
+const OTTERTUNE_WARM_DBMS: (u64, u64) = (0x1877_b41d_930f_0cbd, 0xfd9b_c536_3b84_ab68);
+const ITUNED_SEEDED_CONSTRAINED_DBMS: (u64, u64) = (0xca63_7cb6_46af_bf73, 0xa398_1f20_5fe7_8b3d);
+const ITUNED_NYSTROM_SPARK: (u64, u64) = (0x9128_58eb_99ed_f31f, 0x63f5_66b1_508b_2f04);
 
 #[test]
 fn ottertune_warm_dbms_trajectory_is_pinned() {
@@ -259,7 +259,7 @@ fn gp_fits_on_a_session_history_are_pinned() {
     let (xs, ys) = outcome.history.training_set(db.space());
     let got = surrogate_digest(&xs, &ys);
     assert_eq!(
-        got, 0x7fbc_f781_4496_347b,
+        got, 0x4e5a_840a_33c1_7064,
         "GP fit digest moved (got {got:#018x})"
     );
 }
@@ -284,7 +284,7 @@ fn ottertune_spark_trajectory_is_pinned() {
     check(
         "ottertune/spark-agg",
         got,
-        (0x8cfc_22cc_a983_90ab, 0x45e4_2ecb_375c_45ba),
+        (0x7d0e_2b16_bb67_cb5a, 0xb649_ead4_261a_7970),
     );
 }
 
@@ -323,21 +323,21 @@ fn constrained_trajectories_are_pinned() {
         "dbms-olap",
         "dbms",
         || Box::new(DbmsSimulator::olap_default()),
-        (0xf14e_00cf_ed22_321b, 0x75c4_52bc_d7be_465c),
-        (0xcf4c_68cd_cb58_5422, 0x08f1_bcb7_8e01_b610),
+        (0x8307_e1a1_42db_b507, 0xa04f_3ae2_c935_4b24),
+        (0xf6ec_c3a6_3c60_7af0, 0xe46c_ddf9_62a7_b00a),
     );
     check_constrained(
         "hadoop-terasort",
         "hadoop",
         || Box::new(HadoopSimulator::terasort_default()),
-        (0x590f_8c57_4a19_70e5, 0x9472_2307_43f3_c329),
-        (0xd16b_17d7_db40_291c, 0x1b26_58c9_c56a_5b30),
+        (0xdf46_fc55_fe08_01e6, 0x944c_a4d4_8d41_37be),
+        (0x709f_d94a_cfc1_4092, 0x68ba_ef0b_36e4_ce8c),
     );
     check_constrained(
         "spark-agg",
         "spark",
         || Box::new(SparkSimulator::aggregation_default()),
-        (0xd2ce_845b_87cd_2c1a, 0x5ba3_0654_3cb0_1808),
-        (0x24de_69ea_203b_4a1c, 0x34b7_a814_5577_5b2b),
+        (0x2201_60bd_518c_3fe6, 0x1492_8d0a_907e_ee4c),
+        (0xdde9_3530_b963_5e64, 0x24d9_3f99_283b_a421),
     );
 }

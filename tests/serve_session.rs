@@ -141,7 +141,10 @@ fn every_cut_of_a_drifting_session_recovers_byte_identical() {
 
 #[test]
 fn every_cut_of_a_compacting_ituned_session_recovers_byte_identical() {
-    const BUDGET: usize = 20;
+    /// dbms-oltp's design has 20 rows; past it the hyper-parameters are
+    /// searched at 20 and 25 observations, so cuts fall both inside an
+    /// epoch, with an extended candidate set, and after a re-search.
+    const BUDGET: usize = 30;
     /// Every third observation appends a frame, so the cuts fall just
     /// before, on and just after each append.
     const EVERY: usize = 3;
@@ -151,8 +154,8 @@ fn every_cut_of_a_compacting_ituned_session_recovers_byte_identical() {
         LiveSession::create(&repo_ref, meta(&repo_ref, ituned()), None, 64).expect("create");
     reference.advance(BUDGET).expect("advance");
     assert!(
-        reference.surrogate_stats().is_some_and(|st| st.fits >= 1),
-        "premise: the session reaches its GP phase"
+        reference.surrogate_stats().is_some_and(|st| st.fits >= 2),
+        "premise: the session re-searches in its GP phase"
     );
     let want = outcome(&reference);
 
