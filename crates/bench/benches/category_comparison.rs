@@ -21,7 +21,7 @@ fn bench_families(c: &mut Criterion) {
                     .find(|(l, _)| *l == label)
                     .expect("exists")
                     .1;
-                black_box(run_session(&factory, tuner.as_mut(), 8, 3).speedup)
+                black_box(run_session(&factory, tuner.as_mut(), 8, 3).0.speedup)
             })
         });
     }

@@ -1,6 +1,6 @@
 //! Proof artifact for the execution layer: measures the parallel-vs-
 //! sequential wall-clock ratio on a real Table 1 workload and checks that
-//! both paths produce identical (canonicalized) JSON.
+//! both paths produce identical JSON.
 //!
 //! One Table 1 run is short enough that a single ratio is mostly noise,
 //! so the run is repeated as [`PAIRS`] sequential/parallel pairs, the
@@ -11,8 +11,8 @@
 //!
 //! `cargo run --release -p autotune-bench --bin exec_speedup [budget] [seed]`
 
-use autotune_bench::exec::{canonical_rows, SessionExecutor};
-use autotune_bench::table1::{self, Table1Report};
+use autotune_bench::exec::SessionExecutor;
+use autotune_bench::table1;
 use autotune_math::stats::median;
 use serde::Serialize;
 use std::time::Instant;
@@ -44,34 +44,20 @@ struct ExecSpeedupReport {
     speedup_max: f64,
     /// Every pair's speedup, in run order.
     speedups: Vec<f64>,
-    /// Whether every pair's canonicalized parallel report is
+    /// Whether every pair's parallel report is
     /// byte-identical to its sequential one.
     identical_json: bool,
 }
 
-/// Serializes a report with the wall-clock `overhead_secs` fields zeroed —
-/// the only nondeterministic bytes in it.
-fn canonical_json(report: &Table1Report) -> String {
-    let per_system: Vec<(String, Vec<autotune_bench::harness::SessionRow>)> = report
-        .per_system
-        .iter()
-        .map(|s| (s.system.clone(), canonical_rows(&s.rows)))
-        .collect();
-    let mut out = serde_json::to_string_pretty(&per_system).expect("rows serialize");
-    out.push_str(
-        &serde_json::to_string_pretty(&report.budget_sensitivity).expect("budget rows serialize"),
-    );
-    out.push_str(
-        &serde_json::to_string_pretty(&report.noise_robustness).expect("noise rows serialize"),
-    );
-    out
-}
-
-/// Wall clock of one Table 1 run, and its canonical JSON.
+/// Wall clock of one Table 1 run, and its JSON.
 fn timed_run(exec: &SessionExecutor, budget: usize, seed: u64) -> (f64, String) {
     let t0 = Instant::now();
-    let report = table1::run_with(exec, budget, seed);
-    (t0.elapsed().as_secs_f64(), canonical_json(&report))
+    let (report, _) = table1::run_with(exec, budget, seed);
+    let secs = t0.elapsed().as_secs_f64();
+    (
+        secs,
+        serde_json::to_string_pretty(&report).expect("report serializes"),
+    )
 }
 
 fn main() {
@@ -135,8 +121,7 @@ fn main() {
     );
     assert!(
         report.identical_json,
-        "every parallel report must match its sequential report byte-for-byte \
-         after canonicalization"
+        "every parallel report must match its sequential report byte-for-byte"
     );
     if cores >= 4 {
         assert!(

@@ -8,7 +8,7 @@
 //!
 //! 1. Establish a reference optimum: a seeded 3000-point random probe,
 //!    plus the best point any tuning arm finds (the reference is the
-//!    minimum over everything this binary evaluates).
+//!    minimum over everything this experiment evaluates).
 //! 2. Run iTuned with and without the constraints over 30 seeds and
 //!    record, per run, the best runtime at the budget as a ratio to the
 //!    optimum, and the first evaluation whose runtime lands within 1% of
@@ -16,12 +16,8 @@
 //!    reported, not gated — most runs are censored).
 //! 3. Pair the arms by seed. A scenario is a win when the constrained
 //!    arm's best is strictly lower on at least 90% of the pairs (27/30);
-//!    the constraints must win at least 2 of the 3 scenarios.
-//!
-//! `cargo run --release -p autotune-bench --bin constrained_search [--smoke]`
-//!
-//! `--smoke` shrinks budgets for CI; the ≥2-of-3 assertion only runs in
-//! full mode (tiny budgets make the race a coin flip).
+//!    the constraints must win at least 2 of the 3 scenarios, or [`run`]
+//!    panics.
 
 use autotune_core::{tune, Objective};
 use autotune_sim::{DbmsSimulator, HadoopSimulator, NoiseModel, SparkSimulator};
@@ -34,56 +30,58 @@ use serde::Serialize;
 /// A factory producing a fresh noiseless objective per run.
 type MakeObjective = Box<dyn Fn() -> Box<dyn Objective>>;
 
-#[derive(Serialize)]
-struct ScenarioRow {
+/// One scenario's paired comparison.
+#[derive(Debug, Serialize)]
+pub struct ScenarioRow {
     /// Target system.
-    system: String,
+    pub system: String,
     /// Reference optimum runtime (min over probe + all arms).
-    optimum: f64,
+    pub optimum: f64,
     /// Per seed, the unconstrained arm's best runtime at the budget over
     /// the optimum.
-    ratio_unconstrained: Vec<f64>,
+    pub ratio_unconstrained: Vec<f64>,
     /// Same for the constrained arm (paired by seed).
-    ratio_constrained: Vec<f64>,
+    pub ratio_constrained: Vec<f64>,
     /// Mean of `ratio_unconstrained`.
-    mean_ratio_unconstrained: f64,
+    pub mean_ratio_unconstrained: f64,
     /// Mean of `ratio_constrained`.
-    mean_ratio_constrained: f64,
+    pub mean_ratio_constrained: f64,
     /// Seeds whose constrained best is strictly lower than the
     /// unconstrained best.
-    paired_wins: usize,
+    pub paired_wins: usize,
     /// Mean evals to land within 1% of the optimum, unconstrained iTuned
     /// (censored runs count as `budget + 1`).
-    evals_unconstrained: f64,
+    pub evals_unconstrained: f64,
     /// Same, with the constraints applied.
-    evals_constrained: f64,
+    pub evals_constrained: f64,
     /// Best runtime found by the unconstrained arm (best seed).
-    best_unconstrained: f64,
+    pub best_unconstrained: f64,
     /// Best runtime found by the constrained arm (best seed).
-    best_constrained: f64,
+    pub best_constrained: f64,
     /// Runs (out of `seeds`) where the unconstrained arm never reached
     /// the 1% band.
-    censored_unconstrained: usize,
+    pub censored_unconstrained: usize,
     /// Same for the constrained arm.
-    censored_constrained: usize,
+    pub censored_constrained: usize,
     /// Whether `paired_wins` reaches the 90% bar.
-    win: bool,
+    pub win: bool,
 }
 
-#[derive(Serialize)]
-struct ConstrainedSearchReport {
+/// The whole comparison, as committed in `constrained_search.json`.
+#[derive(Debug, Serialize)]
+pub struct ConstrainedSearchReport {
     /// Evaluation budget per tuning run.
-    budget: usize,
+    pub budget: usize,
     /// Seeds per arm.
-    seeds: Vec<u64>,
+    pub seeds: Vec<u64>,
     /// Random-probe size used for the reference optimum.
-    probe: usize,
+    pub probe: usize,
     /// Band around the optimum counted as "arrived" (fraction).
-    tolerance: f64,
-    smoke: bool,
-    scenarios: Vec<ScenarioRow>,
+    pub tolerance: f64,
+    /// One row per scenario.
+    pub scenarios: Vec<ScenarioRow>,
     /// Scenarios where the constrained arm won.
-    wins: usize,
+    pub wins: usize,
 }
 
 /// Share of seed pairs the constrained arm must win for a scenario win.
@@ -122,13 +120,12 @@ fn evals_to_band(trajectory: &[f64], optimum: f64, tol: f64, budget: usize) -> u
         .unwrap_or(budget + 1)
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (budget, probe, seeds): (usize, usize, Vec<u64>) = if smoke {
-        (10, 200, vec![1])
-    } else {
-        (40, 3000, (1..=30).collect())
-    };
+/// Runs both arms on the three scenarios and checks the ≥2-of-3 gate.
+///
+/// # Panics
+/// When the constraints win fewer than 2 of the 3 scenarios.
+pub fn run() -> ConstrainedSearchReport {
+    let (budget, probe, seeds): (usize, usize, Vec<u64>) = (40, 3000, (1..=30).collect());
     let tolerance = 0.01;
 
     let systems: Vec<(&str, &str, MakeObjective)> = vec![
@@ -201,7 +198,7 @@ fn main() {
             .zip(&ratio_constrained)
             .filter(|(p, c)| c < p)
             .count();
-        let row = ScenarioRow {
+        scenarios.push(ScenarioRow {
             system: name.to_string(),
             optimum,
             mean_ratio_unconstrained: mean(&ratio_plain),
@@ -216,45 +213,17 @@ fn main() {
             censored_unconstrained: censored(&plain),
             censored_constrained: censored(&constrained),
             win: paired_wins as f64 >= (PAIRED_WIN_FRACTION * seeds.len() as f64).ceil(),
-        };
-        eprintln!(
-            "{name}: optimum={:.4} best/optimum plain={:.3} constrained={:.3} \
-             paired wins {}/{} win={} (evals plain={:.1} constrained={:.1}, censored {}/{})",
-            row.optimum,
-            row.mean_ratio_unconstrained,
-            row.mean_ratio_constrained,
-            row.paired_wins,
-            seeds.len(),
-            row.win,
-            row.evals_unconstrained,
-            row.evals_constrained,
-            row.censored_unconstrained,
-            row.censored_constrained,
-        );
-        scenarios.push(row);
+        });
     }
 
     let wins = scenarios.iter().filter(|r| r.win).count();
-    let report = ConstrainedSearchReport {
+    assert!(wins >= 2, "constrained search won only {wins}/3 scenarios");
+    ConstrainedSearchReport {
         budget,
         seeds,
         probe,
         tolerance,
-        smoke,
         scenarios,
         wins,
-    };
-    if !smoke {
-        assert!(
-            report.wins >= 2,
-            "constrained search won only {}/3 scenarios",
-            report.wins
-        );
     }
-    println!(
-        "constrained_search: constraints lowered best-at-budget on >=90% of paired seeds in {}/3 scenarios",
-        report.wins
-    );
-    autotune_bench::write_json("constrained_search", &report);
-    eprintln!("wrote bench_results/constrained_search.json");
 }

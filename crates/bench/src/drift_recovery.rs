@@ -3,13 +3,13 @@
 //! search faster than ignoring the flip?
 //!
 //! For each flip scenario (dbms, hadoop, spark — workload flips at
-//! evaluation `flip_at`), noiseless:
+//! evaluation 15 of 60), noiseless:
 //!
 //! 1. Establish a post-flip reference optimum: seek the flip objective
 //!    past the flip and run a seeded 3000-point random probe, then fold in
 //!    the best post-flip point any arm evaluates.
 //! 2. Run serve-layer sessions (iTuned) with the Page–Hinkley detector on
-//!    and off over several seeds and record, per run, the first post-flip
+//!    and off over five seeds and record, per run, the first post-flip
 //!    evaluation whose runtime lands within 1% of the post-flip optimum
 //!    (censored when a run never gets there).
 //! 3. The detection-on arm must need fewer evaluations (mean over seeds)
@@ -18,12 +18,8 @@
 //!
 //! A determinism gate rides along: the detection-off trajectory must be
 //! byte-identical to a session created from a legacy spec JSON that
-//! predates the `drift`/`adaptive` fields entirely.
-//!
-//! `cargo run --release -p autotune-bench --bin drift_recovery [--smoke]`
-//!
-//! `--smoke` shrinks budgets for CI; the ≥2-of-3 assertion only runs in
-//! full mode (tiny budgets make the race a coin flip).
+//! predates the `drift`/`adaptive` fields entirely. [`run`] panics when
+//! either gate fails.
 
 use autotune_serve::repo::{SessionMeta, SessionRepository};
 use autotune_serve::session::LiveSession;
@@ -32,49 +28,54 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
-#[derive(Serialize)]
-struct ScenarioRow {
-    /// Flip system spec (e.g. `dbms-flip@12`).
-    system: String,
+/// One flip scenario's comparison.
+#[derive(Debug, Serialize)]
+pub struct ScenarioRow {
+    /// Flip system spec (e.g. `dbms-flip@15`).
+    pub system: String,
     /// Post-flip reference optimum (probe ∪ post-flip arm evals).
-    post_optimum: f64,
+    pub post_optimum: f64,
     /// Mean post-flip evals to land within 1% of the post-flip optimum
     /// with detection off (censored runs count as the post-flip budget
     /// plus one).
-    evals_detection_off: f64,
+    pub evals_detection_off: f64,
     /// Same, with the Page–Hinkley detector on.
-    evals_detection_on: f64,
+    pub evals_detection_on: f64,
     /// Runs (out of `seeds`) where the detector fired after the flip.
-    detections: usize,
+    pub detections: usize,
     /// Mean evaluations between the flip and the detector firing, over
     /// detecting runs.
-    mean_detection_delay: f64,
-    /// Censored runs per arm.
-    censored_off: usize,
-    censored_on: usize,
+    pub mean_detection_delay: f64,
+    /// Censored runs with detection off.
+    pub censored_off: usize,
+    /// Censored runs with detection on.
+    pub censored_on: usize,
     /// Whether detection-on needed strictly fewer evaluations.
-    win: bool,
+    pub win: bool,
 }
 
-#[derive(Serialize)]
-struct DriftRecoveryReport {
+/// The whole comparison, as committed in `drift_recovery.json`.
+#[derive(Debug, Serialize)]
+pub struct DriftRecoveryReport {
     /// Evaluation budget per session (excluding the baseline probe).
-    budget: usize,
+    pub budget: usize,
     /// Evaluation index the workload flips at.
-    flip_at: usize,
-    seeds: Vec<u64>,
+    pub flip_at: usize,
+    /// Seeds per arm.
+    pub seeds: Vec<u64>,
     /// Random-probe size behind the post-flip reference optimum.
-    probe: usize,
-    tolerance: f64,
-    smoke: bool,
-    scenarios: Vec<ScenarioRow>,
+    pub probe: usize,
+    /// Band around the post-flip optimum counted as "arrived" (fraction).
+    pub tolerance: f64,
+    /// One row per flip scenario.
+    pub scenarios: Vec<ScenarioRow>,
     /// Scenarios where detection-on won.
-    wins: usize,
+    pub wins: usize,
     /// Detection-off trajectories matched a pre-drift legacy spec
     /// byte-for-byte.
-    legacy_identical: bool,
+    pub legacy_identical: bool,
 }
 
 fn spec(system: &str, seed: u64, budget: usize, detector: &str) -> SessionSpec {
@@ -124,7 +125,7 @@ fn run_in(repo: &SessionRepository, spec: SessionSpec) -> (Vec<f64>, Option<u64>
 }
 
 /// Runs one session in a throwaway repo (no warm-start fleet).
-fn run_session(root: &PathBuf, spec: SessionSpec) -> (Vec<f64>, Option<u64>) {
+fn run_session(root: &Path, spec: SessionSpec) -> (Vec<f64>, Option<u64>) {
     let _ = fs::remove_dir_all(root);
     let repo = SessionRepository::open(root).expect("open repo");
     let out = run_in(&repo, spec);
@@ -137,7 +138,7 @@ fn run_session(root: &PathBuf, spec: SessionSpec) -> (Vec<f64>, Option<u64>) {
 /// the post-flip workload throughout). This is the fleet history the
 /// drift re-match queries: OtterTune-style workload mapping only pays off
 /// when some prior session actually tuned the incoming workload.
-fn fleet_repo(root: &PathBuf, system: &str, seed: u64, budget: usize) -> SessionRepository {
+fn fleet_repo(root: &Path, system: &str, seed: u64, budget: usize) -> SessionRepository {
     let _ = fs::remove_dir_all(root);
     let repo = SessionRepository::open(root).expect("open repo");
     let platform = system.split('-').next().expect("platform");
@@ -156,13 +157,15 @@ fn evals_to_band(trajectory: &[f64], flip_at: usize, optimum: f64, tol: f64) -> 
         .unwrap_or(post.len() + 1)
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (budget, flip_at, probe, seeds): (usize, usize, usize, Vec<u64>) = if smoke {
-        (24, 12, 200, vec![1])
-    } else {
-        (60, 15, 3000, vec![1, 2, 3, 4, 5])
-    };
+/// Runs both arms on the three flip scenarios, then the legacy-spec
+/// identity check, in session stores under the system temp directory.
+///
+/// # Panics
+/// When detection wins fewer than 2 of the 3 scenarios, or when the
+/// detection-off trajectory differs from the legacy spec's.
+pub fn run() -> DriftRecoveryReport {
+    let (budget, flip_at, probe, seeds): (usize, usize, usize, Vec<u64>) =
+        (60, 15, 3000, vec![1, 2, 3, 4, 5]);
     let tolerance = 0.01;
     let systems = [
         format!("dbms-flip@{flip_at}"),
@@ -229,7 +232,7 @@ fn main() {
                 .filter(|t| evals_to_band(t, flip_at, post_optimum, tolerance) > t.len() - flip_at)
                 .count()
         };
-        let row = ScenarioRow {
+        scenarios.push(ScenarioRow {
             system: system.clone(),
             post_optimum,
             evals_detection_off: mean_evals(&off_runs),
@@ -243,18 +246,7 @@ fn main() {
             censored_off: censored(&off_runs),
             censored_on: censored(&on_runs),
             win: mean_evals(&on_runs) < mean_evals(&off_runs),
-        };
-        eprintln!(
-            "{system}: post-optimum={:.4} evals off={:.1} on={:.1} detections={}/{} delay={:.1} win={}",
-            row.post_optimum,
-            row.evals_detection_off,
-            row.evals_detection_on,
-            row.detections,
-            seeds.len(),
-            row.mean_detection_delay,
-            row.win,
-        );
-        scenarios.push(row);
+        });
     }
 
     // Regression gate: detection-off bytes match a legacy spec that has
@@ -278,28 +270,18 @@ fn main() {
     );
 
     let wins = scenarios.iter().filter(|r| r.win).count();
-    let report = DriftRecoveryReport {
+    assert!(
+        wins >= 2,
+        "drift detection won only {wins}/3 flip scenarios"
+    );
+    DriftRecoveryReport {
         budget,
         flip_at,
         seeds,
         probe,
         tolerance,
-        smoke,
         scenarios,
         wins,
         legacy_identical,
-    };
-    if !smoke {
-        assert!(
-            report.wins >= 2,
-            "drift detection won only {}/3 flip scenarios",
-            report.wins
-        );
     }
-    println!(
-        "drift_recovery: detection cut post-flip evals-to-1%-of-optimum on {}/3 scenarios",
-        report.wins
-    );
-    autotune_bench::write_json("drift_recovery", &report);
-    eprintln!("wrote bench_results/drift_recovery.json");
 }

@@ -7,8 +7,7 @@
 //! fan-out embarrassingly parallel: [`SessionExecutor`] runs the jobs on
 //! scoped worker threads and returns results **in submission order**, so
 //! a report assembled from the returned `Vec` is identical to the one the
-//! sequential loop would have produced (modulo wall-clock fields such as
-//! `overhead_secs`; see [`canonical_rows`]).
+//! sequential loop would have produced.
 //!
 //! [`EvalMemo`] complements the executor on the harness side: evaluations
 //! that are *pure* — a fresh objective and a fresh RNG seeded from a
@@ -160,22 +159,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// Copies session rows with wall-clock fields zeroed.
-///
-/// `overhead_secs` measures the tuner's own compute time and therefore
-/// differs between any two runs — sequential or parallel. Comparing a
-/// parallel report against a sequential one for byte-identity requires
-/// dropping it; everything else in a [`crate::harness::SessionRow`] is a
-/// deterministic function of (objective, tuner, budget, seed).
-pub fn canonical_rows(rows: &[crate::harness::SessionRow]) -> Vec<crate::harness::SessionRow> {
-    rows.iter()
-        .map(|r| crate::harness::SessionRow {
-            overhead_secs: 0.0,
-            ..r.clone()
-        })
-        .collect()
 }
 
 #[cfg(test)]

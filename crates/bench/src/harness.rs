@@ -30,8 +30,6 @@ pub struct SessionRow {
     pub distinct_runs: usize,
     /// Failed (crashed/OOM) runs the tuner exposed the system to.
     pub failures: usize,
-    /// Wall-clock overhead of the tuner's own computation (seconds).
-    pub overhead_secs: f64,
     /// Worst runtime endured during tuning, relative to the default
     /// (risk: how badly did tuning hurt live traffic).
     pub worst_over_default: f64,
@@ -40,13 +38,15 @@ pub struct SessionRow {
 /// RNG seed for the deterministic default-config baseline evaluation.
 pub const BASELINE_SEED: u64 = 0xBA5E;
 
-/// Runs one tuner against one freshly built objective.
+/// Runs one tuner against one freshly built objective. Returns the row
+/// and, beside it, the wall-clock seconds the tuner spent computing: the
+/// one measurement that differs run to run, so it stays out of the row.
 pub fn run_session(
     make_objective: &dyn Fn() -> Box<dyn Objective>,
     tuner: &mut dyn Tuner,
     budget: usize,
     seed: u64,
-) -> SessionRow {
+) -> (SessionRow, f64) {
     let mut obj = make_objective();
     let baseline = eval_default_baseline(obj.as_mut());
     finish_session(make_objective, tuner, budget, seed, baseline)
@@ -65,7 +65,7 @@ pub fn run_session_memo(
     seed: u64,
     memo: &crate::exec::EvalMemo,
     scope: &str,
-) -> SessionRow {
+) -> (SessionRow, f64) {
     let mut obj = make_objective();
     let default_cfg = obj.space().default_config();
     let baseline = memo.replay_or_eval(scope, BASELINE_SEED, &default_cfg, || {
@@ -87,7 +87,7 @@ fn finish_session(
     budget: usize,
     seed: u64,
     baseline: f64,
-) -> SessionRow {
+) -> (SessionRow, f64) {
     let mut obj = make_objective();
     let outcome = tune(obj.as_mut(), tuner, budget, seed);
     let best = outcome
@@ -107,7 +107,7 @@ fn finish_session(
         .iter()
         .cloned()
         .fold(f64::MIN, f64::max);
-    SessionRow {
+    let row = SessionRow {
         tuner: tuner.name().to_string(),
         family: tuner.family().to_string(),
         best_runtime: best,
@@ -115,9 +115,9 @@ fn finish_session(
         evaluations: outcome.evaluations,
         distinct_runs: distinct.len(),
         failures: outcome.history.all().iter().filter(|o| o.failed).count(),
-        overhead_secs: outcome.tuner_overhead_secs,
         worst_over_default: worst / baseline,
-    }
+    };
+    (row, outcome.tuner_overhead_secs)
 }
 
 /// The representative tuner of each of the paper's six families for a
@@ -208,14 +208,15 @@ pub fn standard_noise() -> NoiseModel {
     NoiseModel::realistic()
 }
 
-/// Renders rows as an aligned text table.
-pub fn render_rows(rows: &[SessionRow]) -> String {
+/// Renders rows as an aligned text table, with each row's tuner wall
+/// clock from `overheads_secs` (same order) in the `overhead` column.
+pub fn render_rows(rows: &[SessionRow], overheads_secs: &[f64]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<22} {:<18} {:>10} {:>8} {:>6} {:>6} {:>9} {:>8}\n",
         "tuner", "family", "best(s)", "speedup", "runs", "fails", "overhead", "risk"
     ));
-    for r in rows {
+    for (r, overhead) in rows.iter().zip(overheads_secs) {
         out.push_str(&format!(
             "{:<22} {:<18} {:>10.0} {:>7.2}x {:>6} {:>6} {:>8.2}s {:>7.2}x\n",
             r.tuner,
@@ -224,7 +225,7 @@ pub fn render_rows(rows: &[SessionRow]) -> String {
             r.speedup,
             r.distinct_runs,
             r.failures,
-            r.overhead_secs,
+            overhead,
             r.worst_over_default,
         ));
     }
@@ -243,11 +244,12 @@ mod tests {
                 as Box<dyn Objective>
         };
         let mut tuner = RandomSearchTuner;
-        let row = run_session(&make, &mut tuner, 10, 1);
+        let (row, overhead) = run_session(&make, &mut tuner, 10, 1);
         assert_eq!(row.evaluations, 10);
         assert!(row.distinct_runs <= 10);
         assert!(row.speedup.is_finite());
         assert!(row.worst_over_default >= 1.0 || row.failures == 0);
+        assert!(overhead >= 0.0);
     }
 
     #[test]
@@ -266,7 +268,7 @@ mod tests {
 
     #[test]
     fn render_contains_headers() {
-        let s = render_rows(&[]);
+        let s = render_rows(&[], &[]);
         assert!(s.contains("speedup"));
     }
 }

@@ -74,18 +74,21 @@ fn objective_factory(system: SystemKind, noise: NoiseModel) -> Box<dyn Fn() -> B
     }
 }
 
+/// Wall-clock seconds each per-system row's tuner spent computing, in
+/// [`Table1Report::per_system`] order. [`render`] prints them; the report
+/// leaves them out because they differ from run to run.
+pub type Overheads = Vec<Vec<f64>>;
+
 /// Runs the full T1 experiment on the environment-sized executor
 /// (`AUTOTUNE_THREADS`, default: available parallelism).
-pub fn run(budget: usize, seed: u64) -> Table1Report {
+pub fn run(budget: usize, seed: u64) -> (Table1Report, Overheads) {
     run_with(&SessionExecutor::from_env(), budget, seed)
 }
 
 /// Runs the full T1 experiment on an explicit executor. Every session is
 /// an independent job — (system, family, budget, seed) fully determines
-/// its outcome — so the report is identical for any thread count (modulo
-/// the wall-clock `overhead_secs` field, which varies run to run even
-/// sequentially).
-pub fn run_with(exec: &SessionExecutor, budget: usize, seed: u64) -> Table1Report {
+/// its outcome — so the report is identical for any thread count.
+pub fn run_with(exec: &SessionExecutor, budget: usize, seed: u64) -> (Table1Report, Overheads) {
     let memo = EvalMemo::new();
     let memo = &memo;
     let systems: [(&str, SystemKind, &str); 3] = [
@@ -119,15 +122,19 @@ pub fn run_with(exec: &SessionExecutor, budget: usize, seed: u64) -> Table1Repor
         }
     }
     let mut flat = exec.run(jobs).into_iter();
-    let per_system = systems
+    let (per_system, overheads) = systems
         .iter()
-        .map(|&(label, system, _)| SystemSection {
-            system: label.to_string(),
-            rows: (0..family_representatives(system).len())
+        .map(|&(label, system, _)| {
+            let (rows, overheads) = (0..family_representatives(system).len())
                 .map(|_| flat.next().expect("one row per job"))
-                .collect(),
+                .unzip();
+            let section = SystemSection {
+                system: label.to_string(),
+                rows,
+            };
+            (section, overheads)
         })
-        .collect();
+        .unzip();
 
     // Budget sensitivity on the DBMS: one job per family, covering both
     // budgets (the pair shares nothing with other families).
@@ -141,7 +148,7 @@ pub fn run_with(exec: &SessionExecutor, budget: usize, seed: u64) -> Table1Repor
                         .into_iter()
                         .nth(fi)
                         .expect("family index in range");
-                    let r5 = run_session_memo(
+                    let (r5, _) = run_session_memo(
                         factory.as_ref(),
                         t5.as_mut(),
                         5,
@@ -154,7 +161,7 @@ pub fn run_with(exec: &SessionExecutor, budget: usize, seed: u64) -> Table1Repor
                         .nth(fi)
                         .expect("same list")
                         .1;
-                    let r25 = run_session_memo(
+                    let (r25, _) = run_session_memo(
                         factory.as_ref(),
                         t25.as_mut(),
                         budget,
@@ -184,7 +191,7 @@ pub fn run_with(exec: &SessionExecutor, budget: usize, seed: u64) -> Table1Repor
                         .into_iter()
                         .nth(fi)
                         .expect("family index in range");
-                    let mild = run_session_memo(
+                    let (mild, _) = run_session_memo(
                         mild_factory.as_ref(),
                         ta.as_mut(),
                         budget,
@@ -197,7 +204,7 @@ pub fn run_with(exec: &SessionExecutor, budget: usize, seed: u64) -> Table1Repor
                         .nth(fi)
                         .expect("same list")
                         .1;
-                    let cloud = run_session_memo(
+                    let (cloud, _) = run_session_memo(
                         cloud_factory.as_ref(),
                         tb.as_mut(),
                         budget,
@@ -215,20 +222,22 @@ pub fn run_with(exec: &SessionExecutor, budget: usize, seed: u64) -> Table1Repor
             .collect(),
     );
 
-    Table1Report {
+    let report = Table1Report {
         per_system,
         budget_sensitivity,
         noise_robustness,
-    }
+    };
+    (report, overheads)
 }
 
-/// Renders the report as text.
-pub fn render(report: &Table1Report) -> String {
+/// Renders the report as text, with the tuners' wall clock from
+/// `overheads` in each per-system table's `overhead` column.
+pub fn render(report: &Table1Report, overheads: &Overheads) -> String {
     let mut out = String::new();
     out.push_str("== Table 1 (quantified): six families head-to-head ==\n");
-    for section in &report.per_system {
+    for (section, overheads) in report.per_system.iter().zip(overheads) {
         out.push_str(&format!("\n-- {} --\n", section.system));
-        out.push_str(&crate::harness::render_rows(&section.rows));
+        out.push_str(&crate::harness::render_rows(&section.rows, overheads));
     }
     out.push_str("\n-- budget sensitivity (DBMS): speedup @5 runs vs @25 runs --\n");
     for r in &report.budget_sensitivity {
@@ -253,14 +262,15 @@ mod tests {
 
     #[test]
     fn t1_small_run_has_all_sections() {
-        let report = run(6, 3);
+        let (report, overheads) = run(6, 3);
         assert_eq!(report.per_system.len(), 3);
         for s in &report.per_system {
             assert_eq!(s.rows.len(), 7);
         }
         assert_eq!(report.budget_sensitivity.len(), 7);
         assert_eq!(report.noise_robustness.len(), 7);
-        let text = render(&report);
+        assert_eq!(overheads.iter().map(Vec::len).sum::<usize>(), 21);
+        let text = render(&report, &overheads);
         assert!(text.contains("Hadoop"));
         assert!(text.contains("budget sensitivity"));
     }

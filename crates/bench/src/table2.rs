@@ -131,7 +131,7 @@ pub fn run_with(exec: &SessionExecutor, seed: u64) -> Vec<Table2Row> {
     jobs.push(Box::new(move || {
         let factory: Box<dyn Fn() -> Box<dyn Objective>> = Box::new(make_obj);
         let mut stmm = StmmTuner::new();
-        let r = run_session_memo(factory.as_ref(), &mut stmm, 1, seed, memo, scope);
+        let (r, _) = run_session_memo(factory.as_ref(), &mut stmm, 1, seed, memo, scope);
         Table2Row {
             approach: "STMM".into(),
             category: "Cost Modeling".into(),
@@ -209,7 +209,7 @@ pub fn run_with(exec: &SessionExecutor, seed: u64) -> Vec<Table2Row> {
     jobs.push(Box::new(move || {
         let factory: Box<dyn Fn() -> Box<dyn Objective>> = Box::new(make_obj);
         let mut addm = AddmTuner::new();
-        let r = run_session_memo(factory.as_ref(), &mut addm, 10, seed, memo, scope);
+        let (r, _) = run_session_memo(factory.as_ref(), &mut addm, 10, seed, memo, scope);
         Table2Row {
             approach: "ADDM".into(),
             category: "Simulation-based".into(),
@@ -251,7 +251,7 @@ pub fn run_with(exec: &SessionExecutor, seed: u64) -> Vec<Table2Row> {
     jobs.push(Box::new(move || {
         let factory: Box<dyn Fn() -> Box<dyn Objective>> = Box::new(make_obj);
         let mut t = AdaptiveSamplingTuner::new();
-        let r = run_session_memo(factory.as_ref(), &mut t, 25, seed, memo, scope);
+        let (r, _) = run_session_memo(factory.as_ref(), &mut t, 25, seed, memo, scope);
         Table2Row {
             approach: "Shivnath".into(),
             category: "Experiment-driven".into(),
@@ -266,7 +266,7 @@ pub fn run_with(exec: &SessionExecutor, seed: u64) -> Vec<Table2Row> {
     jobs.push(Box::new(move || {
         let factory: Box<dyn Fn() -> Box<dyn Objective>> = Box::new(make_obj);
         let mut t = ITunedTuner::new();
-        let r = run_session_memo(factory.as_ref(), &mut t, 25, seed, memo, scope);
+        let (r, _) = run_session_memo(factory.as_ref(), &mut t, 25, seed, memo, scope);
         Table2Row {
             approach: "iTuned".into(),
             category: "Experiment-driven".into(),
@@ -281,7 +281,7 @@ pub fn run_with(exec: &SessionExecutor, seed: u64) -> Vec<Table2Row> {
     jobs.push(Box::new(move || {
         let factory: Box<dyn Fn() -> Box<dyn Objective>> = Box::new(make_obj);
         let mut t = RoddTuner::new();
-        let r = run_session_memo(factory.as_ref(), &mut t, 25, seed, memo, scope);
+        let (r, _) = run_session_memo(factory.as_ref(), &mut t, 25, seed, memo, scope);
         Table2Row {
             approach: "Rodd".into(),
             category: "Machine Learning".into(),
@@ -311,7 +311,7 @@ pub fn run_with(exec: &SessionExecutor, seed: u64) -> Vec<Table2Row> {
         }
         let mut t = OtterTuneTuner::new(repo);
         let factory: Box<dyn Fn() -> Box<dyn Objective>> = Box::new(make_obj);
-        let r = run_session_memo(factory.as_ref(), &mut t, 20, seed, memo, scope);
+        let (r, _) = run_session_memo(factory.as_ref(), &mut t, 20, seed, memo, scope);
         Table2Row {
             approach: "OtterTune".into(),
             category: "Machine Learning".into(),
@@ -330,7 +330,7 @@ pub fn run_with(exec: &SessionExecutor, seed: u64) -> Vec<Table2Row> {
     jobs.push(Box::new(move || {
         let factory: Box<dyn Fn() -> Box<dyn Objective>> = Box::new(make_obj);
         let mut t = ColtTuner::new();
-        let r = run_session_memo(factory.as_ref(), &mut t, 30, seed, memo, scope);
+        let (r, _) = run_session_memo(factory.as_ref(), &mut t, 30, seed, memo, scope);
         Table2Row {
             approach: "COLT".into(),
             category: "Adaptive".into(),

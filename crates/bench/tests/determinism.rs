@@ -1,34 +1,21 @@
 //! Parallel execution must not change results: for fixed seeds, a report
-//! computed on N worker threads is identical to the sequential one
-//! (after zeroing the wall-clock `overhead_secs` field, the only
-//! nondeterministic bytes in a session row).
+//! computed on N worker threads is identical to the sequential one.
 
-use autotune_bench::exec::{canonical_rows, EvalMemo, SessionExecutor};
+use autotune_bench::exec::{EvalMemo, SessionExecutor};
 use autotune_bench::harness::{run_session, run_session_memo};
 use autotune_bench::{table1, table2};
 use autotune_core::Objective;
 use autotune_sim::{DbmsSimulator, NoiseModel};
 use autotune_tuners::baselines::RandomSearchTuner;
 
-fn canon_t1(report: &table1::Table1Report) -> String {
-    let rows: Vec<Vec<autotune_bench::harness::SessionRow>> = report
-        .per_system
-        .iter()
-        .map(|s| canonical_rows(&s.rows))
-        .collect();
-    format!(
-        "{}{}{}",
-        serde_json::to_string(&rows).expect("rows serialize"),
-        serde_json::to_string(&report.budget_sensitivity).expect("serialize"),
-        serde_json::to_string(&report.noise_robustness).expect("serialize"),
-    )
-}
-
 #[test]
 fn table1_parallel_equals_sequential() {
-    let seq = table1::run_with(&SessionExecutor::with_threads(1), 6, 11);
-    let par = table1::run_with(&SessionExecutor::with_threads(3), 6, 11);
-    assert_eq!(canon_t1(&seq), canon_t1(&par));
+    let (seq, _) = table1::run_with(&SessionExecutor::with_threads(1), 6, 11);
+    let (par, _) = table1::run_with(&SessionExecutor::with_threads(3), 6, 11);
+    assert_eq!(
+        serde_json::to_string(&seq).expect("serialize"),
+        serde_json::to_string(&par).expect("serialize"),
+    );
 }
 
 #[test]
@@ -49,11 +36,11 @@ fn memoized_session_matches_direct_session() {
         Box::new(|| Box::new(DbmsSimulator::oltp_default().with_noise(NoiseModel::realistic())));
     let memo = EvalMemo::new();
     let mut t1 = RandomSearchTuner;
-    let direct = run_session(factory.as_ref(), &mut t1, 8, 5);
+    let (direct, _) = run_session(factory.as_ref(), &mut t1, 8, 5);
     let mut t2 = RandomSearchTuner;
-    let first = run_session_memo(factory.as_ref(), &mut t2, 8, 5, &memo, "det/oltp");
+    let (first, _) = run_session_memo(factory.as_ref(), &mut t2, 8, 5, &memo, "det/oltp");
     let mut t3 = RandomSearchTuner;
-    let replayed = run_session_memo(factory.as_ref(), &mut t3, 8, 5, &memo, "det/oltp");
+    let (replayed, _) = run_session_memo(factory.as_ref(), &mut t3, 8, 5, &memo, "det/oltp");
     assert_eq!(memo.misses(), 1);
     assert_eq!(memo.hits(), 1);
     for row in [&first, &replayed] {
