@@ -5,16 +5,19 @@
 //! One Table 1 run is short enough that a single ratio is mostly noise,
 //! so the run is repeated as [`PAIRS`] sequential/parallel pairs, the
 //! order alternating from pair to pair, at a budget where one sequential
-//! run takes well over half a second on 2 cores. The report gives the median
+//! run takes about half a second on 2 cores. The report gives the median
 //! speedup with its minimum and maximum; every pair must produce
 //! identical JSON.
 //!
 //! `cargo run --release -p autotune-bench --bin exec_speedup [budget] [seed]`
+//!
+//! A malformed or extra argument is refused with a one-line message.
 
 use autotune_bench::exec::SessionExecutor;
 use autotune_bench::table1;
 use autotune_math::stats::median;
 use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Sequential/parallel pairs timed.
@@ -60,9 +63,31 @@ fn timed_run(exec: &SessionExecutor, budget: usize, seed: u64) -> (f64, String) 
     )
 }
 
-fn main() {
-    let budget = arg_or(1, 60);
-    let seed = arg_or(2, 3);
+/// `[budget] [seed]`, defaulting to 60 and 3.
+fn parse_args(args: &[String]) -> Result<(usize, u64), String> {
+    if let Some(extra) = args.get(2) {
+        return Err(format!("unexpected argument '{extra}'"));
+    }
+    let budget = args.first().map_or(Ok(60), |v| {
+        v.parse()
+            .map_err(|_| format!("budget expects a number, got '{v}'"))
+    })?;
+    let seed = args.get(1).map_or(Ok(3), |v| {
+        v.parse()
+            .map_err(|_| format!("seed expects a number, got '{v}'"))
+    })?;
+    Ok((budget, seed))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (budget, seed) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("exec_speedup: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -132,11 +157,37 @@ fn main() {
     }
     autotune_bench::write_json("exec_speedup", &report);
     eprintln!("wrote bench_results/exec_speedup.json");
+    ExitCode::SUCCESS
 }
 
-fn arg_or<T: std::str::FromStr>(i: usize, default: T) -> T {
-    std::env::args()
-        .nth(i)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn defaults_and_positional_numbers_parse() {
+        assert_eq!(parse_args(&[]), Ok((60, 3)));
+        assert_eq!(parse_args(&args(&["40"])), Ok((40, 3)));
+        assert_eq!(parse_args(&args(&["40", "7"])), Ok((40, 7)));
+    }
+
+    #[test]
+    fn malformed_or_extra_arguments_are_refused() {
+        assert_eq!(
+            parse_args(&args(&["abc"])),
+            Err("budget expects a number, got 'abc'".to_string())
+        );
+        assert_eq!(
+            parse_args(&args(&["40", "-1"])),
+            Err("seed expects a number, got '-1'".to_string())
+        );
+        assert_eq!(
+            parse_args(&args(&["40", "7", "9"])),
+            Err("unexpected argument '9'".to_string())
+        );
+    }
 }

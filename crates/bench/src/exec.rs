@@ -5,7 +5,8 @@
 //! tuning session per (system, tuner, budget, seed) tuple, each with its
 //! own freshly built objective and explicitly seeded RNG. That makes the
 //! fan-out embarrassingly parallel: [`SessionExecutor`] runs the jobs on
-//! scoped worker threads and returns results **in submission order**, so
+//! the process's parked spare-core helpers and returns results **in
+//! submission order**, so
 //! a report assembled from the returned `Vec` is identical to the one the
 //! sequential loop would have produced.
 //!
@@ -16,7 +17,7 @@
 //! re-simulated.
 
 use autotune_core::Configuration;
-use autotune_math::batch::{fork_join, SpareCores};
+use autotune_math::batch::fork_join;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -36,8 +37,8 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// Runs independent jobs on a pool of scoped worker threads, collecting
-/// results in submission order.
+/// Runs independent jobs on the caller and the free spare-core helpers,
+/// collecting results in submission order.
 #[derive(Debug, Clone)]
 pub struct SessionExecutor {
     threads: usize,
@@ -51,7 +52,8 @@ impl SessionExecutor {
     }
 
     /// Executor with an explicit thread count (clamped to ≥ 1). One thread
-    /// means jobs run inline on the caller's thread, sequentially.
+    /// means jobs run inline on the caller's thread, sequentially; more
+    /// threads than the machine has cores run as many as it has.
     pub fn with_threads(threads: usize) -> Self {
         SessionExecutor {
             threads: threads.max(1),
@@ -70,19 +72,16 @@ impl SessionExecutor {
     /// fine as long as they are *constructed inside* the job closure.
     /// A panicking job propagates to the caller after all threads join.
     ///
-    /// The caller runs jobs beside `threads − 1` scoped workers. While
-    /// they run, the executor holds a free spare-core token (see
-    /// [`autotune_math::batch`]) for each worker that can get one, so a
-    /// tuner inside a job does not fork its GP search onto cores the
-    /// executor already fills.
+    /// The caller runs jobs beside up to `threads − 1` of the process's
+    /// free spare-core helpers (see [`autotune_math::batch`]). While they
+    /// run, the executor holds those helpers, so a tuner inside a job does
+    /// not fork its GP search onto cores the executor already fills.
     pub fn run<R, F>(&self, jobs: Vec<F>) -> Vec<R>
     where
         R: Send,
         F: FnOnce() -> R + Send,
     {
-        let workers = (self.threads - 1).min(jobs.len().saturating_sub(1));
-        let _held = SpareCores::claim(workers);
-        fork_join(jobs, workers, |job| job())
+        fork_join(jobs, self.threads - 1, |job| job())
     }
 }
 

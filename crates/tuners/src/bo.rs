@@ -14,7 +14,10 @@
 //! drawn at each search and again every [`SET_LIFETIME`] proposals, and
 //! for the exact surrogate its whitened cross-covariance columns grow by
 //! one row per observation, so scoring it costs `O(n·P)` instead of a
-//! fresh `O(n²·P)` solve.
+//! fresh `O(n²·P)` solve. A proposal scores the set's blocks and the fresh
+//! part's chunks as one `autotune_math::batch` region, on the proposing
+//! thread and any spare-core helper that is free, with the same scores in
+//! the same order either way.
 //!
 //! Seeded trajectories rest on the order of the RNG draws, which is fixed:
 //! the LHS plan on the first call (OtterTune's metric pruning draws right
@@ -26,7 +29,7 @@
 
 use crate::util::SearchConstraints;
 use autotune_core::{Configuration, SurrogateStats, TuningContext};
-use autotune_math::batch::{argmax_first, SCORING_CHUNK};
+use autotune_math::batch::{argmax_first, fork_join, SCORING_CHUNK};
 use autotune_math::gp::{GaussianProcess, KernelKind};
 use autotune_math::lhs::maximin_lhs;
 use autotune_math::surrogate::{Surrogate, SurrogateConfig, SurrogateModel};
@@ -164,6 +167,20 @@ struct CandidateSet {
     jitter: f64,
 }
 
+/// Fresh points per unit of the exact backend's scoring region. Its batch
+/// EI is bit-identical to a per-point `predict` whatever the chunk, so
+/// its fresh part can be cut finer than [`SCORING_CHUNK`], which balances
+/// the region's units; the sparse backends keep [`SCORING_CHUNK`].
+const EXACT_FRESH_CHUNK: usize = 64;
+
+/// One unit of a proposal's scoring region.
+enum Unit<'a> {
+    /// A block of the persistent set; it extends its own columns.
+    Block(&'a mut CandidateBlock),
+    /// A chunk of the fresh part.
+    Fresh(&'a [Vec<f64>]),
+}
+
 /// One block of a [`CandidateSet`].
 #[derive(Debug, Default)]
 struct CandidateBlock {
@@ -211,17 +228,22 @@ impl CandidateSet {
         self.blocks.iter().map(|b| b.points.len()).sum()
     }
 
-    /// EI of every point, in order, with `f64::NEG_INFINITY` for points
-    /// already taken. The exact backend extends each block's columns by
-    /// the rows observed since the last step and scores from them,
-    /// `O(n·P)`; the sparse backends score the points with their batch EI.
-    /// `reserve_rows` sizes the columns for the rest of the epoch.
+    /// EI of every point of the set, in order, with `f64::NEG_INFINITY`
+    /// for points already taken, then of every point of `fresh`. The
+    /// blocks and the fresh part's chunks are the units of one
+    /// [`fork_join`] region on up to `workers` spare-core helpers: the
+    /// exact backend extends each block's columns by the rows observed
+    /// since the last step and scores from them, `O(n·P)`; the sparse
+    /// backends score the points with their batch EI. `reserve_rows` sizes
+    /// the columns for the rest of the epoch. Every unit's scores are the
+    /// same on any thread, and they are concatenated in unit order.
     fn scores(
         &mut self,
         gp: &SurrogateModel,
-        y_best: f64,
-        xi: f64,
+        fresh: &[Vec<f64>],
+        (y_best, xi): (f64, f64),
         reserve_rows: usize,
+        workers: usize,
     ) -> Vec<f64> {
         let targets = match gp {
             SurrogateModel::Exact(exact) => {
@@ -236,26 +258,22 @@ impl CandidateSet {
             }
             _ => None,
         };
-        let mut scores = Vec::with_capacity(self.len());
-        for block in &mut self.blocks {
-            let from = scores.len();
-            match (gp, &targets) {
-                (SurrogateModel::Exact(exact), Some((y_mean, w))) => {
-                    block.extend(exact, reserve_rows);
-                    let moments = block.exact_moments(*y_mean, w).into_iter();
-                    let ei = moments
-                        .map(|(mu, var)| GaussianProcess::ei_from_moments(mu, var, y_best, xi));
-                    scores.extend(ei);
-                }
-                _ => scores.extend(gp.expected_improvement_batch(&block.points, y_best, xi)),
-            }
-            for (score, &taken) in scores[from..].iter_mut().zip(&block.taken) {
-                if taken {
-                    *score = f64::NEG_INFINITY;
-                }
-            }
-        }
-        scores
+        let fresh_chunk = if targets.is_some() {
+            EXACT_FRESH_CHUNK
+        } else {
+            SCORING_CHUNK
+        };
+        let units: Vec<Unit> = self
+            .blocks
+            .iter_mut()
+            .map(Unit::Block)
+            .chain(fresh.chunks(fresh_chunk).map(Unit::Fresh))
+            .collect();
+        let scored = fork_join(units, workers, |unit| match unit {
+            Unit::Block(block) => block.scores(gp, targets.as_ref(), (y_best, xi), reserve_rows),
+            Unit::Fresh(chunk) => gp.expected_improvement_batch(chunk, y_best, xi),
+        });
+        scored.concat()
     }
 
     /// Marks point `j` taken and returns it.
@@ -267,6 +285,34 @@ impl CandidateSet {
 }
 
 impl CandidateBlock {
+    /// EI of every point, `f64::NEG_INFINITY` for points taken. For the
+    /// exact backend (`targets` from its `whitened_targets`) the columns
+    /// are extended first.
+    fn scores(
+        &mut self,
+        gp: &SurrogateModel,
+        targets: Option<&(f64, Vec<f64>)>,
+        (y_best, xi): (f64, f64),
+        reserve_rows: usize,
+    ) -> Vec<f64> {
+        let mut scores: Vec<f64> = match (gp, targets) {
+            (SurrogateModel::Exact(exact), Some((y_mean, w))) => {
+                self.extend(exact, reserve_rows);
+                let moments = self.exact_moments(*y_mean, w).into_iter();
+                moments
+                    .map(|(mu, var)| GaussianProcess::ei_from_moments(mu, var, y_best, xi))
+                    .collect()
+            }
+            _ => gp.expected_improvement_batch(&self.points, y_best, xi),
+        };
+        for (score, &taken) in scores.iter_mut().zip(&self.taken) {
+            if taken {
+                *score = f64::NEG_INFINITY;
+            }
+        }
+        scores
+    }
+
     /// Brings the columns up to every training row of `gp`: one kernel row
     /// and one forward-substitution row per new observation, and each new
     /// row's squares added to the column norms.
@@ -472,19 +518,18 @@ impl GpBo {
         // of its lifetime replaces it.
         let reserve_rows =
             (n + SET_LIFETIME - 1 - set.proposals).min(next_search(cache.last_search) - 1);
-        let gp = &cache.gp;
-        let mut scores = set.scores(gp, y_best, self.xi, reserve_rows);
+        // The set's blocks and the fresh part's chunks score as one region
+        // on the spare cores that are free; a helper the scheduler has not
+        // run by the time the proposing thread runs out of units costs it
+        // no wait. The scores are the same bits on any number of threads.
+        let scores = set.scores(
+            &cache.gp,
+            &fresh,
+            (y_best, self.xi),
+            reserve_rows,
+            usize::MAX,
+        );
         set.proposals += 1;
-        // The fresh part in fixed-size chunks (one cross-covariance and
-        // one multi-RHS solve per chunk); for the exact backend every score
-        // is bit-identical to a per-point `predict`. Scoring runs on the
-        // proposing thread: it takes a few hundred microseconds, and a
-        // helper thread started for it makes the proposal wait until the
-        // scheduler runs the helper, on a busy host a time slice, several
-        // times the work it would save.
-        for chunk in fresh.chunks(SCORING_CHUNK) {
-            scores.extend(gp.expected_improvement_batch(chunk, y_best, self.xi));
-        }
         let persistent = set.len();
         match argmax_first(&scores) {
             Some(j) if j < persistent => ctx.space.decode(set.take(j)),
@@ -563,7 +608,7 @@ mod tests {
         let (mut model, rest, points) = exact_setup(30);
         let mut set = CandidateSet::default();
         set.redraw(Default::default(), points.clone(), &model, 1);
-        set.scores(&model, 2.0, 0.01, 40);
+        set.scores(&model, &[], (2.0, 0.01), 40, 0);
         for x in &rest[..9] {
             model.update(x.clone(), toy(x)).expect("update");
         }
@@ -576,7 +621,7 @@ mod tests {
             .map(|y| 1.5 * y - 0.2)
             .collect();
         gp.refresh_targets(&ys);
-        set.scores(&model, 2.0, 0.01, 40);
+        set.scores(&model, &[], (2.0, 0.01), 40, 0);
         let SurrogateModel::Exact(gp) = &model else {
             unreachable!()
         };
@@ -598,14 +643,45 @@ mod tests {
     }
 
     #[test]
+    fn serial_and_parallel_scoring_agree_bitwise() {
+        let (exact, rest, points) = exact_setup(30);
+        let xs = exact.observed_inputs().to_vec();
+        let ys: Vec<f64> = xs.iter().map(|x| toy(x)).collect();
+        let config = SurrogateConfig::nystrom(12);
+        let nystrom = SurrogateModel::fit_auto(&config, KernelKind::Matern52, false, xs, &ys)
+            .expect("nystrom fit");
+        let fresh = latin_hypercube(150, 2, &mut StdRng::seed_from_u64(43));
+        for mut model in [exact, nystrom] {
+            let label = model.kind_label().to_string();
+            let mut serial = CandidateSet::default();
+            let mut parallel = CandidateSet::default();
+            serial.redraw(Default::default(), points.clone(), &model, 1);
+            parallel.redraw(Default::default(), points.clone(), &model, 1);
+            // Each step extends the columns by one row and takes a point.
+            for (step, x) in rest[..3].iter().enumerate() {
+                let want = serial.scores(&model, &fresh, (2.0, 0.01), 40, 0);
+                let got = parallel.scores(&model, &fresh, (2.0, 0.01), 40, usize::MAX);
+                assert_eq!(got.len(), points.len() + fresh.len());
+                for (j, (a, b)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{label} step {step} point {j}");
+                }
+                let j = argmax_first(&want[..points.len()]).expect("a point scores");
+                serial.take(j);
+                parallel.take(j);
+                model.update(x.clone(), toy(x)).expect("update");
+            }
+        }
+    }
+
+    #[test]
     fn a_taken_point_leaves_the_set() {
         let (model, _, points) = exact_setup(30);
         let mut set = CandidateSet::default();
         set.redraw(Default::default(), points.clone(), &model, 1);
-        let first = set.scores(&model, 2.0, 0.01, 40);
+        let first = set.scores(&model, &[], (2.0, 0.01), 40, 0);
         let j = argmax_first(&first).expect("a point scores");
         assert_eq!(set.take(j), &points[j][..]);
-        let second = set.scores(&model, 2.0, 0.01, 40);
+        let second = set.scores(&model, &[], (2.0, 0.01), 40, 0);
         assert_eq!(second[j], f64::NEG_INFINITY);
         assert_ne!(argmax_first(&second), Some(j));
         for (i, (a, b)) in first.iter().zip(&second).enumerate() {
@@ -615,7 +691,7 @@ mod tests {
         }
         // A redraw reuses the buffers and starts from a clean mask.
         set.redraw(Default::default(), points, &model, 2);
-        let third = set.scores(&model, 2.0, 0.01, 40);
+        let third = set.scores(&model, &[], (2.0, 0.01), 40, 0);
         assert!(first
             .iter()
             .zip(&third)
