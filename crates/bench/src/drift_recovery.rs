@@ -48,6 +48,15 @@ pub struct ScenarioRow {
     /// Mean evaluations between the flip and the detector firing, over
     /// detecting runs.
     pub mean_detection_delay: f64,
+    /// Per detection-on run, in seed order: evaluations between the flip
+    /// and the re-probe that opens the post-drift epoch (`null` when the
+    /// detector did not fire after the flip).
+    pub detection_delays: Vec<Option<u64>>,
+    /// Per detection-on run: evaluations between the flip and the first
+    /// canary at or after it, the earliest evaluation that can show the
+    /// flip to the detector. A run that fires on that canary re-probes on
+    /// the next evaluation, so its detection delay is this plus one.
+    pub first_canary_delays: Vec<u64>,
     /// Censored runs with detection off.
     pub censored_off: usize,
     /// Censored runs with detection on.
@@ -108,8 +117,8 @@ fn spec(system: &str, seed: u64, budget: usize, detector: &str) -> SessionSpec {
 }
 
 /// Runs one session to completion in `repo` and returns its runtime
-/// trajectory plus the first drift event's observation index.
-fn run_in(repo: &SessionRepository, spec: SessionSpec) -> (Vec<f64>, Option<u64>) {
+/// trajectory plus every drift event's re-probe index.
+fn run_in(repo: &SessionRepository, spec: SessionSpec) -> (Vec<f64>, Vec<u64>) {
     let budget = spec.budget;
     let meta = SessionMeta {
         id: repo.next_id().expect("id"),
@@ -120,12 +129,28 @@ fn run_in(repo: &SessionRepository, spec: SessionSpec) -> (Vec<f64>, Option<u64>
     let mut s = LiveSession::create(repo, meta, None, usize::MAX).expect("create");
     s.advance(budget).expect("advance");
     let trajectory = s.history().all().iter().map(|o| o.runtime_secs).collect();
-    let first_drift = s.drift_events().first().map(|e| e.at_seq);
-    (trajectory, first_drift)
+    let reprobes = s.drift_events().iter().map(|e| e.at_seq).collect();
+    (trajectory, reprobes)
+}
+
+/// Observation index of the first canary at or after `flip_at`: a canary
+/// runs every `probe_every` indices into an epoch, and each drift event
+/// opens an epoch at its re-probe index (`reprobes`, ascending).
+fn first_canary_from(flip_at: u64, probe_every: u64, reprobes: &[u64]) -> u64 {
+    let mut start = 0;
+    for &next in reprobes.iter().chain([u64::MAX].iter()) {
+        let k = flip_at.saturating_sub(start).div_ceil(probe_every).max(1);
+        let canary = start + k * probe_every;
+        if canary < next {
+            return canary;
+        }
+        start = next;
+    }
+    unreachable!("the last epoch is unbounded")
 }
 
 /// Runs one session in a throwaway repo (no warm-start fleet).
-fn run_session(root: &Path, spec: SessionSpec) -> (Vec<f64>, Option<u64>) {
+fn run_session(root: &Path, spec: SessionSpec) -> (Vec<f64>, Vec<u64>) {
     let _ = fs::remove_dir_all(root);
     let repo = SessionRepository::open(root).expect("open repo");
     let out = run_in(&repo, spec);
@@ -193,7 +218,8 @@ pub fn run() -> DriftRecoveryReport {
 
         let mut off_runs = Vec::new();
         let mut on_runs = Vec::new();
-        let mut delays = Vec::new();
+        let mut detection_delays = Vec::new();
+        let mut first_canary_delays = Vec::new();
         for &seed in &seeds {
             // Both arms run against the same fleet history; only the
             // detection-on arm ever queries it (drift re-match), so it
@@ -202,10 +228,11 @@ pub fn run() -> DriftRecoveryReport {
             let repo = fleet_repo(&root, system, seed, budget);
             let mut on = spec(system, seed, budget, "ph");
             on.warm_start = true;
-            let (t, drift) = run_in(&repo, on);
-            if let Some(at) = drift {
-                delays.push(at.saturating_sub(flip_at as u64) as f64);
-            }
+            let probe_every = on.drift.probe_every as u64;
+            let (t, reprobes) = run_in(&repo, on);
+            let flip = flip_at as u64;
+            detection_delays.push(reprobes.iter().find(|&&at| at > flip).map(|at| at - flip));
+            first_canary_delays.push(first_canary_from(flip, probe_every, &reprobes) - flip);
             on_runs.push(t);
             let mut off = spec(system, seed, budget, "off");
             off.warm_start = true;
@@ -232,6 +259,11 @@ pub fn run() -> DriftRecoveryReport {
                 .filter(|t| evals_to_band(t, flip_at, post_optimum, tolerance) > t.len() - flip_at)
                 .count()
         };
+        let delays: Vec<f64> = detection_delays
+            .iter()
+            .flatten()
+            .map(|&d| d as f64)
+            .collect();
         scenarios.push(ScenarioRow {
             system: system.clone(),
             post_optimum,
@@ -243,6 +275,8 @@ pub fn run() -> DriftRecoveryReport {
             } else {
                 delays.iter().sum::<f64>() / delays.len() as f64
             },
+            detection_delays,
+            first_canary_delays,
             censored_off: censored(&off_runs),
             censored_on: censored(&on_runs),
             win: mean_evals(&on_runs) < mean_evals(&off_runs),
@@ -283,5 +317,22 @@ pub fn run() -> DriftRecoveryReport {
         scenarios,
         wins,
         legacy_identical,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::first_canary_from;
+
+    #[test]
+    fn first_canary_follows_the_epochs_drift_events_open() {
+        assert_eq!(first_canary_from(15, 10, &[]), 20);
+        assert_eq!(first_canary_from(20, 10, &[]), 20);
+        assert_eq!(first_canary_from(0, 10, &[]), 10);
+        // A re-probe at 12 opens an epoch whose first canary is at 22.
+        assert_eq!(first_canary_from(15, 10, &[12]), 22);
+        // A re-probe before the epoch's first canary moves it.
+        assert_eq!(first_canary_from(5, 10, &[3]), 13);
+        assert_eq!(first_canary_from(25, 10, &[21]), 31);
     }
 }

@@ -62,18 +62,51 @@ impl Kernel {
         self.length_scales.len()
     }
 
-    /// Scaled squared distance `sum(((a_d - b_d) / l_d)^2)`.
+    /// `1/ℓ²` when every dimension shares one length scale (an isotropic
+    /// kernel), `None` for ARD length scales. This picks the kernel's one
+    /// squared-distance formula, which every evaluation path uses:
+    /// `Σ_d (a_d − b_d)² · (1/ℓ²)` for an isotropic kernel and
+    /// `Σ_d (a_d/ℓ_d − b_d/ℓ_d)²` for ARD, each sum taken in ascending `d`
+    /// from `0.0`. Neither divides per pair of points.
+    fn isotropic_scale(&self) -> Option<f64> {
+        let l = *self.length_scales.first()?;
+        self.length_scales
+            .iter()
+            .all(|&v| v == l)
+            .then(|| 1.0 / (l * l))
+    }
+
+    /// The length scales an ARD kernel divides its points by before taking
+    /// distances; `None` for an isotropic kernel.
+    fn ard_scales(&self) -> Option<&[f64]> {
+        match self.isotropic_scale() {
+            Some(_) => None,
+            None => Some(&self.length_scales),
+        }
+    }
+
+    /// Scaled squared distance in the kernel's formula
+    /// ([`Kernel::isotropic_scale`]).
     fn r2(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), self.dim());
         debug_assert_eq!(b.len(), self.dim());
-        a.iter()
-            .zip(b)
-            .zip(&self.length_scales)
-            .map(|((x, y), l)| {
-                let d = (x - y) / l;
-                d * d
-            })
-            .sum()
+        let mut acc = 0.0;
+        match self.isotropic_scale() {
+            Some(scale) => {
+                for (x, y) in a.iter().zip(b) {
+                    let t = x - y;
+                    acc += t * t;
+                }
+                acc * scale
+            }
+            None => {
+                for ((x, y), l) in a.iter().zip(b).zip(&self.length_scales) {
+                    let t = x / l - y / l;
+                    acc += t * t;
+                }
+                acc
+            }
+        }
     }
 
     /// Covariance between two points (noise excluded).
@@ -82,7 +115,7 @@ impl Kernel {
     }
 
     /// Kernel value from a scaled squared distance. The single shared tail
-    /// of every evaluation path (direct, cached-difference, batched), so
+    /// of every evaluation path (direct, cached-distance, batched), so
     /// they cannot drift apart numerically.
     fn value_from_r2(&self, r2: f64) -> f64 {
         let base = match self.kind {
@@ -114,12 +147,13 @@ impl Kernel {
     /// so repeated pool scoring can reuse one allocation instead of paying
     /// a fresh multi-hundred-KB one — and its page faults — per call.
     ///
-    /// Query coordinates are transposed to dimension-major so the scaled
-    /// squared distances accumulate across whole rows. Each entry's r2 is
-    /// built with the same per-dimension subtract-divide-square operations,
-    /// in the same ascending-dimension order, as [`Kernel::r2`] — only the
-    /// loop nest differs, so the values are bit-identical to per-point
-    /// `eval`.
+    /// Queries are transposed to dimension-major once per call (and, for
+    /// an ARD kernel, divided by their length scales then), so each row's
+    /// squared distances are one [`crate::simd::sq_dist_row`] sweep with
+    /// no division. Each entry's r2 is built with the operations of
+    /// [`Kernel::r2`], in the same ascending-dimension order — only the
+    /// loop nest differs — and the tail's `exp` equals `f64::exp`
+    /// bitwise, so the values are bit-identical to per-point `eval`.
     pub(crate) fn cross_covariance_rows(
         &self,
         xs: &[Vec<f64>],
@@ -132,43 +166,38 @@ impl Kernel {
         if n == 0 || m == 0 {
             return;
         }
-        let dim = self.dim();
-        let qt = &mut scratch.qt;
-        qt.resize(dim * m, 0.0);
-        for (j, q) in queries.iter().enumerate() {
-            debug_assert_eq!(q.len(), dim);
-            for (d, &v) in q.iter().enumerate() {
-                qt[d * m + j] = v;
-            }
-        }
-        scratch.r2.resize(m, 0.0);
-        scratch.row.resize(m, 0.0);
-        for (i, x) in xs.iter().enumerate() {
-            debug_assert_eq!(x.len(), dim);
-            scratch.r2.iter_mut().for_each(|v| *v = 0.0);
-            for (d, (&xd, &l)) in x.iter().zip(&self.length_scales).enumerate() {
-                let qrow = &qt[d * m..(d + 1) * m];
-                crate::simd::scaled_sq_accum(xd, l, qrow, &mut scratch.r2);
-            }
-            self.fill_row_from_r2(&scratch.r2, &mut scratch.row, &mut out[i * m..(i + 1) * m]);
+        let scale = self.isotropic_scale().unwrap_or(1.0);
+        let ard = self.ard_scales();
+        let CrossCovScratch { qt, point, r2, row } = scratch;
+        columns_into(queries, ard, qt);
+        r2.resize(m, 0.0);
+        row.resize(m, 0.0);
+        for (x, out_row) in xs.iter().zip(out.chunks_exact_mut(m)) {
+            debug_assert_eq!(x.len(), self.dim());
+            point_into(x, ard, point);
+            crate::simd::sq_dist_row(point, qt, m, scale, r2);
+            self.fill_row_from_r2(r2, row, out_row);
         }
     }
 
     /// Fills `out[j] = value_from_r2(r2[j])` for a whole row. The algebraic
     /// passes (sqrt, polynomial, final scale) run as vectorizable row
-    /// sweeps while `exp` stays the scalar libm call; each element's
-    /// operation tree is exactly that of [`Kernel::value_from_r2`], so every
-    /// entry is bit-identical to the per-point path.
+    /// sweeps and `exp` as one [`crate::simd::exp_in_place`] sweep, equal
+    /// to `f64::exp` bit for bit; each element's operation tree is exactly
+    /// that of [`Kernel::value_from_r2`], so every entry is bit-identical
+    /// to the per-point path.
     fn fill_row_from_r2(&self, r2: &[f64], scratch: &mut [f64], out: &mut [f64]) {
         debug_assert_eq!(r2.len(), out.len());
         debug_assert_eq!(r2.len(), scratch.len());
+        let sv = self.signal_variance;
         match self.kind {
             KernelKind::SquaredExponential => {
                 for (slot, &v) in out.iter_mut().zip(r2) {
                     *slot = -0.5 * v;
                 }
+                crate::simd::exp_in_place(out);
                 for slot in out.iter_mut() {
-                    *slot = self.signal_variance * slot.exp();
+                    *slot *= sv;
                 }
             }
             KernelKind::Matern52 => {
@@ -177,11 +206,12 @@ impl Kernel {
                 let sqrt5 = (5.0f64).sqrt();
                 for ((sj, pj), &v) in scratch.iter_mut().zip(out.iter_mut()).zip(r2) {
                     let s = sqrt5 * v.sqrt();
-                    *sj = s;
+                    *sj = -s;
                     *pj = 1.0 + s + 5.0 * v / 3.0;
                 }
-                for (slot, &s) in out.iter_mut().zip(scratch.iter()) {
-                    *slot = self.signal_variance * (*slot * (-s).exp());
+                crate::simd::exp_in_place(scratch);
+                for (slot, &e) in out.iter_mut().zip(scratch.iter()) {
+                    *slot = sv * (*slot * e);
                 }
             }
         }
@@ -198,8 +228,12 @@ impl Kernel {
         let sv = self.signal_variance;
         match self.kind {
             KernelKind::SquaredExponential => {
+                for (slot, &v) in out.iter_mut().zip(r2) {
+                    *slot = -0.5 * v;
+                }
+                crate::simd::exp_in_place(out);
                 for ((slot, d), &v) in out.iter_mut().zip(dout.iter_mut()).zip(r2) {
-                    let e = (-0.5 * v).exp();
+                    let e = *slot;
                     *slot = sv * e;
                     *d = sv * (v * e);
                 }
@@ -208,7 +242,12 @@ impl Kernel {
                 let sqrt5 = (5.0f64).sqrt();
                 for ((slot, d), &v) in out.iter_mut().zip(dout.iter_mut()).zip(r2) {
                     let s = sqrt5 * v.sqrt();
-                    let e = (-s).exp();
+                    *d = s;
+                    *slot = -s;
+                }
+                crate::simd::exp_in_place(out);
+                for ((slot, d), &v) in out.iter_mut().zip(dout.iter_mut()).zip(r2) {
+                    let (s, e) = (*d, *slot);
                     let s2_3 = 5.0 * v / 3.0;
                     *slot = sv * ((1.0 + s + s2_3) * e);
                     *d = sv * (s2_3 * (1.0 + s) * e);
@@ -217,74 +256,135 @@ impl Kernel {
         }
     }
 
-    /// Full covariance matrix over a point set, noise added on diagonal.
+    /// Full covariance matrix over a point set, noise added on diagonal:
+    /// the set's [`Kernel::cross_covariance`] with itself, so entry
+    /// `(i, j)` is `eval(xs[i], xs[j])` (symmetric, since each distance
+    /// term squares a difference whose sign is all that changes).
     pub fn covariance(&self, xs: &[Vec<f64>]) -> Matrix {
-        let n = xs.len();
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = self.eval(&xs[i], &xs[j]);
-                k[(i, j)] = v;
-                k[(j, i)] = v;
-            }
-        }
+        let mut k = self.cross_covariance(xs, xs);
         k.add_diagonal_mut(self.noise_variance);
         k
     }
 }
 
+/// `pts` dimension-major (`out[d * pts.len() + j] = pts[j][d]`), the
+/// operand layout of [`crate::simd::sq_dist_row`], each coordinate divided
+/// by its length scale when `ard` holds an ARD kernel's scales: `O(m·d)`
+/// divisions per call, none per kernel entry.
+fn columns_into(pts: &[Vec<f64>], ard: Option<&[f64]>, out: &mut Vec<f64>) {
+    let m = pts.len();
+    let dim = pts.first().map_or(0, Vec::len);
+    out.resize(dim * m, 0.0);
+    for (j, p) in pts.iter().enumerate() {
+        debug_assert_eq!(p.len(), dim);
+        for (d, &v) in p.iter().enumerate() {
+            out[d * m + j] = match ard {
+                Some(ls) => v / ls[d],
+                None => v,
+            };
+        }
+    }
+}
+
+/// One point as [`crate::simd::sq_dist_row`] takes it: as is, or divided
+/// by an ARD kernel's length scales.
+fn point_into(x: &[f64], ard: Option<&[f64]>, out: &mut Vec<f64>) {
+    out.clear();
+    match ard {
+        Some(ls) => out.extend(x.iter().zip(ls).map(|(v, l)| v / l)),
+        None => out.extend_from_slice(x),
+    }
+}
+
 /// Reusable buffers for [`Kernel::cross_covariance_rows`]: the
-/// dimension-major query transpose plus the per-row r2/output scratch.
+/// dimension-major query block, one training point in the same form, and
+/// the per-row r2/output scratch.
 #[derive(Default)]
 pub(crate) struct CrossCovScratch {
     qt: Vec<f64>,
+    point: Vec<f64>,
     r2: Vec<f64>,
     row: Vec<f64>,
 }
 
-/// Raw per-dimension differences for every training pair `i < j`, computed
-/// once per hyper-parameter search. Each length-scale/noise candidate
-/// rebuilds its covariance by rescaling these differences instead of
-/// re-reading the `n × d` training matrix, hoisting the subtraction out of
-/// the `O(n² · d)` inner loop of every marginal-likelihood evaluation.
-/// Read-only once built, so the search's parallel starts share one copy.
+/// Everything about `-log p(y | X, θ)` that does not depend on the
+/// hyper-parameters θ, built once per hyper-parameter search and shared
+/// read-only by every candidate evaluation, whichever thread runs it: the
+/// training points, the centred targets and the unscaled squared distance
+/// `Σ_d (x_i,d − x_j,d)²` of every pair `i < j`.
 ///
-/// Stored dimension-major (`diffs[d * pairs + p]`, pairs in lexicographic
-/// order), so the pairs `(i, i+1..n)` of one matrix row are contiguous in
-/// every dimension: their scaled squared distances build up as one vector
-/// sweep `acc[p] += (diff / l_d)²` per dimension, and the kernel tail runs
-/// as one [`Kernel::fill_row_from_r2`] sweep straight into the row.
+/// The distances are row-packed (row `i`'s pairs `(i, i+1..n)` are
+/// contiguous), so an isotropic kernel's row of r2 is one multiply by
+/// `1/ℓ²` per pair — its formula ([`Kernel::isotropic_scale`]) — and an
+/// evaluation's covariance costs `O(n²)` rather than `O(n²·d)`. An ARD
+/// kernel divides the points by its length scales once per evaluation
+/// and sums each row afresh with [`crate::simd::sq_dist_row`].
 ///
-/// Determinism contract: the stored difference for pair `(i, j)` is the
-/// same `x_i[d] - x_j[d]` subtraction [`Kernel::r2`] performs, and each
-/// pair's r2 is built from it with the same divide-square-add sequence, in
-/// the same ascending-dimension order — only the loop nest differs — so a
-/// covariance built from the cache is bit-identical to
-/// [`Kernel::covariance`]. (The ‖a‖² + ‖b‖² − 2a·b expansion would be
-/// faster still, but rounds differently — it would silently perturb every
-/// seeded tuner trajectory.)
-struct PairwiseDiffs {
-    n: usize,
-    pairs: usize,
-    diffs: Vec<f64>,
+/// Determinism contract: each r2 is built with [`Kernel::r2`]'s
+/// operations in its order (the isotropic sum times `1.0` is the sum), and
+/// the tail is the shared row fill, so a covariance built here is
+/// bit-identical to [`Kernel::covariance`]. A different rounding moves
+/// fitted bits but seldom a decision: when this formula replaced the
+/// per-dimension `((a_d − b_d)/ℓ_d)²`, one of the ten
+/// `tests/gp_trajectories.rs` digests moved (the GP-fit digest) and 2 of
+/// 8000 paired `gp_regret` sessions changed their best runtime. The
+/// ‖a‖² + ‖b‖² − 2a·b expansion is not used: near neighbours would lose
+/// their distance to cancellation.
+struct MarginalCache<'a> {
+    xs: &'a [Vec<f64>],
+    dist: Vec<f64>,
+    centred: Vec<f64>,
 }
 
-impl PairwiseDiffs {
-    fn new(xs: &[Vec<f64>]) -> Self {
+/// One evaluating thread's buffers: the `n × n` covariance plus one row's
+/// r2 and the Matérn tail's scratch, each fully overwritten before use;
+/// the gradient's `n × n` buffers (`∂K/∂ln ℓ`, `L⁻¹` and `K⁻¹`), sized on
+/// the first gradient evaluation; and an ARD kernel's scaled points,
+/// sized on the first ARD evaluation.
+struct MarginalScratch {
+    cov: Matrix,
+    r2: Vec<f64>,
+    tail: Vec<f64>,
+    dcov: Vec<f64>,
+    linv: Vec<f64>,
+    kinv: Vec<f64>,
+    cols: Vec<f64>,
+    point: Vec<f64>,
+}
+
+impl<'a> MarginalCache<'a> {
+    fn new(xs: &'a [Vec<f64>], ys: &[f64]) -> Self {
         let n = xs.len();
-        let dim = xs.first().map_or(0, Vec::len);
-        let pairs = n * n.saturating_sub(1) / 2;
-        let mut diffs = vec![0.0; pairs * dim];
-        let mut p = 0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                for (d, (a, b)) in xs[i].iter().zip(&xs[j]).enumerate() {
-                    diffs[d * pairs + p] = a - b;
-                }
-                p += 1;
-            }
+        let mut cols = Vec::new();
+        columns_into(xs, None, &mut cols);
+        let mut dist = vec![0.0; n * n.saturating_sub(1) / 2];
+        let mut p0 = 0;
+        for (i, x) in xs.iter().enumerate() {
+            let len = n - i - 1;
+            crate::simd::sq_dist_row(x, &cols[i + 1..], n, 1.0, &mut dist[p0..p0 + len]);
+            p0 += len;
         }
-        PairwiseDiffs { n, pairs, diffs }
+        let y_mean = mean(ys);
+        MarginalCache {
+            xs,
+            dist,
+            centred: ys.iter().map(|y| y - y_mean).collect(),
+        }
+    }
+
+    /// Fresh buffers for one thread's evaluations.
+    fn scratch(&self) -> MarginalScratch {
+        let n = self.xs.len();
+        MarginalScratch {
+            cov: Matrix::zeros(n, n),
+            r2: vec![0.0; n],
+            tail: vec![0.0; n],
+            dcov: Vec::new(),
+            linv: Vec::new(),
+            kinv: Vec::new(),
+            cols: Vec::new(),
+            point: Vec::new(),
+        }
     }
 
     /// Writes the covariance matrix for `kernel` over the cached training
@@ -292,30 +392,39 @@ impl PairwiseDiffs {
     /// every entry; with `length_grad`, also `∂K/∂ln ℓ` into the strict
     /// upper triangle of `scratch.dcov` (row-major `n × n`), computed in
     /// the same pass from the same `exp` per entry. Bit-identical to
-    /// `kernel.covariance(xs)` either way:
-    /// off-diagonals go through the shared `value_from_r2` arithmetic, and
-    /// the diagonal `eval(x, x)` is exactly `signal_variance` for both
-    /// kernel kinds (`x - x` is `+0.0`, and `exp(-0.0) == 1.0`), to which
-    /// `add_diagonal_mut` adds the noise — reproduced here as one `sv + nv`
+    /// `kernel.covariance(xs)` either way (see the type's doc): the
+    /// diagonal `eval(x, x)` is exactly `signal_variance` for both kernel
+    /// kinds (a zero distance, and `exp(-0.0) == 1.0`), to which
+    /// `covariance` adds the noise — reproduced here as one `sv + nv`
     /// addition.
     fn covariance_into(&self, kernel: &Kernel, scratch: &mut MarginalScratch, length_grad: bool) {
-        debug_assert_eq!(self.diffs.len(), self.pairs * kernel.dim());
-        debug_assert_eq!(scratch.cov.shape(), (self.n, self.n));
-        let n = self.n;
+        let n = self.xs.len();
+        debug_assert_eq!(scratch.cov.shape(), (n, n));
         if length_grad {
             scratch.dcov.resize(n * n, 0.0);
         }
+        let scale = kernel.isotropic_scale();
+        let ard = kernel.ard_scales();
+        if ard.is_some() {
+            columns_into(self.xs, ard, &mut scratch.cols);
+        }
         let diag = kernel.signal_variance + kernel.noise_variance;
         let data = scratch.cov.data_mut();
-        // Row i's pairs (i, i+1..n) start at p0 in every dimension.
+        // Row i's pairs (i, i+1..n) start at p0.
         let mut p0 = 0;
         for i in 0..n {
             let len = n - i - 1;
             let r2 = &mut scratch.r2[..len];
-            r2.fill(0.0);
-            for (d, &l) in kernel.length_scales.iter().enumerate() {
-                let start = d * self.pairs + p0;
-                crate::simd::scaled_sq_accum_diffs(l, &self.diffs[start..start + len], r2);
+            match scale {
+                Some(s) => {
+                    for (v, &d) in r2.iter_mut().zip(&self.dist[p0..p0 + len]) {
+                        *v = d * s;
+                    }
+                }
+                None => {
+                    point_into(&self.xs[i], ard, &mut scratch.point);
+                    crate::simd::sq_dist_row(&scratch.point, &scratch.cols[i + 1..], n, 1.0, r2);
+                }
             }
             let row = &mut data[i * n + i + 1..(i + 1) * n];
             if length_grad {
@@ -331,58 +440,13 @@ impl PairwiseDiffs {
             p0 += len;
         }
     }
-}
-
-/// Everything about `-log p(y | X, θ)` that does not depend on the
-/// hyper-parameters θ — the pair cache and the centred targets — built
-/// once per hyper-parameter search and shared read-only by every
-/// candidate evaluation, whichever thread runs it.
-struct MarginalCache {
-    pairs: PairwiseDiffs,
-    centred: Vec<f64>,
-}
-
-/// One evaluating thread's buffers: the `n × n` covariance plus one row's
-/// r2 and the Matérn tail's scratch, each fully overwritten before use,
-/// and the gradient's `n × n` buffers (`∂K/∂ln ℓ`, `L⁻¹` and `K⁻¹`), sized
-/// on the first gradient evaluation.
-struct MarginalScratch {
-    cov: Matrix,
-    r2: Vec<f64>,
-    tail: Vec<f64>,
-    dcov: Vec<f64>,
-    linv: Vec<f64>,
-    kinv: Vec<f64>,
-}
-
-impl MarginalCache {
-    fn new(xs: &[Vec<f64>], ys: &[f64]) -> Self {
-        let y_mean = mean(ys);
-        MarginalCache {
-            pairs: PairwiseDiffs::new(xs),
-            centred: ys.iter().map(|y| y - y_mean).collect(),
-        }
-    }
-
-    /// Fresh buffers for one thread's evaluations.
-    fn scratch(&self) -> MarginalScratch {
-        let n = self.pairs.n;
-        MarginalScratch {
-            cov: Matrix::zeros(n, n),
-            r2: vec![0.0; n],
-            tail: vec![0.0; n],
-            dcov: Vec::new(),
-            linv: Vec::new(),
-            kinv: Vec::new(),
-        }
-    }
 
     /// `-log p(y | X, θ)` for one hyper-parameter candidate: the exact
     /// negated value [`GaussianProcess::fit`] would store in
     /// `log_marginal` for this kernel. Returns `None` where `fit` would
     /// return a factorization error.
     fn neg_log_marginal(&self, kernel: &Kernel, scratch: &mut MarginalScratch) -> Option<f64> {
-        self.pairs.covariance_into(kernel, scratch, false);
+        self.covariance_into(kernel, scratch, false);
         let (chol, _jitter) = Cholesky::decompose_with_jitter(&scratch.cov, 1e-10, 12).ok()?;
         let alpha = chol.solve(&self.centred);
         Some(-self.log_marginal(&chol, &alpha))
@@ -419,11 +483,11 @@ impl MarginalCache {
         grad: &mut [f64],
     ) -> Option<f64> {
         debug_assert!(kernel.length_scales.windows(2).all(|w| w[0] == w[1]));
-        self.pairs.covariance_into(kernel, scratch, true);
+        self.covariance_into(kernel, scratch, true);
         let (chol, jitter) = Cholesky::decompose_with_jitter(&scratch.cov, 1e-10, 12).ok()?;
         let alpha = chol.solve(&self.centred);
         let lml = self.log_marginal(&chol, &alpha);
-        let n = self.pairs.n;
+        let n = self.xs.len();
         scratch.linv.resize(n * n, 0.0);
         scratch.kinv.resize(n * n, 0.0);
         chol.inverse_lower_into(&mut scratch.linv, &mut scratch.kinv);
@@ -451,7 +515,9 @@ impl MarginalCache {
     }
 }
 
-/// Per-thread buffers for [`GaussianProcess::predict_batch`]. Pool scoring
+/// Per-thread buffers for [`GaussianProcess::predict_batch`] (whose
+/// cross-covariance scratch [`GaussianProcess::extend_whitened_columns`]
+/// shares). Pool scoring
 /// runs every tuner iteration with the same shapes, so the `n × m`
 /// cross-covariance and solve buffers (easily hundreds of KB) are kept
 /// warm per thread instead of being reallocated — and page-faulted back
@@ -634,7 +700,7 @@ impl GaussianProcess {
         assert!(!xs.is_empty());
         let dim = xs[0].len();
         let var = std_dev(ys).max(1e-6).powi(2);
-        // Pairwise differences and centred targets are
+        // Pairwise squared distances and centred targets are
         // hyper-parameter-independent: compute them once, outside the
         // search; each start reuses one set of buffers of its own.
         let cache = MarginalCache::new(&xs, ys);
@@ -850,13 +916,14 @@ impl GaussianProcess {
             v.len()
         );
         v.resize(n * m, 0.0);
-        let mut scratch = CrossCovScratch::default();
-        self.kernel.cross_covariance_rows(
-            &self.xs[from..],
-            queries,
-            &mut scratch,
-            &mut v[from * m..],
-        );
+        BATCH_SCRATCH.with(|cell| {
+            self.kernel.cross_covariance_rows(
+                &self.xs[from..],
+                queries,
+                &mut cell.borrow_mut().cross,
+                &mut v[from * m..],
+            );
+        });
         if from == 0 {
             self.chol.solve_lower_multi_in_place(v, m);
             return;
