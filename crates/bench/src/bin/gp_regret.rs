@@ -3,8 +3,8 @@
 //!
 //! Run mode tunes the session mix of perfbench's `gp-advance` workload —
 //! iTuned and OtterTune on dbms-oltp (budget 64), dbms-olap (80),
-//! hadoop-terasort (96) and spark-agg (112), noiseless, the daemon's
-//! default surrogate policy — for seeds `1..=N`, through
+//! hadoop-terasort (96) and spark-agg (112), noiseless, built as the
+//! daemon builds them — for seeds `1..=N`, through
 //! `SessionExecutor`, and writes one record per session: the default
 //! configuration's (probe) runtime, the best runtime, the hyper-parameter
 //! searches (fits) and the LML evaluations they spent.
@@ -121,7 +121,6 @@ fn spec(system: &str, tuner: &str, seed: u64, budget: usize) -> SessionSpec {
         budget,
         noise: "none".into(),
         warm_start: false,
-        surrogate: "auto".into(),
         constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),

@@ -98,7 +98,6 @@ fn spec(system: &str, seed: u64, budget: usize, detector: &str) -> SessionSpec {
         budget,
         noise: "none".into(),
         warm_start: false,
-        surrogate: "auto".into(),
         constraints: true,
         adaptive: Default::default(),
         drift: Default::default(),

@@ -14,7 +14,7 @@
 //! Binaries (see `src/bin/`): `claims` runs every deterministic experiment
 //! above from one registry (`claims list`, `claims run <name>|all`) and
 //! writes its committed artifact under `bench_results/`; `gp_regret`
-//! compares GP trajectories over paired seeds; `gp_scale`, `gp_speedup`,
+//! compares GP trajectories over paired seeds; `gp_speedup`,
 //! `exec_speedup` and `serve_load` time things; `replay_repo` summarizes a
 //! session store. Criterion benches live in `benches/`.
 

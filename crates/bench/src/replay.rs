@@ -173,7 +173,6 @@ mod tests {
                 budget: 5,
                 noise: "none".into(),
                 warm_start: false,
-                surrogate: "auto".into(),
                 constraints: false,
                 adaptive: Default::default(),
                 drift: Default::default(),

@@ -72,11 +72,7 @@ pub struct TuningContext {
 /// serve layer's `/metrics` endpoint reports it per session).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SurrogateStats {
-    /// Backend label: `"exact"`, `"sod"`, or `"nystrom"`.
-    pub kind: String,
-    /// Observations the model has absorbed.
-    pub observed: usize,
-    /// Active training-set / inducing-point size the per-prediction cost
+    /// Observations the model is fitted on, which its per-prediction cost
     /// scales with.
     pub active: usize,
     /// Full hyper-parameter-search fits performed so far.

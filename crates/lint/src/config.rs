@@ -476,13 +476,13 @@ mod tests {
         let serve_tests = classify("crates/serve/tests/http_api.rs").expect("classified");
         assert!(!rule_applies(RuleId::WallClock, &serve_tests));
 
-        // The approximate-GP surrogate and ANN index modules are library
-        // sources of already-scoped crates: the full D-series contract
-        // applies to them with no new configuration.
-        let surrogate = classify("crates/math/src/surrogate.rs").expect("classified");
-        assert!(rule_applies(RuleId::WallClock, &surrogate));
-        assert!(rule_applies(RuleId::Unwrap, &surrogate));
-        assert!(rule_applies(RuleId::NanOrd, &surrogate));
+        // The GP and ANN index modules are library sources of
+        // already-scoped crates: the full D-series contract applies to
+        // them with no new configuration.
+        let gp = classify("crates/math/src/gp.rs").expect("classified");
+        assert!(rule_applies(RuleId::WallClock, &gp));
+        assert!(rule_applies(RuleId::Unwrap, &gp));
+        assert!(rule_applies(RuleId::NanOrd, &gp));
         let ann = classify("crates/serve/src/ann.rs").expect("classified");
         assert!(rule_applies(RuleId::WallClock, &ann));
         assert!(rule_applies(RuleId::HashIter, &ann));

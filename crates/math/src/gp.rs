@@ -988,9 +988,9 @@ impl GaussianProcess {
     }
 
     /// Expected Improvement from predictive moments (minimization). The
-    /// single formula behind the scalar and batch entry points — and the
-    /// sparse surrogates' acquisition path ([`crate::surrogate`]), so every
-    /// backend scores candidates with identical arithmetic.
+    /// single formula behind the scalar and batch entry points and the GP
+    /// tuners' persistent candidate columns, so every path scores
+    /// candidates with identical arithmetic.
     pub fn ei_from_moments(mu: f64, var: f64, y_best: f64, xi: f64) -> f64 {
         let sigma = var.sqrt();
         if sigma < 1e-12 {

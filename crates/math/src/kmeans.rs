@@ -144,67 +144,6 @@ pub fn kmeans(
     best.expect("at least one restart")
 }
 
-/// Deterministic greedy farthest-point ("k-center") subset selection:
-/// returns the indices of `m` well-spread points, in ascending order.
-///
-/// No RNG is involved. The walk starts from the point nearest the
-/// coordinate-wise centroid and repeatedly adds the point farthest from
-/// the chosen set; every tie breaks toward the lowest index. The result
-/// is therefore a pure function of the input, which is the determinism
-/// contract the sparse-GP backends ([`crate::surrogate`]) build on: the
-/// same observation history always yields the same active set. With
-/// `m >= points.len()` the identity selection `0..n` comes back, so a
-/// budget that covers the data degenerates to the exact model.
-pub fn farthest_point_subset(points: &[Vec<f64>], m: usize) -> Vec<usize> {
-    assert!(m > 0, "farthest_point_subset: m must be positive");
-    assert!(!points.is_empty(), "farthest_point_subset: empty input");
-    let n = points.len();
-    let m = m.min(n);
-    let dim = points[0].len();
-    let mut centroid = vec![0.0; dim];
-    for p in points {
-        for (c, v) in centroid.iter_mut().zip(p) {
-            *c += v;
-        }
-    }
-    for c in &mut centroid {
-        *c /= n as f64;
-    }
-    let mut start = 0;
-    let mut start_d = f64::INFINITY;
-    for (i, p) in points.iter().enumerate() {
-        let d = dist2(p, &centroid);
-        if d < start_d {
-            start_d = d;
-            start = i;
-        }
-    }
-    let mut selected = vec![false; n];
-    selected[start] = true;
-    let mut chosen = vec![start];
-    let mut d2: Vec<f64> = points.iter().map(|p| dist2(p, &points[start])).collect();
-    while chosen.len() < m {
-        let mut next = usize::MAX;
-        let mut next_d = f64::NEG_INFINITY;
-        for (i, &d) in d2.iter().enumerate() {
-            if !selected[i] && d > next_d {
-                next_d = d;
-                next = i;
-            }
-        }
-        // next_d can be -inf only if every point is selected, which the
-        // loop bound `m <= n` rules out; coincident points fall back to
-        // the lowest unchosen index via the strict `>` comparison.
-        selected[next] = true;
-        chosen.push(next);
-        for (i, p) in points.iter().enumerate() {
-            d2[i] = d2[i].min(dist2(p, &points[next]));
-        }
-    }
-    chosen.sort_unstable();
-    chosen
-}
-
 /// Index of the point closest to each centroid — OtterTune keeps the
 /// *metric* nearest each cluster centre as the cluster representative.
 pub fn representatives(points: &[Vec<f64>], result: &KMeansResult) -> Vec<usize> {
@@ -323,37 +262,6 @@ mod tests {
         let pts = three_blobs(&mut rng);
         let k = elbow_k(&pts, 8, &mut rng);
         assert!((2..=4).contains(&k), "elbow k={k}");
-    }
-
-    #[test]
-    fn farthest_point_subset_is_deterministic_and_spread() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let pts = three_blobs(&mut rng);
-        let a = farthest_point_subset(&pts, 6);
-        let b = farthest_point_subset(&pts, 6);
-        assert_eq!(a, b, "selection must be a pure function of the input");
-        assert_eq!(a.len(), 6);
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "ascending unique: {a:?}");
-        // Three blobs, six picks: every blob must contribute at least one.
-        for blob in 0..3 {
-            assert!(
-                a.iter().any(|&i| (blob * 30..(blob + 1) * 30).contains(&i)),
-                "blob {blob} unrepresented in {a:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn farthest_point_subset_full_budget_is_identity() {
-        let pts = vec![vec![0.3, 0.1], vec![0.9, 0.9], vec![0.2, 0.7]];
-        assert_eq!(farthest_point_subset(&pts, 3), vec![0, 1, 2]);
-        assert_eq!(farthest_point_subset(&pts, 10), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn farthest_point_subset_handles_coincident_points() {
-        let pts = vec![vec![1.0, 1.0]; 5];
-        assert_eq!(farthest_point_subset(&pts, 3), vec![0, 1, 2]);
     }
 
     #[test]

@@ -16,10 +16,7 @@
 //! * a bounded BFGS search ([`optimize`]) and effect-size ANOVA
 //!   ([`anova`]),
 //! * deterministic chunked pool scoring and index-order argmax/argmin
-//!   ([`batch`]) — the acquisition hot path shared by the GP tuners,
-//! * sparse GP surrogates ([`surrogate`]) — subset-of-data and
-//!   Nyström/DTC backends behind the [`Surrogate`] trait for sub-cubic
-//!   fits at large observation counts.
+//!   ([`batch`]) — the acquisition hot path shared by the GP tuners.
 //!
 //! All stochastic routines take an explicit `&mut StdRng` so every
 //! experiment in the workspace is reproducible under a seed.
@@ -45,9 +42,7 @@ pub mod optimize;
 pub mod pca;
 mod simd;
 pub mod stats;
-pub mod surrogate;
 
 pub use cholesky::Cholesky;
 pub use gp::{GaussianProcess, Kernel, KernelKind};
 pub use matrix::{LinAlgError, Matrix};
-pub use surrogate::{Surrogate, SurrogateConfig, SurrogateKind, SurrogateModel};

@@ -677,7 +677,6 @@ mod tests {
                 budget: 1,
                 noise: "realistic".into(),
                 warm_start: false,
-                surrogate: "auto".into(),
                 constraints: false,
                 adaptive: Default::default(),
                 drift: Default::default(),
@@ -765,7 +764,6 @@ mod tests {
                 budget: 3,
                 noise: "none".into(),
                 warm_start: false,
-                surrogate: "auto".into(),
                 constraints: false,
                 adaptive: Default::default(),
                 drift: Default::default(),

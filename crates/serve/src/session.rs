@@ -675,9 +675,9 @@ impl LiveSession {
         &self.drift_events
     }
 
-    /// Observability snapshot of the tuner's GP surrogate: backend kind,
-    /// training-set / active sizes, lifetime full-fit count. `None` for
-    /// tuners without a surrogate or before the first model fit.
+    /// Observability snapshot of the tuner's GP surrogate: training-set
+    /// size, lifetime full-fit count. `None` for tuners without a
+    /// surrogate or before the first model fit.
     pub fn surrogate_stats(&self) -> Option<autotune_core::SurrogateStats> {
         self.tuner.surrogate_stats()
     }
@@ -706,7 +706,6 @@ mod tests {
                 budget,
                 noise: "none".into(),
                 warm_start: false,
-                surrogate: "auto".into(),
                 constraints: false,
                 adaptive: Default::default(),
                 drift: Default::default(),

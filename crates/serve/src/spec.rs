@@ -17,7 +17,6 @@
 use crate::drift::{DetectorKind, DriftDetector};
 use crate::{ServeError, ServeResult};
 use autotune_core::{Configuration, Objective, Observation, Tuner};
-use autotune_math::surrogate::SurrogateConfig;
 use autotune_sim::noise::NoiseModel;
 use autotune_sim::{
     ClusterSpec, DbmsSimulator, FlippingObjective, HadoopSimulator, MultiTenantDbms, SparkSimulator,
@@ -159,10 +158,11 @@ impl DriftSpec {
 /// Everything needed to (re)build one tuning session deterministically.
 ///
 /// The vendored serde derive has no field defaults, so `Deserialize` is
-/// hand-written below: every field except `surrogate` is required in
-/// request bodies (see README quick-start for examples); a missing
-/// `surrogate` reads as `"auto"`, keeping pre-surrogate specs and
-/// on-disk `meta.json` files valid.
+/// hand-written below: the first six fields are required in request
+/// bodies (see README quick-start for examples). A `surrogate` key, which
+/// once chose the GP tuners' backend, is accepted with one of its old
+/// names (`LEGACY_SURROGATES`) and ignored, so on-disk `meta.json` files
+/// that carry it still recover; any other value is refused.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SessionSpec {
     /// Target system name (`dbms-oltp`, `dbms-olap`, `hadoop-terasort`,
@@ -179,9 +179,6 @@ pub struct SessionSpec {
     pub noise: String,
     /// Whether to warm-start from the nearest finished past session.
     pub warm_start: bool,
-    /// GP surrogate backend for the model-based tuners
-    /// (`exact | sod | nystrom | auto`); ignored by `random`.
-    pub surrogate: String,
     /// Whether the GP tuners search under the platform's rule-based
     /// constraints (see `SearchConstraints::for_platform`); ignored by
     /// the other tuners.
@@ -192,15 +189,23 @@ pub struct SessionSpec {
     pub drift: DriftSpec,
 }
 
+/// The values the retired `surrogate` key may hold. Every one now means
+/// the exact GP, the GP tuners' only surrogate.
+const LEGACY_SURROGATES: [&str; 4] = ["exact", "sod", "nystrom", "auto"];
+
 impl Deserialize for SessionSpec {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let map = v
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected map for SessionSpec"))?;
-        let surrogate = match map.iter().find(|(k, _)| k == "surrogate") {
-            Some((_, sv)) => String::from_value(sv)?,
-            None => "auto".to_string(),
-        };
+        if let Some((_, sv)) = map.iter().find(|(k, _)| k == "surrogate") {
+            let name = String::from_value(sv)?;
+            if !LEGACY_SURROGATES.contains(&name.as_str()) {
+                return Err(serde::Error::custom(format!(
+                    "unknown surrogate '{name}' (expected exact|sod|nystrom|auto)"
+                )));
+            }
+        }
         // Specs written before the field became a bool carry a string:
         // `""` meant unconstrained, and any path named the one committed
         // artifact the in-process constraints now reproduce.
@@ -224,7 +229,6 @@ impl Deserialize for SessionSpec {
             budget: serde::__field(map, "budget", "SessionSpec")?,
             noise: serde::__field(map, "noise", "SessionSpec")?,
             warm_start: serde::__field(map, "warm_start", "SessionSpec")?,
-            surrogate,
             constraints,
             adaptive,
             drift,
@@ -256,16 +260,6 @@ impl SessionSpec {
     /// eligible warm-start sources for each other.
     pub fn platform(&self) -> &str {
         self.system.split('-').next().unwrap_or(&self.system)
-    }
-
-    /// The surrogate configuration this spec names.
-    pub fn surrogate_config(&self) -> ServeResult<SurrogateConfig> {
-        SurrogateConfig::parse(&self.surrogate).ok_or_else(|| {
-            ServeError::BadRequest(format!(
-                "unknown surrogate '{}' (expected exact|sod|nystrom|auto)",
-                self.surrogate
-            ))
-        })
     }
 
     /// The rule-based constraints this spec asks for, or `None` for the
@@ -377,15 +371,12 @@ pub fn build_tuner(
     spec: &SessionSpec,
     warm: Option<(&str, &[Observation])>,
 ) -> ServeResult<Box<dyn Tuner + Send>> {
-    let surrogate = spec.surrogate_config()?;
     let constraints = spec.search_constraints()?;
     Ok(match spec.tuner.as_str() {
         "ituned" => {
             let mut t = match warm {
-                Some((_, past)) => {
-                    warm_started_ituned(past, WARM_SEED_CONFIGS).with_surrogate(surrogate)
-                }
-                None => ITunedTuner::new().with_surrogate(surrogate),
+                Some((_, past)) => warm_started_ituned(past, WARM_SEED_CONFIGS),
+                None => ITunedTuner::new(),
             };
             if let Some(c) = constraints {
                 t = t.with_constraints(c);
@@ -394,8 +385,8 @@ pub fn build_tuner(
         }
         "ottertune" => {
             let mut t = match warm {
-                Some((id, past)) => warm_started_ottertune(id, past).with_surrogate(surrogate),
-                None => OtterTuneTuner::new(WorkloadRepository::new()).with_surrogate(surrogate),
+                Some((id, past)) => warm_started_ottertune(id, past),
+                None => OtterTuneTuner::new(WorkloadRepository::new()),
             };
             if let Some(c) = constraints {
                 t = t.with_constraints(c);
@@ -404,8 +395,7 @@ pub fn build_tuner(
         }
         "random" => Box::new(RandomSearchTuner),
         // The adaptive family (§6): online tuners that never stray far
-        // from the incumbent. They model-free ignore surrogate and warm
-        // observations — a warm source still matters for drift re-matching
+        // from the incumbent. They model-free ignore warm observations — a warm source still matters for drift re-matching
         // bookkeeping, but contributes no search state here.
         "colt" => Box::new(
             ColtTuner::new()
@@ -439,7 +429,6 @@ mod tests {
             budget: 5,
             noise: "none".into(),
             warm_start: false,
-            surrogate: "auto".into(),
             constraints: false,
             adaptive: AdaptiveSpec::default(),
             drift: DriftSpec::default(),
@@ -462,23 +451,22 @@ mod tests {
     }
 
     #[test]
-    fn surrogate_names_validate_and_default() {
-        for name in ["exact", "sod", "nystrom", "auto"] {
-            let mut s = spec("dbms-oltp", "ituned");
-            s.surrogate = name.into();
-            s.validate().expect("valid surrogate name");
-        }
-        let mut bad = spec("dbms-oltp", "ituned");
-        bad.surrogate = "krylov".into();
-        assert!(bad.validate().is_err());
-
-        // Pre-surrogate request bodies (no `surrogate` key) still parse and
-        // read as auto — on-disk meta.json back-compat.
-        let legacy = r#"{"system":"dbms-oltp","tuner":"ituned","seed":1,
-                         "budget":5,"noise":"none","warm_start":false}"#;
-        let s: SessionSpec = serde_json::from_str(legacy).expect("legacy spec");
-        assert_eq!(s.surrogate, "auto");
+    fn legacy_surrogate_names_decode_and_others_are_refused() {
+        let body = |surrogate: &str| {
+            format!(
+                r#"{{"system":"dbms-oltp","tuner":"ituned","seed":1,
+                    "budget":5,"noise":"none","warm_start":false{surrogate}}}"#
+            )
+        };
+        let s: SessionSpec = serde_json::from_str(&body("")).expect("spec");
         assert_eq!(s, spec("dbms-oltp", "ituned"));
+        for name in LEGACY_SURROGATES {
+            let legacy = body(&format!(r#","surrogate":"{name}""#));
+            let s: SessionSpec = serde_json::from_str(&legacy).expect("legacy spec");
+            assert_eq!(s, spec("dbms-oltp", "ituned"));
+        }
+        let bad = serde_json::from_str::<SessionSpec>(&body(r#","surrogate":"krylov""#));
+        assert!(bad.is_err());
     }
 
     #[test]

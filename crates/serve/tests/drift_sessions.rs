@@ -30,7 +30,6 @@ fn spec(system: &str, tuner: &str, seed: u64, budget: usize) -> SessionSpec {
         budget,
         noise: "none".into(),
         warm_start: false,
-        surrogate: "auto".into(),
         constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),

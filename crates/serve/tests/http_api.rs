@@ -990,13 +990,14 @@ fn wait_until(addr: SocketAddr, pred: impl Fn(&MetricsReport) -> bool, what: &st
 }
 
 #[test]
-fn metrics_expose_surrogate_kind_sizes_and_fit_times() {
+fn metrics_expose_surrogate_sizes_and_fit_times() {
     let root = fresh_root("surrogate-metrics");
     let daemon = Daemon::start("127.0.0.1:0", DaemonConfig::new(&root)).expect("start");
     let addr = daemon.addr();
 
-    // An iTuned session explicitly on the Nyström backend. Budget exceeds
-    // the init-sample phase so at least one GP fit happens.
+    // An iTuned session whose body still names the retired Nyström
+    // backend, which is accepted and ignored. Budget exceeds the
+    // init-sample phase so at least one GP fit happens.
     let body = "{\"system\":\"dbms-oltp\",\"tuner\":\"ituned\",\"seed\":5,\
                 \"budget\":20,\"noise\":\"none\",\"warm_start\":false,\
                 \"surrogate\":\"nystrom\"}";
@@ -1022,13 +1023,11 @@ fn metrics_expose_surrogate_kind_sizes_and_fit_times() {
         .find(|s| s.id == id)
         .expect("session row");
     let stats = row.surrogate.as_ref().expect("surrogate stats after fits");
-    assert_eq!(stats.kind, "nystrom");
     assert!(stats.fits >= 1, "at least one full fit: {stats:?}");
     assert!(
         stats.lml_evals >= stats.fits,
         "each fit searched: {stats:?}"
     );
-    assert!(stats.observed >= stats.active, "{stats:?}");
     assert!(stats.active >= 1, "{stats:?}");
     let fit = report
         .surrogate_fit
@@ -1038,7 +1037,7 @@ fn metrics_expose_surrogate_kind_sizes_and_fit_times() {
     assert!(fit.count >= 1);
     assert!(fit.p99_ms >= fit.p50_ms);
 
-    // An unknown surrogate name is rejected at create time.
+    // A surrogate name that was never valid is rejected at create time.
     let bad = "{\"system\":\"dbms-oltp\",\"tuner\":\"ituned\",\"seed\":5,\
                \"budget\":5,\"noise\":\"none\",\"warm_start\":false,\
                \"surrogate\":\"krylov\"}";

@@ -26,7 +26,6 @@ fn spec(seed: u64, budget: usize, warm: bool) -> SessionSpec {
         budget,
         noise: "none".into(),
         warm_start: warm,
-        surrogate: "auto".into(),
         constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),

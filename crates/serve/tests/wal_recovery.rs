@@ -38,7 +38,6 @@ fn spec(tuner: &str, seed: u64, budget: usize) -> SessionSpec {
         budget,
         noise: "realistic".into(),
         warm_start: false,
-        surrogate: "auto".into(),
         constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),

@@ -23,7 +23,6 @@ fn spec(seed: u64, budget: usize, warm: bool) -> SessionSpec {
         budget,
         noise: "none".into(),
         warm_start: warm,
-        surrogate: "auto".into(),
         constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),
@@ -189,7 +188,6 @@ fn warm_lookup_ignores_other_platforms_and_unfinished_sessions() {
             budget: 3,
             noise: "none".into(),
             warm_start: false,
-            surrogate: "auto".into(),
             constraints: false,
             adaptive: Default::default(),
             drift: Default::default(),

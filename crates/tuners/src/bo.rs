@@ -8,16 +8,19 @@
 //! [`TrainingSet`], and its candidate [`Pool`] as two closures that
 //! [`GpBo::propose`] calls after the fit.
 //!
-//! The kernel's hyper-parameters are searched when the training set has
-//! grown 25% since the last search; in between, each observation extends
-//! the fitted surrogate by a rank-1 update. The pool's persistent part is
-//! drawn at each search and again every [`SET_LIFETIME`] proposals, and
-//! for the exact surrogate its whitened cross-covariance columns grow by
-//! one row per observation, so scoring it costs `O(n·P)` instead of a
-//! fresh `O(n²·P)` solve. A proposal scores the set's blocks and the fresh
-//! part's chunks as one `autotune_math::batch` region, on the proposing
-//! thread and any spare-core helper that is free, with the same scores in
-//! the same order either way.
+//! The surrogate is the exact Gaussian process with an isotropic
+//! Matérn-5/2 kernel; no session the tuners run is long enough for a
+//! sparse approximation to pay (DESIGN.md §4d). The kernel's
+//! hyper-parameters are searched when the training set has grown 25%
+//! since the last search; in between, each observation extends the fitted
+//! surrogate by a rank-1 update. The pool's persistent part is drawn at
+//! each search and again every [`SET_LIFETIME`] proposals, and its
+//! whitened cross-covariance columns grow by one row per observation, so
+//! scoring it costs `O(n·P)` instead of a fresh `O(n²·P)` solve. A
+//! proposal scores the set's blocks and the fresh part's chunks as one
+//! `autotune_math::batch` region, on the proposing thread and any
+//! spare-core helper that is free, with the same scores in the same order
+//! either way.
 //!
 //! Seeded trajectories rest on the order of the RNG draws, which is fixed:
 //! the LHS plan on the first call (OtterTune's metric pruning draws right
@@ -32,7 +35,6 @@ use autotune_core::{Configuration, SurrogateStats, TuningContext};
 use autotune_math::batch::{argmax_first, fork_join, SCORING_CHUNK};
 use autotune_math::gp::{GaussianProcess, KernelKind};
 use autotune_math::lhs::maximin_lhs;
-use autotune_math::surrogate::{Surrogate, SurrogateConfig, SurrogateModel};
 use rand::rngs::StdRng;
 
 /// What fixes the rows of a training set's calibrated prefix: OtterTune's
@@ -78,11 +80,11 @@ pub(crate) struct Pool<P, F> {
 /// proposal. The cache instead re-searches once the training set has grown
 /// 25% since the last search (at least one observation), so a session of
 /// n observations runs O(log n) searches, and folds the observations in
-/// between in with [`SurrogateModel::update`] (rank-1 Cholesky extension
-/// for the exact/SoD backends, a rank-1 `A`-update for Nyström).
+/// between in with [`GaussianProcess::update`] (a rank-1 Cholesky
+/// extension).
 #[derive(Debug)]
 struct GpCache {
-    gp: SurrogateModel,
+    gp: GaussianProcess,
     /// Training-set size the last full hyper-parameter search saw.
     last_search: usize,
     /// Full fits over the tuner's lifetime, carried across cache
@@ -107,24 +109,21 @@ impl GpCache {
     /// Tries to bring the surrogate up to date with an append-only training
     /// set by incremental updates alone. `false` means a full
     /// hyper-parameter search is due instead: the training set shrank or
-    /// changed shape (new session), it reached [`next_search`],
-    /// the configured backend changed (the `auto` policy crossing its
-    /// threshold), or a numerically degenerate update failed.
-    fn try_advance(&mut self, config: &SurrogateConfig, xs: &[Vec<f64>], ys: &[f64]) -> bool {
+    /// changed shape (new session), it reached [`next_search`], or a
+    /// numerically degenerate update failed.
+    fn try_advance(&mut self, xs: &[Vec<f64>], ys: &[f64]) -> bool {
         let n = xs.len();
-        let m = self.gp.observed_inputs().len();
+        let seen = self.gp.training_inputs();
+        let m = seen.len();
         if m > n || n >= next_search(self.last_search) {
             return false;
         }
-        if !self.gp.matches(config, n) {
-            return false;
-        }
-        if self.gp.observed_inputs().first().map(Vec::len) != xs.first().map(Vec::len) {
+        if seen.first().map(Vec::len) != xs.first().map(Vec::len) {
             return false;
         }
         // Append-only sanity check: the latest row the cache has seen must
         // still be where it was (a reused tuner on a fresh history refits).
-        if m > 0 && self.gp.observed_inputs()[m - 1] != xs[m - 1] {
+        if m > 0 && seen[m - 1] != xs[m - 1] {
             return false;
         }
         for i in m..n {
@@ -150,9 +149,9 @@ const SET_LIFETIME: usize = 4;
 pub(crate) const FRESH_RANDOM: usize = SCORING_CHUNK;
 
 /// The persistent part of the pool within one search epoch, in blocks of
-/// [`SCORING_CHUNK`] points, so the sparse backends score it in the same
-/// fixed chunks as any pool. A redraw reuses the blocks' buffers, so a
-/// session's sets do not churn the allocator.
+/// [`SCORING_CHUNK`] points, the units its scoring region splits it into.
+/// A redraw reuses the blocks' buffers, so a session's sets do not churn
+/// the allocator.
 #[derive(Debug, Default)]
 struct CandidateSet {
     key: SetKey,
@@ -161,17 +160,17 @@ struct CandidateSet {
     /// Proposals the set has served.
     proposals: usize,
     blocks: Vec<CandidateBlock>,
-    /// The exact factor's jitter the blocks' columns were solved against.
+    /// The factor's jitter the blocks' columns were solved against.
     /// An update that falls back to a refactorization changes it, and the
     /// columns are rebuilt.
     jitter: f64,
 }
 
-/// Fresh points per unit of the exact backend's scoring region. Its batch
-/// EI is bit-identical to a per-point `predict` whatever the chunk, so
-/// its fresh part can be cut finer than [`SCORING_CHUNK`], which balances
-/// the region's units; the sparse backends keep [`SCORING_CHUNK`].
-const EXACT_FRESH_CHUNK: usize = 64;
+/// Fresh points per unit of a proposal's scoring region. Batch EI is
+/// bit-identical to a per-point `predict` whatever the chunk, so the fresh
+/// part is cut finer than [`SCORING_CHUNK`], which balances the region's
+/// units.
+const FRESH_CHUNK: usize = 64;
 
 /// One unit of a proposal's scoring region.
 enum Unit<'a> {
@@ -189,7 +188,7 @@ struct CandidateBlock {
     /// the same index as in a freshly drawn pool, but no longer score.
     taken: Vec<bool>,
     /// Row-major whitened cross-covariance `L⁻¹·K(X, points)`, one row per
-    /// training point it covers (exact backend only; empty otherwise).
+    /// training point it covers.
     v: Vec<f64>,
     /// Each column's squared norm over `v`'s rows, accumulated in
     /// ascending row order as [`GaussianProcess::predict_batch`] does.
@@ -201,14 +200,11 @@ struct CandidateBlock {
 impl CandidateSet {
     /// Replaces the points with a new draw for the cache's `fit`-th fit
     /// and clears the columns.
-    fn redraw(&mut self, key: SetKey, points: Vec<Vec<f64>>, gp: &SurrogateModel, fit: u64) {
+    fn redraw(&mut self, key: SetKey, points: Vec<Vec<f64>>, gp: &GaussianProcess, fit: u64) {
         self.key = key;
         self.fit = fit;
         self.proposals = 0;
-        self.jitter = match gp {
-            SurrogateModel::Exact(gp) => gp.jitter(),
-            _ => 0.0,
-        };
+        self.jitter = gp.jitter();
         self.blocks
             .resize_with(points.len().div_ceil(SCORING_CHUNK), Default::default);
         let mut points = points.into_iter();
@@ -231,46 +227,36 @@ impl CandidateSet {
     /// EI of every point of the set, in order, with `f64::NEG_INFINITY`
     /// for points already taken, then of every point of `fresh`. The
     /// blocks and the fresh part's chunks are the units of one
-    /// [`fork_join`] region on up to `workers` spare-core helpers: the
-    /// exact backend extends each block's columns by the rows observed
-    /// since the last step and scores from them, `O(n·P)`; the sparse
-    /// backends score the points with their batch EI. `reserve_rows` sizes
-    /// the columns for the rest of the epoch. Every unit's scores are the
-    /// same on any thread, and they are concatenated in unit order.
+    /// [`fork_join`] region on up to `workers` spare-core helpers: each
+    /// block extends its columns by the rows observed since the last step
+    /// and scores from them, `O(n·P)`; each fresh chunk is scored with
+    /// batch EI. `reserve_rows` sizes the columns for the rest of the
+    /// epoch. Every unit's scores are the same on any thread, and they are
+    /// concatenated in unit order.
     fn scores(
         &mut self,
-        gp: &SurrogateModel,
+        gp: &GaussianProcess,
         fresh: &[Vec<f64>],
         (y_best, xi): (f64, f64),
         reserve_rows: usize,
         workers: usize,
     ) -> Vec<f64> {
-        let targets = match gp {
-            SurrogateModel::Exact(exact) => {
-                if exact.jitter().to_bits() != self.jitter.to_bits() {
-                    self.jitter = exact.jitter();
-                    for block in &mut self.blocks {
-                        block.v.clear();
-                        block.sumsq.fill(0.0);
-                    }
-                }
-                Some(exact.whitened_targets())
+        if gp.jitter().to_bits() != self.jitter.to_bits() {
+            self.jitter = gp.jitter();
+            for block in &mut self.blocks {
+                block.v.clear();
+                block.sumsq.fill(0.0);
             }
-            _ => None,
-        };
-        let fresh_chunk = if targets.is_some() {
-            EXACT_FRESH_CHUNK
-        } else {
-            SCORING_CHUNK
-        };
+        }
+        let targets = gp.whitened_targets();
         let units: Vec<Unit> = self
             .blocks
             .iter_mut()
             .map(Unit::Block)
-            .chain(fresh.chunks(fresh_chunk).map(Unit::Fresh))
+            .chain(fresh.chunks(FRESH_CHUNK).map(Unit::Fresh))
             .collect();
         let scored = fork_join(units, workers, |unit| match unit {
-            Unit::Block(block) => block.scores(gp, targets.as_ref(), (y_best, xi), reserve_rows),
+            Unit::Block(block) => block.scores(gp, &targets, (y_best, xi), reserve_rows),
             Unit::Fresh(chunk) => gp.expected_improvement_batch(chunk, y_best, xi),
         });
         scored.concat()
@@ -285,26 +271,21 @@ impl CandidateSet {
 }
 
 impl CandidateBlock {
-    /// EI of every point, `f64::NEG_INFINITY` for points taken. For the
-    /// exact backend (`targets` from its `whitened_targets`) the columns
-    /// are extended first.
+    /// EI of every point, `f64::NEG_INFINITY` for points taken, from the
+    /// columns extended first; `(y_mean, w)` are `gp`'s `whitened_targets`.
     fn scores(
         &mut self,
-        gp: &SurrogateModel,
-        targets: Option<&(f64, Vec<f64>)>,
+        gp: &GaussianProcess,
+        (y_mean, w): &(f64, Vec<f64>),
         (y_best, xi): (f64, f64),
         reserve_rows: usize,
     ) -> Vec<f64> {
-        let mut scores: Vec<f64> = match (gp, targets) {
-            (SurrogateModel::Exact(exact), Some((y_mean, w))) => {
-                self.extend(exact, reserve_rows);
-                let moments = self.exact_moments(*y_mean, w).into_iter();
-                moments
-                    .map(|(mu, var)| GaussianProcess::ei_from_moments(mu, var, y_best, xi))
-                    .collect()
-            }
-            _ => gp.expected_improvement_batch(&self.points, y_best, xi),
-        };
+        self.extend(gp, reserve_rows);
+        let mut scores: Vec<f64> = self
+            .moments(*y_mean, w)
+            .into_iter()
+            .map(|(mu, var)| GaussianProcess::ei_from_moments(mu, var, y_best, xi))
+            .collect();
         for (score, &taken) in scores.iter_mut().zip(&self.taken) {
             if taken {
                 *score = f64::NEG_INFINITY;
@@ -340,7 +321,7 @@ impl CandidateBlock {
     /// Predictive mean and variance of every point from the columns:
     /// `μ = ȳ + Σ_i V[i,j]·w[i]` with `w = L⁻¹(y − ȳ)`, and
     /// `σ² = k(q, q) + σn² − Σ_i V[i,j]²`.
-    fn exact_moments(&self, y_mean: f64, w: &[f64]) -> Vec<(f64, f64)> {
+    fn moments(&self, y_mean: f64, w: &[f64]) -> Vec<(f64, f64)> {
         let width = self.points.len();
         let mut mu = vec![0.0; width];
         for (row, &wi) in self.v.chunks_exact(width).zip(w) {
@@ -371,10 +352,6 @@ pub(crate) struct GpBo {
     /// Rule-based knob knowledge: dependency projection of every design
     /// row and pool point, and seed configurations for the design.
     pub(crate) constraints: Option<SearchConstraints>,
-    /// Surrogate backend policy.
-    pub(crate) surrogate: SurrogateConfig,
-    /// Per-dimension (ARD) length scales instead of an isotropic kernel.
-    pub(crate) ard: bool,
     /// Exploration jitter ξ in the EI criterion.
     pub(crate) xi: f64,
     plan: Option<Vec<Vec<f64>>>,
@@ -382,17 +359,14 @@ pub(crate) struct GpBo {
 }
 
 impl GpBo {
-    /// An engine with the default settings (exact-below-threshold
-    /// surrogate, isotropic Matérn-5/2, ξ = 0.01) and the tuner's design
-    /// constants.
+    /// An engine with the default settings (ξ = 0.01) and the tuner's
+    /// design constants.
     pub(crate) fn new(lhs_restarts: usize, rule_seed_cap: usize) -> Self {
         GpBo {
             lhs_restarts,
             rule_seed_cap,
             seeds: Vec::new(),
             constraints: None,
-            surrogate: SurrogateConfig::default(),
-            ard: false,
             xi: 0.01,
             plan: None,
             cache: None,
@@ -460,7 +434,7 @@ impl GpBo {
             moving_prefix,
         } = train;
         let advanced = match &mut self.cache {
-            Some(c) if c.prefix == moving_prefix => c.try_advance(&self.surrogate, &xs, &ys),
+            Some(c) if c.prefix == moving_prefix => c.try_advance(&xs, &ys),
             _ => false,
         };
         let cache = match &mut self.cache {
@@ -472,11 +446,9 @@ impl GpBo {
             }
             _ => {
                 let n = xs.len();
-                let kind = KernelKind::Matern52;
                 // The previous fit's θ, if any, warm-starts the search.
                 let warm = self.cache.as_ref().map(|c| c.gp.kernel());
-                let Ok(gp) =
-                    SurrogateModel::fit_auto_from(&self.surrogate, kind, self.ard, xs, &ys, warm)
+                let Ok(gp) = GaussianProcess::fit_auto_from(KernelKind::Matern52, xs, &ys, warm)
                 else {
                     return ctx.space.random_config(rng); // degenerate data
                 };
@@ -550,9 +522,7 @@ impl GpBo {
     /// Observability snapshot of the cached surrogate, once one is fitted.
     pub(crate) fn stats(&self) -> Option<SurrogateStats> {
         self.cache.as_ref().map(|c| SurrogateStats {
-            kind: c.gp.kind_label().to_string(),
-            observed: c.gp.observed_len(),
-            active: c.gp.active_len(),
+            active: c.gp.training_inputs().len(),
             fits: c.fits,
             lml_evals: c.lml_evals,
         })
@@ -581,18 +551,19 @@ mod tests {
         // observations search at 20, 25, 32, 40 and 50.
         let mut sim = DbmsSimulator::oltp_default().with_noise(NoiseModel::none());
         let mut tuner = ITunedTuner::new();
+        assert!(tuner.surrogate_stats().is_none(), "no model before a fit");
         tune(&mut sim, &mut tuner, 60, 5);
         let stats = tuner.surrogate_stats().expect("fitted");
-        assert_eq!((stats.fits, stats.observed), (5, 59));
+        assert_eq!((stats.fits, stats.active), (5, 59));
     }
 
     fn toy(x: &[f64]) -> f64 {
         (3.0 * x[0]).sin() + 0.5 * x[1] + 2.0
     }
 
-    /// An exact surrogate on the first `n` of 60 toy points, the remaining
-    /// points, and a 300-point candidate set over three blocks.
-    fn exact_setup(n: usize) -> (SurrogateModel, Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    /// A GP on the first `n` of 60 toy points, the remaining points, and a
+    /// 300-point candidate set over three blocks.
+    fn setup(n: usize) -> (GaussianProcess, Vec<Vec<f64>>, Vec<Vec<f64>>) {
         let mut rng = StdRng::seed_from_u64(41);
         let xs = latin_hypercube(60, 2, &mut rng);
         let ys: Vec<f64> = xs.iter().map(|x| toy(x)).collect();
@@ -600,36 +571,30 @@ mod tests {
         kernel.noise_variance = 1e-4;
         let gp = GaussianProcess::fit(kernel, xs[..n].to_vec(), &ys[..n]).expect("fit");
         let points = latin_hypercube(300, 2, &mut rng);
-        (SurrogateModel::Exact(gp), xs[n..].to_vec(), points)
+        (gp, xs[n..].to_vec(), points)
     }
 
     #[test]
     fn the_set_follows_updates_and_a_target_refresh() {
-        let (mut model, rest, points) = exact_setup(30);
+        let (mut gp, rest, points) = setup(30);
         let mut set = CandidateSet::default();
-        set.redraw(Default::default(), points.clone(), &model, 1);
-        set.scores(&model, &[], (2.0, 0.01), 40, 0);
+        set.redraw(Default::default(), points.clone(), &gp, 1);
+        set.scores(&gp, &[], (2.0, 0.01), 40, 0);
         for x in &rest[..9] {
-            model.update(x.clone(), toy(x)).expect("update");
+            gp.update(x.clone(), toy(x)).expect("update");
         }
-        let SurrogateModel::Exact(gp) = &mut model else {
-            unreachable!()
-        };
         let ys: Vec<f64> = gp
             .training_targets()
             .iter()
             .map(|y| 1.5 * y - 0.2)
             .collect();
         gp.refresh_targets(&ys);
-        set.scores(&model, &[], (2.0, 0.01), 40, 0);
-        let SurrogateModel::Exact(gp) = &model else {
-            unreachable!()
-        };
+        set.scores(&gp, &[], (2.0, 0.01), 40, 0);
         let (y_mean, w) = gp.whitened_targets();
         let from_set: Vec<(f64, f64)> = set
             .blocks
             .iter()
-            .flat_map(|b| b.exact_moments(y_mean, &w))
+            .flat_map(|b| b.moments(y_mean, &w))
             .collect();
         let batch = gp.predict_batch(&points);
         assert_eq!(from_set.len(), points.len());
@@ -644,44 +609,36 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_scoring_agree_bitwise() {
-        let (exact, rest, points) = exact_setup(30);
-        let xs = exact.observed_inputs().to_vec();
-        let ys: Vec<f64> = xs.iter().map(|x| toy(x)).collect();
-        let config = SurrogateConfig::nystrom(12);
-        let nystrom = SurrogateModel::fit_auto(&config, KernelKind::Matern52, false, xs, &ys)
-            .expect("nystrom fit");
+        let (mut gp, rest, points) = setup(30);
         let fresh = latin_hypercube(150, 2, &mut StdRng::seed_from_u64(43));
-        for mut model in [exact, nystrom] {
-            let label = model.kind_label().to_string();
-            let mut serial = CandidateSet::default();
-            let mut parallel = CandidateSet::default();
-            serial.redraw(Default::default(), points.clone(), &model, 1);
-            parallel.redraw(Default::default(), points.clone(), &model, 1);
-            // Each step extends the columns by one row and takes a point.
-            for (step, x) in rest[..3].iter().enumerate() {
-                let want = serial.scores(&model, &fresh, (2.0, 0.01), 40, 0);
-                let got = parallel.scores(&model, &fresh, (2.0, 0.01), 40, usize::MAX);
-                assert_eq!(got.len(), points.len() + fresh.len());
-                for (j, (a, b)) in want.iter().zip(&got).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{label} step {step} point {j}");
-                }
-                let j = argmax_first(&want[..points.len()]).expect("a point scores");
-                serial.take(j);
-                parallel.take(j);
-                model.update(x.clone(), toy(x)).expect("update");
+        let mut serial = CandidateSet::default();
+        let mut parallel = CandidateSet::default();
+        serial.redraw(Default::default(), points.clone(), &gp, 1);
+        parallel.redraw(Default::default(), points.clone(), &gp, 1);
+        // Each step extends the columns by one row and takes a point.
+        for (step, x) in rest[..3].iter().enumerate() {
+            let want = serial.scores(&gp, &fresh, (2.0, 0.01), 40, 0);
+            let got = parallel.scores(&gp, &fresh, (2.0, 0.01), 40, usize::MAX);
+            assert_eq!(got.len(), points.len() + fresh.len());
+            for (j, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "step {step} point {j}");
             }
+            let j = argmax_first(&want[..points.len()]).expect("a point scores");
+            serial.take(j);
+            parallel.take(j);
+            gp.update(x.clone(), toy(x)).expect("update");
         }
     }
 
     #[test]
     fn a_taken_point_leaves_the_set() {
-        let (model, _, points) = exact_setup(30);
+        let (gp, _, points) = setup(30);
         let mut set = CandidateSet::default();
-        set.redraw(Default::default(), points.clone(), &model, 1);
-        let first = set.scores(&model, &[], (2.0, 0.01), 40, 0);
+        set.redraw(Default::default(), points.clone(), &gp, 1);
+        let first = set.scores(&gp, &[], (2.0, 0.01), 40, 0);
         let j = argmax_first(&first).expect("a point scores");
         assert_eq!(set.take(j), &points[j][..]);
-        let second = set.scores(&model, &[], (2.0, 0.01), 40, 0);
+        let second = set.scores(&gp, &[], (2.0, 0.01), 40, 0);
         assert_eq!(second[j], f64::NEG_INFINITY);
         assert_ne!(argmax_first(&second), Some(j));
         for (i, (a, b)) in first.iter().zip(&second).enumerate() {
@@ -690,8 +647,8 @@ mod tests {
             }
         }
         // A redraw reuses the buffers and starts from a clean mask.
-        set.redraw(Default::default(), points, &model, 2);
-        let third = set.scores(&model, &[], (2.0, 0.01), 40, 0);
+        set.redraw(Default::default(), points, &gp, 2);
+        let third = set.scores(&gp, &[], (2.0, 0.01), 40, 0);
         assert!(first
             .iter()
             .zip(&third)

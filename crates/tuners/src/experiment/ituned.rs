@@ -21,7 +21,6 @@ use crate::util::{best_anchors, candidate_pool, log_runtimes, SearchConstraints}
 use autotune_core::{
     Configuration, History, Recommendation, SurrogateStats, Tuner, TunerFamily, TuningContext,
 };
-use autotune_math::surrogate::SurrogateConfig;
 use rand::rngs::StdRng;
 
 /// Maximin restarts of the initial Latin hypercube.
@@ -68,13 +67,6 @@ impl ITunedTuner {
         self
     }
 
-    /// Enables ARD (per-knob length scale) kernel fitting: slower per
-    /// proposal, better on spaces with many irrelevant knobs.
-    pub fn with_ard(mut self) -> Self {
-        self.bo.ard = true;
-        self
-    }
-
     /// Adds known configurations to the initial design, right after the
     /// vendor default — iTuned's "use available information" rule: a
     /// DBA's current setting, a published rule of thumb, or the best
@@ -84,13 +76,6 @@ impl ITunedTuner {
     /// worse than the best seed.
     pub fn with_seed_configs(mut self, cfgs: impl IntoIterator<Item = Configuration>) -> Self {
         self.bo.seeds.extend(cfgs);
-        self
-    }
-
-    /// Selects the surrogate backend (exact GP, subset-of-data, Nyström,
-    /// or the size-triggered auto policy, the default).
-    pub fn with_surrogate(mut self, config: SurrogateConfig) -> Self {
-        self.bo.surrogate = config;
         self
     }
 
@@ -251,27 +236,6 @@ mod tests {
             best.runtime_secs < default_rt * 0.6,
             "default={default_rt} ituned={}",
             best.runtime_secs
-        );
-    }
-
-    #[test]
-    fn ard_variant_also_beats_random() {
-        let budget = 28;
-        let mut obj = bowl(4);
-        let mut it = ITunedTuner::new().with_ard();
-        let gp_best = tune(&mut obj, &mut it, budget, 3)
-            .best
-            .unwrap()
-            .runtime_secs;
-        let mut obj = bowl(4);
-        let mut rs = RandomSearchTuner;
-        let rs_best = tune(&mut obj, &mut rs, budget, 3)
-            .best
-            .unwrap()
-            .runtime_secs;
-        assert!(
-            gp_best <= rs_best * 1.05,
-            "ard {gp_best} vs random {rs_best}"
         );
     }
 

@@ -41,7 +41,6 @@ use autotune_math::lasso::{rank_by_path, top_k_by_path};
 use autotune_math::matrix::{dist2, Matrix};
 use autotune_math::pca::Pca;
 use autotune_math::stats::{mean, standardize, std_dev};
-use autotune_math::surrogate::SurrogateConfig;
 use rand::rngs::StdRng;
 
 /// A past workload stored in the tuning repository.
@@ -334,14 +333,6 @@ impl OtterTuneTuner {
     /// workload, and its best configurations become EI anchors.
     pub fn with_transfer(mut self, id: &str, observations: Vec<Observation>) -> Self {
         self.repository.add(id, observations);
-        self
-    }
-
-    /// Selects the surrogate backend (exact GP, subset-of-data, Nyström,
-    /// or the size-triggered auto policy, the default, which goes Nyström
-    /// for large mapped repositories).
-    pub fn with_surrogate(mut self, config: SurrogateConfig) -> Self {
-        self.bo.surrogate = config;
         self
     }
 

@@ -85,21 +85,12 @@ fn check(label: &str, got: (u64, u64), want: (u64, u64)) {
 }
 
 const ITUNED_DBMS: (u64, u64) = (0xeb2b_305a_bd49_b44a, 0x7c06_2a50_d43f_249c);
-const ITUNED_ARD_SPARK: (u64, u64) = (0x02c5_2c26_00a7_9ece, 0x6cd0_49df_52d5_d784);
 const OTTERTUNE_DBMS: (u64, u64) = (0x73b6_1253_da9c_e3f3, 0xc506_9f23_ba75_a6f3);
 
 fn ituned_dbms() -> (u64, u64) {
     run(
         Box::new(DbmsSimulator::oltp_default()),
         Box::new(ITunedTuner::new()),
-        30,
-    )
-}
-
-fn ituned_ard_spark() -> (u64, u64) {
-    run(
-        Box::new(SparkSimulator::aggregation_default()),
-        Box::new(ITunedTuner::new().with_ard()),
         30,
     )
 }
@@ -170,20 +161,8 @@ fn ituned_seeded_constrained_dbms() -> (u64, u64) {
     )
 }
 
-/// iTuned on the Nyström surrogate with a budget below the session's
-/// length: every step between searches goes through the sparse `update`.
-fn ituned_nystrom_spark() -> (u64, u64) {
-    use autotune::math::surrogate::SurrogateConfig;
-    run(
-        Box::new(SparkSimulator::aggregation_default()),
-        Box::new(ITunedTuner::new().with_surrogate(SurrogateConfig::nystrom(12))),
-        30,
-    )
-}
-
 const OTTERTUNE_WARM_DBMS: (u64, u64) = (0x1877_b41d_930f_0cbd, 0xfd9b_c536_3b84_ab68);
 const ITUNED_SEEDED_CONSTRAINED_DBMS: (u64, u64) = (0xca63_7cb6_46af_bf73, 0xa398_1f20_5fe7_8b3d);
-const ITUNED_NYSTROM_SPARK: (u64, u64) = (0x9128_58eb_99ed_f31f, 0x63f5_66b1_508b_2f04);
 
 #[test]
 fn ottertune_warm_dbms_trajectory_is_pinned() {
@@ -204,15 +183,6 @@ fn ituned_seeded_constrained_trajectory_is_pinned() {
 }
 
 #[test]
-fn ituned_nystrom_trajectory_is_pinned() {
-    check(
-        "ituned-nystrom/spark-agg",
-        ituned_nystrom_spark(),
-        ITUNED_NYSTROM_SPARK,
-    );
-}
-
-#[test]
 fn ituned_dbms_trajectory_is_pinned() {
     check("ituned/dbms-oltp", ituned_dbms(), ITUNED_DBMS);
 }
@@ -228,7 +198,6 @@ fn trajectories_are_pinned_when_fits_run_serially() {
     use autotune::math::batch::par_map;
     for (label, session, want) in [
         ("ituned/dbms-oltp", ituned_dbms as fn() -> _, ITUNED_DBMS),
-        ("ituned-ard/spark-agg", ituned_ard_spark, ITUNED_ARD_SPARK),
         ("ottertune/dbms-oltp", ottertune_dbms, OTTERTUNE_DBMS),
         (
             "ottertune-warm/dbms-olap",
@@ -239,11 +208,6 @@ fn trajectories_are_pinned_when_fits_run_serially() {
             "ituned-seeded-constrained/dbms-olap",
             ituned_seeded_constrained_dbms,
             ITUNED_SEEDED_CONSTRAINED_DBMS,
-        ),
-        (
-            "ituned-nystrom/spark-agg",
-            ituned_nystrom_spark,
-            ITUNED_NYSTROM_SPARK,
         ),
     ] {
         for got in par_map(&[0, 1], |_| session()) {
@@ -262,11 +226,6 @@ fn gp_fits_on_a_session_history_are_pinned() {
         got, 0x3c7a_c213_43cf_5d97,
         "GP fit digest moved (got {got:#018x})"
     );
-}
-
-#[test]
-fn ituned_ard_spark_trajectory_is_pinned() {
-    check("ituned-ard/spark-agg", ituned_ard_spark(), ITUNED_ARD_SPARK);
 }
 
 #[test]

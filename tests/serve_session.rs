@@ -3,12 +3,15 @@
 //! the uninterrupted run does — also when the crash tore the snapshot
 //! log's last frame mid-append — a finished session recovers without
 //! replaying its tuner, a constrained session recovers without any
-//! constraint file on disk, and a daemon restarting on a crash image
+//! constraint file on disk, a session whose `meta.json` names a retired
+//! surrogate backend recovers as if it named none, and a daemon
+//! restarting on a crash image
 //! recovers all of its sessions — concurrently where that is safe — so
 //! that each one finishes as the uninterrupted run does. A daemon whose
 //! group journal fails (it points at a full device) acknowledges nothing
 //! more, keeps no session it failed to create, and a restart recovers
-//! exactly the acknowledged prefix. While one worker runs a long advance,
+//! exactly the acknowledged prefix; so does one whose session snapshot
+//! log fails on append while the journal holds. While one worker runs a long advance,
 //! listing, detail, `/metrics` and CSV export answer, and a cancel is
 //! durable before its acknowledgement.
 
@@ -50,7 +53,6 @@ fn spec(system: &str, tuner: &str, seed: u64, budget: usize, drift: bool) -> Ses
         budget,
         noise: "none".into(),
         warm_start: false,
-        surrogate: "auto".into(),
         constraints: false,
         adaptive: Default::default(),
         drift: Default::default(),
@@ -316,6 +318,59 @@ fn constrained_session_recovers_without_an_artifact_file() {
     let _ = fs::remove_dir_all(&root_ref);
 }
 
+/// A session whose `meta.json` still names a sparse surrogate backend
+/// (the `surrogate` key the GP tuners no longer read) recovers mid-session
+/// and finishes exactly as the same spec without the key does.
+#[test]
+fn legacy_surrogate_meta_recovers_and_finishes_as_without_it() {
+    const BUDGET: usize = 26;
+    /// Past dbms-oltp's 20-row design, so recovery replays GP proposals.
+    const CUT: usize = 22;
+    let ituned = || spec("dbms-oltp", "ituned", 12, BUDGET, false);
+    let (root_ref, repo_ref) = fresh_repo("legacy-surrogate-ref");
+    let mut reference =
+        LiveSession::create(&repo_ref, meta(&repo_ref, ituned()), None, 64).expect("create");
+    reference.advance(BUDGET).expect("advance");
+    assert_eq!(reference.status(), SessionStatus::Finished);
+
+    let (root, repo) = fresh_repo("legacy-surrogate-cut");
+    let m = meta(&repo, ituned());
+    let id = m.id;
+    {
+        let mut victim = LiveSession::create(&repo, m, None, SNAPSHOT_EVERY).expect("create");
+        victim.advance(CUT).expect("advance to the cut");
+        assert!(
+            victim.surrogate_stats().is_some(),
+            "premise: the cut falls in the GP phase"
+        );
+    }
+    let meta_path = repo.session_dir(id).join("meta.json");
+    let text = fs::read_to_string(&meta_path).expect("meta.json");
+    assert!(!text.contains("surrogate"), "{text}");
+    assert!(text.contains("\"constraints\": false"), "{text}");
+    fs::write(
+        &meta_path,
+        text.replace(
+            "\"constraints\": false",
+            "\"surrogate\": \"nystrom\",\n    \"constraints\": false",
+        ),
+    )
+    .expect("rewrite meta.json");
+    let legacy = repo.read_meta(id).expect("legacy meta decodes");
+    assert_eq!(legacy.spec, ituned());
+    let mut back = LiveSession::recover(&repo, legacy, SNAPSHOT_EVERY).expect("recover");
+    assert_eq!(back.history().len(), CUT + 1);
+    back.advance(BUDGET).expect("finish");
+    assert_eq!(back.status(), SessionStatus::Finished);
+    assert_eq!(
+        outcome(&back),
+        outcome(&reference),
+        "recovered run diverged"
+    );
+    let _ = fs::remove_dir_all(&root);
+    let _ = fs::remove_dir_all(&root_ref);
+}
+
 /// Minimal HTTP client: one request per connection, returns (status, body).
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -521,6 +576,113 @@ fn a_full_journal_fails_sticky_and_recovery_keeps_the_acknowledged_prefix() {
     daemon.graceful_shutdown();
 
     let repo = SessionRepository::open(&root).expect("reopen");
+    let back = LiveSession::recover(&repo, repo.read_meta(id).expect("meta"), SNAPSHOT_EVERY)
+        .expect("recover");
+    assert_eq!(back.status(), SessionStatus::Finished);
+    assert_eq!(
+        outcome(&back),
+        outcome(&reference),
+        "restarted run diverged"
+    );
+    let _ = fs::remove_dir_all(&root);
+    let _ = fs::remove_dir_all(&root_ref);
+}
+
+/// A snapshot log that fails on append: once a session of an fsync
+/// daemon has landed a frame, its `snapshot.json` is set aside and the
+/// name pointed at `/dev/full`, so every later compaction fails with
+/// ENOSPC while the group journal keeps working. Each observation must
+/// then be either acknowledged (a 200 that counts it), durable and
+/// recovered, or answered with an error and never recovered: a restart
+/// with the real log back in place recovers exactly the acknowledged
+/// prefix, and the journal has kept every record no landed frame covers.
+#[test]
+fn a_full_snapshot_log_recovers_exactly_the_acknowledged_prefix() {
+    const ACKED: usize = 5;
+    let session_spec = || spec("dbms-oltp", "random", 32, BUDGET, false);
+    let (root_ref, repo_ref) = fresh_repo("full-snap-ref");
+    let mut reference = LiveSession::create(&repo_ref, meta(&repo_ref, session_spec()), None, 64)
+        .expect("create reference");
+    reference.advance(BUDGET).expect("finish reference");
+
+    let (root, repo) = fresh_repo("full-snap");
+    let mut config = DaemonConfig::new(&root);
+    config.durability = Durability::Fsync;
+    config.snapshot_every = SNAPSHOT_EVERY;
+    let body = serde_json::to_string(&session_spec()).expect("spec json");
+    let advance = |addr: SocketAddr, id: SessionId, steps: usize| {
+        let path = format!("/sessions/{id}/advance");
+        request(addr, "POST", &path, &format!("{{\"steps\":{steps}}}"))
+    };
+
+    let daemon = Daemon::start("127.0.0.1:0", config.clone()).expect("start");
+    let (status, created) = request(daemon.addr(), "POST", "/sessions", &body);
+    assert_eq!(status, 201, "{created}");
+    let id = serde_json::from_str::<CreateResponse>(&created)
+        .expect("create response")
+        .id;
+    let (status, reply) = advance(daemon.addr(), id, ACKED);
+    assert_eq!(status, 200, "{reply}");
+
+    // A frame covers observations 0..4; the next compaction is due at 8.
+    let log = repo.session_dir(id).join(SNAPSHOT_FILE);
+    let aside = repo.session_dir(id).join("snapshot.json.aside");
+    fs::rename(&log, &aside).expect("set the log aside");
+    std::os::unix::fs::symlink("/dev/full", &log).expect("symlink the log");
+    let mut acked = ACKED;
+    let mut errors = 0;
+    for steps in [1, 1, 2, 3, 1, 4] {
+        let (status, reply) = advance(daemon.addr(), id, steps);
+        match status {
+            200 => {
+                let reply: AdvanceResponse = serde_json::from_str(&reply).expect("advance");
+                assert!(reply.evaluations >= acked, "{reply:?}");
+                acked = reply.evaluations;
+            }
+            500 => errors += 1,
+            _ => panic!("unexpected answer {status}: {reply}"),
+        }
+    }
+    assert!(
+        acked >= 2 * SNAPSHOT_EVERY,
+        "premise: failed compactions fell among the steps ({acked} acknowledged, {errors} errors)"
+    );
+    daemon.graceful_shutdown();
+
+    // The real log is back; no frame landed while it was away.
+    fs::remove_file(&log).expect("remove the symlink");
+    fs::rename(&aside, &log).expect("restore the log");
+    let frames = autotune_serve::wal::recover(&repo.session_dir(id)).expect("read the log");
+    assert!(
+        frames.observations.len() <= SNAPSHOT_EVERY,
+        "a frame landed"
+    );
+    let daemon = Daemon::start("127.0.0.1:0", config).expect("recover");
+    let (status, listed) = request(daemon.addr(), "GET", "/sessions", "");
+    assert_eq!(status, 200, "{listed}");
+    let listed: Vec<SessionSummary> = serde_json::from_str(&listed).expect("session list");
+    let evaluations: Vec<(SessionId, usize)> =
+        listed.iter().map(|s| (s.id, s.evaluations)).collect();
+    assert_eq!(
+        evaluations,
+        vec![(id, acked)],
+        "recovers exactly the acknowledged prefix"
+    );
+    let (status, csv) = request(daemon.addr(), "GET", &format!("/sessions/{id}/csv"), "");
+    assert_eq!(status, 200, "{csv}");
+    let mut prefix = autotune_core::History::new();
+    for obs in &reference.history().all()[..=acked] {
+        prefix.push(obs.clone());
+    }
+    assert_eq!(
+        csv,
+        autotune_core::history_to_csv(&prefix, reference.space()),
+        "the recovered history is the acknowledged prefix"
+    );
+    let (status, reply) = advance(daemon.addr(), id, BUDGET);
+    assert_eq!(status, 200, "{reply}");
+    daemon.graceful_shutdown();
+
     let back = LiveSession::recover(&repo, repo.read_meta(id).expect("meta"), SNAPSHOT_EVERY)
         .expect("recover");
     assert_eq!(back.status(), SessionStatus::Finished);
