@@ -11,6 +11,7 @@ use autotune_sim::cluster::{ClusterSpec, NodeSpec};
 use autotune_sim::hadoop::{benchmark_config, HadoopJob, HadoopSimulator};
 use autotune_sim::paralleldb::ParallelDbBaseline;
 use autotune_sim::spark::SparkSimulator;
+use autotune_sim::{dbms::knobs as dbms, hadoop::knobs as hadoop};
 use autotune_sim::{DbmsSimulator, NoiseModel};
 use autotune_tuners::adaptive::ColtTuner;
 use autotune_tuners::experiment::ITunedTuner;
@@ -231,7 +232,7 @@ pub fn interactions() -> Vec<InteractionRow> {
         let sim = DbmsSimulator::oltp_default().with_noise(NoiseModel::none());
         let space = sim.space();
         let design = TwoLevelDesign::full_factorial(2);
-        let (ka, kb) = ("shared_buffers_mb", "work_mem_mb");
+        let (ka, kb) = (dbms::SHARED_BUFFERS_MB, dbms::WORK_MEM_MB);
         let responses: Vec<f64> = (0..design.runs())
             .map(|r| {
                 let mut c = space.default_config();
@@ -272,7 +273,7 @@ pub fn interactions() -> Vec<InteractionRow> {
             .map(|r| {
                 let mut c = space.default_config();
                 c.set(
-                    "io_sort_mb",
+                    hadoop::IO_SORT_MB,
                     autotune_core::ParamValue::Int(if design.level(r, 0) > 0.0 {
                         1024
                     } else {
@@ -280,7 +281,7 @@ pub fn interactions() -> Vec<InteractionRow> {
                     }),
                 );
                 c.set(
-                    "map_heap_mb",
+                    hadoop::MAP_HEAP_MB,
                     autotune_core::ParamValue::Int(if design.level(r, 1) > 0.0 {
                         4096
                     } else {
@@ -295,7 +296,7 @@ pub fn interactions() -> Vec<InteractionRow> {
         let min_main = dec.main_effects[0].abs().min(dec.main_effects[1].abs());
         InteractionRow {
             system: "Hadoop (TeraSort)".into(),
-            knobs: ("io_sort_mb".into(), "map_heap_mb".into()),
+            knobs: (hadoop::IO_SORT_MB.into(), hadoop::MAP_HEAP_MB.into()),
             main_effects: (dec.main_effects[0].abs(), dec.main_effects[1].abs()),
             interaction: inter,
             interaction_ratio: inter / min_main.max(1e-9),
@@ -507,16 +508,16 @@ pub fn heterogeneity(seed: u64) -> Vec<HeterogeneityRow> {
                     let mut c = sim.space().random_config(&mut rng);
                     use rand::RngExt;
                     c.set(
-                        "map_slots_per_node",
+                        hadoop::MAP_SLOTS,
                         autotune_core::ParamValue::Int(rng.random_range(1..=4)),
                     );
                     c.set(
-                        "reduce_slots_per_node",
+                        hadoop::REDUCE_SLOTS,
                         autotune_core::ParamValue::Int(rng.random_range(1..=2)),
                     );
-                    c.set("map_heap_mb", autotune_core::ParamValue::Int(1024));
-                    c.set("reduce_heap_mb", autotune_core::ParamValue::Int(1024));
-                    c.set("io_sort_mb", autotune_core::ParamValue::Int(256));
+                    c.set(hadoop::MAP_HEAP_MB, autotune_core::ParamValue::Int(1024));
+                    c.set(hadoop::REDUCE_HEAP_MB, autotune_core::ParamValue::Int(1024));
+                    c.set(hadoop::IO_SORT_MB, autotune_core::ParamValue::Int(256));
                     let p = model.predict(&c);
                     let r = sim.simulate(&c);
                     if p < 1e6 && !r.failed {

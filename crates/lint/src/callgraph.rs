@@ -39,10 +39,10 @@ pub struct CrateIndex {
 }
 
 impl CrateIndex {
-    /// Folds one file's functions into the index. Test-only functions
-    /// and functions whose token span is masked as test code are
-    /// skipped, as are the lock primitives themselves (a helper named
-    /// `lock` *is* the acquisition, not a caller of one).
+    /// Folds one file's functions into the index. Functions whose token
+    /// span is masked as test code are skipped, as are the lock
+    /// primitives themselves (a helper named `lock` *is* the acquisition,
+    /// not a caller of one).
     pub fn add_file(
         &mut self,
         tree: &ItemTree,
@@ -51,7 +51,7 @@ impl CrateIndex {
         protocol: &Protocol,
     ) {
         tree.walk(&mut |item| {
-            if item.kind != ItemKind::Fn || item.is_test_only() {
+            if item.kind != ItemKind::Fn {
                 return;
             }
             let Some((bs, be)) = item.body_span else {

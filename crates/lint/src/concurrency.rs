@@ -79,7 +79,7 @@ pub fn analyze_file(p: &Prepared, protocol: &Protocol, index: &CrateIndex) -> Fi
     }
     let tokens = &p.lexed.tokens;
     p.tree.walk(&mut |item| {
-        if item.kind != ItemKind::Fn || item.is_test_only() {
+        if item.kind != ItemKind::Fn {
             return;
         }
         let Some((bs, be)) = item.body_span else {

@@ -3,9 +3,6 @@
 //!
 //! The scopes mirror the determinism contract documented in DESIGN.md:
 //!
-//! * **D1 `unseeded-rng`** — everywhere outside `#[cfg(test)]`. Tuner
-//!   evaluations must be replayable from a seed, so entropy-based RNG
-//!   construction is banned workspace-wide.
 //! * **D2 `wall-clock`** — the pure-evaluation crates `math`, `sim`,
 //!   `tuners`, plus `serve`: the daemon must replay sessions from the WAL
 //!   byte-identically, so clock reads there need an explicit suppression
@@ -32,12 +29,6 @@
 //!   (`#[target_feature(enable = "avx2")]`) must be feature-gated and the
 //!   dispatching function must keep a reachable scalar fallback; a kernel
 //!   with no dispatcher at all is reported too.
-//! * **K1 `knob-unknown`** — a knob-name string (or const) at a knob
-//!   consumer site that does not resolve in the workspace knob table.
-//! * **K2 `knob-domain`** — a knob default/bound inconsistent at its
-//!   definition, or a literal `set(...)` value outside the declared domain.
-//! * **K3 `knob-unused`** (warn) — a knob defined in a params module but
-//!   never referenced anywhere else in the workspace.
 //!
 //! The statement-level concurrency & durability rules (C-series), driven
 //! by the [`Protocol`] declaration below:
@@ -142,30 +133,9 @@ pub const DEFAULT_PROTOCOL: Protocol = Protocol {
     protocol_crate: "serve",
 };
 
-/// Finding severity: errors fail the build, warnings are advisory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory: reported, but does not make the exit code nonzero.
-    Warning,
-    /// Build-failing.
-    Error,
-}
-
-impl Severity {
-    /// Stable lowercase label used in reports and SARIF levels.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
 /// Stable rule identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// D1: unseeded RNG construction.
-    UnseededRng,
     /// D2: wall-clock reads in pure-evaluation crates.
     WallClock,
     /// D3: hash-ordered containers in report-feeding crates.
@@ -180,12 +150,6 @@ pub enum RuleId {
     UnsafeScope,
     /// U3: AVX2 kernel without a guarded dispatcher + scalar fallback.
     SimdFallback,
-    /// K1: knob reference that does not resolve in the knob table.
-    KnobUnknown,
-    /// K2: knob default/bound/value outside its declared domain.
-    KnobDomain,
-    /// K3: knob defined but never referenced (warn-level).
-    KnobUnused,
     /// C1: lock-acquisition cycle across the crate's lock-order graph.
     LockOrder,
     /// C2: blocking call reached while a mutex guard is live in scope.
@@ -202,7 +166,6 @@ pub enum RuleId {
 
 /// Every rule, for parsing and report metadata.
 pub const ALL_RULES: &[RuleId] = &[
-    RuleId::UnseededRng,
     RuleId::WallClock,
     RuleId::HashIter,
     RuleId::NanOrd,
@@ -210,9 +173,6 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::SafetyComment,
     RuleId::UnsafeScope,
     RuleId::SimdFallback,
-    RuleId::KnobUnknown,
-    RuleId::KnobDomain,
-    RuleId::KnobUnused,
     RuleId::LockOrder,
     RuleId::BlockingLock,
     RuleId::CondvarLoop,
@@ -222,10 +182,9 @@ pub const ALL_RULES: &[RuleId] = &[
 ];
 
 impl RuleId {
-    /// Short stable id (`D1`..`D5`, `U1`..`U3`, `K1`..`K3`, `A0`).
+    /// Short stable id (`D2`..`D5`, `U1`..`U3`, `C1`..`C5`, `A0`).
     pub fn id(self) -> &'static str {
         match self {
-            RuleId::UnseededRng => "D1",
             RuleId::WallClock => "D2",
             RuleId::HashIter => "D3",
             RuleId::NanOrd => "D4",
@@ -233,9 +192,6 @@ impl RuleId {
             RuleId::SafetyComment => "U1",
             RuleId::UnsafeScope => "U2",
             RuleId::SimdFallback => "U3",
-            RuleId::KnobUnknown => "K1",
-            RuleId::KnobDomain => "K2",
-            RuleId::KnobUnused => "K3",
             RuleId::LockOrder => "C1",
             RuleId::BlockingLock => "C2",
             RuleId::CondvarLoop => "C3",
@@ -248,7 +204,6 @@ impl RuleId {
     /// Human name, also accepted in suppression directives.
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::UnseededRng => "unseeded-rng",
             RuleId::WallClock => "wall-clock",
             RuleId::HashIter => "hash-iter",
             RuleId::NanOrd => "nan-ord",
@@ -256,23 +211,12 @@ impl RuleId {
             RuleId::SafetyComment => "safety-comment",
             RuleId::UnsafeScope => "unsafe-scope",
             RuleId::SimdFallback => "simd-fallback",
-            RuleId::KnobUnknown => "knob-unknown",
-            RuleId::KnobDomain => "knob-domain",
-            RuleId::KnobUnused => "knob-unused",
             RuleId::LockOrder => "lock-order",
             RuleId::BlockingLock => "blocking-while-locked",
             RuleId::CondvarLoop => "condvar-wait-not-in-loop",
             RuleId::AckDurable => "ack-before-durable",
             RuleId::TicketDrop => "unwaited-ticket",
             RuleId::BareAllow => "bare-allow",
-        }
-    }
-
-    /// Severity class of findings this rule produces.
-    pub fn severity(self) -> Severity {
-        match self {
-            RuleId::KnobUnused => Severity::Warning,
-            _ => Severity::Error,
         }
     }
 
@@ -287,9 +231,6 @@ impl RuleId {
     /// One-line description used in reports.
     pub fn message(self) -> &'static str {
         match self {
-            RuleId::UnseededRng => {
-                "unseeded RNG construction breaks replayability; seed from the session (StdRng::seed_from_u64)"
-            }
             RuleId::WallClock => {
                 "wall-clock read inside a pure-evaluation crate; thread time in via parameters"
             }
@@ -306,19 +247,10 @@ impl RuleId {
                 "unsafe without a justification; add a `// SAFETY:` comment directly above stating the invariant"
             }
             RuleId::UnsafeScope => {
-                "unsafe outside the audited allowlist (math::simd, serve::signal); keep raw-pointer and FFI code in the audited modules"
+                "unsafe outside the audited allowlist (math::batch, math::simd, serve::signal); keep raw-pointer and FFI code in the audited modules"
             }
             RuleId::SimdFallback => {
                 "AVX2 kernel call without a feature guard and reachable scalar fallback in the dispatching function"
-            }
-            RuleId::KnobUnknown => {
-                "knob name does not resolve in the workspace knob table; fix the typo or register the knob"
-            }
-            RuleId::KnobDomain => {
-                "knob value/default/bounds outside the declared domain; align with the params-module definition"
-            }
-            RuleId::KnobUnused => {
-                "knob defined but never referenced by any tuner, engine, or scenario; wire it up or drop it"
             }
             RuleId::LockOrder => {
                 "lock-acquisition cycle: these locks are taken in conflicting orders across the crate; pick one global order"
@@ -384,7 +316,7 @@ pub fn rule_applies(rule: RuleId, ctx: &FileCtx) -> bool {
     }
     let in_crates = |names: &[&str]| names.contains(&ctx.crate_name.as_str());
     match rule {
-        RuleId::UnseededRng | RuleId::NanOrd => true,
+        RuleId::NanOrd => true,
         RuleId::WallClock => ctx.is_lib_source && in_crates(&["math", "sim", "tuners", "serve"]),
         RuleId::HashIter => ctx.is_lib_source && in_crates(&["core", "tuners", "bench", "serve"]),
         RuleId::Unwrap => {
@@ -394,12 +326,6 @@ pub fn rule_applies(rule: RuleId, ctx: &FileCtx) -> bool {
         // allowlist is a finding, and allowlisted unsafe still needs its
         // SAFETY justification and dispatch contract.
         RuleId::SafetyComment | RuleId::UnsafeScope | RuleId::SimdFallback => true,
-        // Knob consumers live in the simulators, tuners, and bench harness.
-        RuleId::KnobUnknown | RuleId::KnobDomain => {
-            ctx.is_lib_source && in_crates(&["sim", "tuners", "bench"])
-        }
-        // Knob definitions live in the simulator params modules.
-        RuleId::KnobUnused => ctx.is_lib_source && in_crates(&["sim"]),
         // Generic concurrency rules: any library source that takes locks.
         RuleId::LockOrder | RuleId::BlockingLock | RuleId::CondvarLoop => ctx.is_lib_source,
         // Protocol-conformance rules are scoped to the serve crate, whose
@@ -456,23 +382,16 @@ mod tests {
         assert!(!rule_applies(RuleId::WallClock, &bench_bin));
         assert!(rule_applies(RuleId::NanOrd, &bench_bin));
         assert!(!rule_applies(RuleId::Unwrap, &bench_bin));
-        assert!(rule_applies(RuleId::KnobUnknown, &bench_bin));
 
         let lint = classify("crates/lint/src/rules.rs").expect("classified");
-        assert!(rule_applies(RuleId::UnseededRng, &lint));
+        assert!(rule_applies(RuleId::NanOrd, &lint));
         assert!(!rule_applies(RuleId::Unwrap, &lint));
         assert!(rule_applies(RuleId::UnsafeScope, &lint));
-        assert!(!rule_applies(RuleId::KnobUnknown, &lint));
-
-        let sim = classify("crates/sim/src/dbms/params.rs").expect("classified");
-        assert!(rule_applies(RuleId::KnobUnused, &sim));
-        assert!(rule_applies(RuleId::KnobDomain, &sim));
 
         let serve = classify("crates/serve/src/wal.rs").expect("classified");
         assert!(rule_applies(RuleId::WallClock, &serve));
         assert!(rule_applies(RuleId::HashIter, &serve));
         assert!(rule_applies(RuleId::Unwrap, &serve));
-        assert!(!rule_applies(RuleId::KnobUnknown, &serve));
         let serve_tests = classify("crates/serve/tests/http_api.rs").expect("classified");
         assert!(!rule_applies(RuleId::WallClock, &serve_tests));
 
@@ -487,7 +406,7 @@ mod tests {
         assert!(rule_applies(RuleId::WallClock, &ann));
         assert!(rule_applies(RuleId::HashIter, &ann));
         assert!(rule_applies(RuleId::Unwrap, &ann));
-        assert!(rule_applies(RuleId::UnseededRng, &ann));
+        assert!(rule_applies(RuleId::NanOrd, &ann));
 
         // The drift detector and the signature summarizer carry the same
         // determinism contract as the recovery path they feed: detector
@@ -498,11 +417,9 @@ mod tests {
         assert!(rule_applies(RuleId::WallClock, &drift));
         assert!(rule_applies(RuleId::HashIter, &drift));
         assert!(rule_applies(RuleId::Unwrap, &drift));
-        assert!(rule_applies(RuleId::UnseededRng, &drift));
         assert!(rule_applies(RuleId::NanOrd, &drift));
         assert!(rule_applies(RuleId::LockOrder, &drift));
         let sig = classify("crates/core/src/signature.rs").expect("classified");
-        assert!(rule_applies(RuleId::UnseededRng, &sig));
         assert!(rule_applies(RuleId::HashIter, &sig));
         assert!(rule_applies(RuleId::Unwrap, &sig));
         assert!(rule_applies(RuleId::NanOrd, &sig));
@@ -538,19 +455,11 @@ mod tests {
         assert_eq!(RuleId::parse("unwrap"), Some(RuleId::Unwrap));
         assert_eq!(RuleId::parse("U1"), Some(RuleId::SafetyComment));
         assert_eq!(RuleId::parse("safety-comment"), Some(RuleId::SafetyComment));
-        assert_eq!(RuleId::parse("K1"), Some(RuleId::KnobUnknown));
-        assert_eq!(RuleId::parse("knob-unused"), Some(RuleId::KnobUnused));
+        assert_eq!(RuleId::parse("D1"), None);
+        assert_eq!(RuleId::parse("knob-unused"), None);
         assert_eq!(RuleId::parse("C1"), Some(RuleId::LockOrder));
         assert_eq!(RuleId::parse("c4"), Some(RuleId::AckDurable));
         assert_eq!(RuleId::parse("unwaited-ticket"), Some(RuleId::TicketDrop));
         assert_eq!(RuleId::parse("nonsense"), None);
-    }
-
-    #[test]
-    fn severities() {
-        assert_eq!(RuleId::KnobUnused.severity(), Severity::Warning);
-        assert_eq!(RuleId::KnobUnknown.severity(), Severity::Error);
-        assert_eq!(RuleId::SafetyComment.severity(), Severity::Error);
-        assert_eq!(Severity::Warning.label(), "warning");
     }
 }

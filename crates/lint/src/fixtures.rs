@@ -19,40 +19,6 @@ pub struct Fixture {
     pub expect: &'static [&'static str],
 }
 
-/// D1 bad: entropy-seeded RNG in live tuner code.
-pub const D1_BAD: Fixture = Fixture {
-    label: "d1-bad",
-    path: "crates/tuners/src/fixture.rs",
-    src: r#"
-use rand::rngs::StdRng;
-pub fn propose() -> f64 {
-    let mut rng = rand::thread_rng();
-    rng.random_range(0.0..1.0)
-}
-"#,
-    expect: &["D1"],
-};
-
-/// D1 good: seeded construction, plus entropy allowed inside tests.
-pub const D1_GOOD: Fixture = Fixture {
-    label: "d1-good",
-    path: "crates/tuners/src/fixture.rs",
-    src: r#"
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-pub fn propose(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-#[cfg(test)]
-mod tests {
-    fn entropy_is_fine_here() {
-        let _ = rand::thread_rng();
-    }
-}
-"#,
-    expect: &[],
-};
-
 /// D2 bad: wall-clock read inside a pure-evaluation crate.
 pub const D2_BAD: Fixture = Fixture {
     label: "d2-bad",
@@ -297,31 +263,6 @@ pub fn sum(xs: &[f64]) -> f64 {
     expect: &[],
 };
 
-/// K2 bad (definition site): the default lies outside the declared bounds.
-/// This check is local to the params module, so a single-file fixture.
-pub const K2_DEF_BAD: Fixture = Fixture {
-    label: "k2-def-bad",
-    path: "crates/sim/src/fixture/params.rs",
-    src: r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![ParamSpec::int("page_cache_mb", 64, 4096, 65536, "default above max")]
-}
-"#,
-    expect: &["K2"],
-};
-
-/// K2 good (definition site): bounds and default are consistent.
-pub const K2_DEF_GOOD: Fixture = Fixture {
-    label: "k2-def-good",
-    path: "crates/sim/src/fixture/params.rs",
-    src: r#"
-pub fn space() -> Vec<ParamSpec> {
-    vec![ParamSpec::int("page_cache_mb", 64, 65536, 4096, "page cache")]
-}
-"#,
-    expect: &[],
-};
-
 /// C1 bad: two functions nest the same two locks in opposite orders — a
 /// classic ABBA deadlock. Both witness acquisitions are reported.
 pub const C1_BAD: Fixture = Fixture {
@@ -500,41 +441,13 @@ pub fn checkpoint(state: &State, skip: bool) -> ServeResult<u64> {
 
 /// Every single-file fixture, for exhaustive test loops.
 pub const ALL: &[Fixture] = &[
-    D1_BAD,
-    D1_GOOD,
-    D2_BAD,
-    D2_GOOD,
-    D3_BAD,
-    D3_GOOD,
-    D4_BAD,
-    D4_GOOD,
-    D5_BAD,
-    D5_GOOD,
-    SUPPRESSED,
-    BARE_ALLOW,
-    U1_BAD,
-    U1_GOOD,
-    U2_BAD,
-    U2_GOOD,
-    U3_BAD,
-    U3_GOOD,
-    K2_DEF_BAD,
-    K2_DEF_GOOD,
-    C1_BAD,
-    C1_GOOD,
-    C2_BAD,
-    C2_GOOD,
-    C3_BAD,
-    C3_GOOD,
-    C4_BAD,
-    C4_GOOD,
-    C5_BAD,
-    C5_GOOD,
+    D2_BAD, D2_GOOD, D3_BAD, D3_GOOD, D4_BAD, D4_GOOD, D5_BAD, D5_GOOD, SUPPRESSED, BARE_ALLOW,
+    U1_BAD, U1_GOOD, U2_BAD, U2_GOOD, U3_BAD, U3_GOOD, C1_BAD, C1_GOOD, C2_BAD, C2_GOOD, C3_BAD,
+    C3_GOOD, C4_BAD, C4_GOOD, C5_BAD, C5_GOOD,
 ];
 
-/// A multi-file fixture: the K-series consumer rules resolve knob names
-/// against a table extracted from the params files, so they need at least
-/// two files (definitions + consumer) scanned together.
+/// A multi-file fixture: the C1 lock-order graph is per crate, so a cycle
+/// can span files of one crate scanned together.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiFixture {
     /// Short label for test diagnostics.
@@ -544,119 +457,6 @@ pub struct MultiFixture {
     /// Expected rule ids, in report order (sorted by file, line, rule).
     pub expect: &'static [&'static str],
 }
-
-/// The params module shared by the K-series multi-file fixtures: a
-/// two-knob Spark-flavored space with consts, an int range, and a boolean.
-const K_PARAMS: (&str, &str) = (
-    "crates/sim/src/fixture/params.rs",
-    r#"
-pub mod knobs {
-    pub const EXEC_MEMORY_MB: &str = "executor_memory_mb";
-    pub const SHUFFLE_COMPRESS: &str = "shuffle_compress";
-}
-pub fn space() -> Vec<ParamSpec> {
-    use knobs::*;
-    vec![
-        ParamSpec::int(EXEC_MEMORY_MB, 512, 16384, 2048, "executor memory"),
-        ParamSpec::boolean(SHUFFLE_COMPRESS, true, "compress shuffle"),
-    ]
-}
-"#,
-);
-
-/// K1 bad: a tuner reads a knob whose name does not resolve (typo). The
-/// two valid reads keep K3 quiet so the typo is the only finding.
-pub const K1_BAD_MULTI: MultiFixture = MultiFixture {
-    label: "k1-bad-multi",
-    files: &[
-        K_PARAMS,
-        (
-            "crates/tuners/src/fixture.rs",
-            r#"
-pub fn apply(c: &Configuration) -> i64 {
-    let mem = c.i64("executor_memory_mb");
-    let typo = c.i64("executor_memory_mbb");
-    let _ = c.bool("shuffle_compress");
-    mem + typo
-}
-"#,
-        ),
-    ],
-    expect: &["K1"],
-};
-
-/// K1 good: every referenced name resolves.
-pub const K1_GOOD_MULTI: MultiFixture = MultiFixture {
-    label: "k1-good-multi",
-    files: &[
-        K_PARAMS,
-        (
-            "crates/tuners/src/fixture.rs",
-            r#"
-pub fn apply(c: &Configuration) -> i64 {
-    let _ = c.bool("shuffle_compress");
-    c.i64("executor_memory_mb")
-}
-"#,
-        ),
-    ],
-    expect: &[],
-};
-
-/// K2 bad (set site): a literal `set` value outside the declared range.
-pub const K2_SET_BAD_MULTI: MultiFixture = MultiFixture {
-    label: "k2-set-bad-multi",
-    files: &[
-        K_PARAMS,
-        (
-            "crates/bench/src/fixture.rs",
-            r#"
-pub fn configure(c: &mut Configuration) {
-    c.set("executor_memory_mb", ParamValue::Int(999999));
-    c.set("shuffle_compress", ParamValue::Bool(true));
-}
-"#,
-        ),
-    ],
-    expect: &["K2"],
-};
-
-/// K2 good (set site): in-range literal and a computed value (computed
-/// values are not statically checkable and stay quiet).
-pub const K2_SET_GOOD_MULTI: MultiFixture = MultiFixture {
-    label: "k2-set-good-multi",
-    files: &[
-        K_PARAMS,
-        (
-            "crates/bench/src/fixture.rs",
-            r#"
-pub fn configure(c: &mut Configuration, nodes: i64) {
-    c.set("executor_memory_mb", ParamValue::Int(4096));
-    c.set("shuffle_compress", ParamValue::Bool(nodes > 4));
-}
-"#,
-        ),
-    ],
-    expect: &[],
-};
-
-/// K3 bad: `shuffle_compress` is defined but nothing outside the params
-/// module references it — a warn-level finding at the builder call.
-pub const K3_BAD_MULTI: MultiFixture = MultiFixture {
-    label: "k3-bad-multi",
-    files: &[
-        K_PARAMS,
-        (
-            "crates/tuners/src/fixture.rs",
-            r#"
-pub fn apply(c: &Configuration) -> i64 {
-    c.i64("executor_memory_mb")
-}
-"#,
-        ),
-    ],
-    expect: &["K3"],
-};
 
 /// C1 interprocedural bad: the lock set crosses files — `enqueue` holds
 /// the queue while calling a helper (defined in another file of the same
@@ -730,12 +530,4 @@ pub fn drain(sh: &Shared) {
 };
 
 /// Every multi-file fixture, for exhaustive test loops.
-pub const ALL_MULTI: &[MultiFixture] = &[
-    K1_BAD_MULTI,
-    K1_GOOD_MULTI,
-    K2_SET_BAD_MULTI,
-    K2_SET_GOOD_MULTI,
-    K3_BAD_MULTI,
-    C1_BAD_MULTI,
-    C1_GOOD_MULTI,
-];
+pub const ALL_MULTI: &[MultiFixture] = &[C1_BAD_MULTI, C1_GOOD_MULTI];

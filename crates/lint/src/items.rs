@@ -1,8 +1,9 @@
 //! The scoped item tree the parser produces: functions, modules, impls,
 //! traits, and `unsafe` blocks, each with token/line spans and their
 //! attributes. Rule families that need scope facts — the U-series unsafe
-//! audit and the K-series knob checks — walk this tree instead of the flat
-//! token stream.
+//! audit and the C-series call graph — walk this tree instead of the flat
+//! token stream. Which items are test-only is decided once, by the token
+//! mask ([`crate::rules::test_mask`]), not by this tree.
 
 /// What kind of scope-bearing item a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,19 +33,6 @@ pub struct Attr {
 }
 
 impl Attr {
-    /// True for `#[cfg(test)]` / `#[cfg(all(test, ...))]`-style attributes
-    /// (but not `#[cfg(not(test))]`), and for `#[test]` / `#[foo::test]`.
-    pub fn is_test_marker(&self) -> bool {
-        match self.idents.first().map(String::as_str) {
-            Some("cfg") => {
-                self.idents.iter().any(|s| s == "test") && !self.idents.iter().any(|s| s == "not")
-            }
-            // `#[test]`, `#[tokio::test]`, ... — but not `#[cfg_attr(test, ..)]`.
-            Some(_) => self.idents.last().map(String::as_str) == Some("test"),
-            None => false,
-        }
-    }
-
     /// True for `#[target_feature(enable = "avx2")]`.
     pub fn enables_avx2(&self) -> bool {
         self.idents.first().map(String::as_str) == Some("target_feature")
@@ -82,11 +70,6 @@ pub struct Item {
 }
 
 impl Item {
-    /// True if any attribute marks this item test-only.
-    pub fn is_test_only(&self) -> bool {
-        self.attrs.iter().any(Attr::is_test_marker)
-    }
-
     /// True if an attribute is `#[target_feature(enable = "avx2")]`.
     pub fn is_avx2_kernel(&self) -> bool {
         self.attrs.iter().any(Attr::enables_avx2)

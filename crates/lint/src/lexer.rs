@@ -4,9 +4,9 @@
 //! on a token stream this module produces: identifiers, punctuation, string
 //! literals, and numeric literals with line numbers. Comments and char
 //! literals are stripped so rule patterns can never match inside them; string
-//! and numeric literals are *captured* (not dropped) because the knob-table
-//! rules (K1–K3) must resolve knob-name strings and check numeric bounds,
-//! and the item parser must read `#[target_feature(enable = "avx2")]`. Line
+//! and numeric literals are *captured* (not dropped) because the item parser
+//! must read `#[target_feature(enable = "avx2")]` and `extern "C"`, and the
+//! statement parser reads a response's literal HTTP status. Line
 //! comments are captured separately because suppression directives
 //! (`lint:allow`) and `SAFETY:` justifications live there.
 //!

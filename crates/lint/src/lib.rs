@@ -3,36 +3,27 @@
 //! The parallel `SessionExecutor` promises byte-identical reports at any
 //! thread count, and every experiment table is only trustworthy if tuner
 //! evaluations are pure and replayable. This crate enforces the invariants
-//! that property rests on, as token-level rules over the workspace's own
-//! sources (the workspace vendors no parser crates, so [`lexer`] is a small
+//! that property rests on that neither the compiler nor a test already
+//! checks, as token-level rules over the workspace's own sources (the
+//! workspace vendors no parser crates, so [`lexer`] is a small
 //! purpose-built lexer):
 //!
 //! | id | name | scope | what it catches |
 //! |----|------|-------|-----------------|
-//! | D1 | `unseeded-rng` | everywhere | `thread_rng` / `from_entropy` / `from_os_rng` |
-//! | D2 | `wall-clock` | `math`, `sim`, `tuners` src | `Instant::now`, `SystemTime::now` |
-//! | D3 | `hash-iter` | `core`, `tuners`, `bench` src | `HashMap` / `HashSet` (order hazard) |
+//! | D2 | `wall-clock` | `math`, `sim`, `tuners`, `serve` src | `Instant::now`, `SystemTime::now` |
+//! | D3 | `hash-iter` | `core`, `tuners`, `bench`, `serve` src | `HashMap` / `HashSet` (order hazard) |
 //! | D4 | `nan-ord` | everywhere | `partial_cmp(..).unwrap()` / `.expect(..)` |
-//! | D5 | `unwrap` | `core`, `math`, `sim`, `tuners` src | `.unwrap()` / `.expect(..)` |
+//! | D5 | `unwrap` | `core`, `math`, `sim`, `tuners`, `serve` src | `.unwrap()` / `.expect(..)` |
 //!
 //! On top of the token stream, [`parser`] builds a scoped item tree
 //! (fn/mod/impl/trait spans, `unsafe` blocks, attributes) that powers the
-//! semantic rule families:
+//! unsafe audit:
 //!
 //! | id | name | scope | what it catches |
 //! |----|------|-------|-----------------|
 //! | U1 | `safety-comment` | everywhere | `unsafe` without a `// SAFETY:` justification |
-//! | U2 | `unsafe-scope` | everywhere | `unsafe` outside the audited allowlist |
+//! | U2 | `unsafe-scope` | everywhere | `unsafe` outside `math::{simd,batch}`, `serve::signal` |
 //! | U3 | `simd-fallback` | everywhere | AVX2 kernel without guard + scalar fallback |
-//! | K1 | `knob-unknown` | `sim`, `tuners`, `bench` src | knob name that does not resolve |
-//! | K2 | `knob-domain` | `sim`, `tuners`, `bench` src | value/default outside the declared domain |
-//! | K3 | `knob-unused` (warn) | `sim` src | knob defined but never referenced |
-//!
-//! The K rules consult a workspace [`knobs::KnobTable`] extracted from the
-//! simulator params modules in a first pass over all files, which is why
-//! the workspace scan is two-pass ([`scan_sources`]).
-//! (K4–K6, a knob-interval dataflow that never fired on this workspace,
-//! were retired; DESIGN.md §4e says why.)
 //!
 //! [`parser::parse_body`] further parses each fn body into a statement /
 //! expression tree, and [`callgraph`] summarizes every fn's direct lock
@@ -51,8 +42,19 @@
 //!
 //! `#[cfg(test)]` items and `tests/` directories are exempt. Findings can be
 //! waived inline with a justified `lint:allow` comment (see [`suppress`]);
-//! a reason-less allow is itself reported (`A0 bare-allow`). Only
-//! error-severity findings fail the build; `K3` is warn-level.
+//! a reason-less allow is itself reported (`A0 bare-allow`). Every rule is
+//! an error: any surviving finding fails the run.
+//!
+//! Retired rules, each with no finding on any committed tree and another
+//! check that already covers it (DESIGN.md §4b has the evidence):
+//!
+//! | id | name | what covers it now |
+//! |----|------|--------------------|
+//! | D1 | `unseeded-rng` | the compiler: the vendored `rand` has no `thread_rng` / `from_entropy` / `from_os_rng` |
+//! | K1 | `knob-unknown` | the compiler: consumers name knobs by the `params::knobs` constants |
+//! | K2 | `knob-domain` | `ParamSpec::validate` at definition sites; literal `set` values are unchecked |
+//! | K3 | `knob-unused` | nothing (it only warned, and nothing read warnings) |
+//! | K4–K6 | knob-interval dataflow | never fired on this workspace |
 
 #![forbid(unsafe_code)]
 
@@ -61,16 +63,14 @@ pub mod concurrency;
 pub mod config;
 pub mod fixtures;
 pub mod items;
-pub mod knobs;
 pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
 pub mod suppress;
 
-pub use knobs::KnobTable;
 pub use report::{Finding, Report};
-pub use rules::{scan_source, scan_sources};
+pub use rules::scan_sources;
 
 use std::fs;
 use std::path::{Path, PathBuf};

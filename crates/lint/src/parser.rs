@@ -1357,8 +1357,8 @@ fn live() {}
 unsafe fn wide() {}
 "#;
         let tree = tree_of(src);
-        assert!(tree.items[0].is_test_only());
-        assert!(!tree.items[1].is_test_only());
+        assert_eq!(tree.items[0].attrs[0].idents, vec!["cfg", "test"]);
+        assert_eq!(tree.items[1].attrs[0].idents, vec!["cfg", "not", "test"]);
         let wide = &tree.items[2];
         assert!(wide.is_avx2_kernel());
         assert!(wide.is_unsafe);

@@ -1,19 +1,14 @@
-//! Finding and report types, with human-readable, JSON, and SARIF
-//! rendering.
+//! Finding and report types, with human-readable and JSON rendering.
 
 use serde::{Deserialize, Serialize};
-
-use crate::config::{Severity, ALL_RULES};
 
 /// A single rule violation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Stable rule id (`D1`..`D5`, `U1`..`U3`, `K1`..`K3`, `A0`).
+    /// Stable rule id (`D2`..`D5`, `U1`..`U3`, `C1`..`C5`, `A0`).
     pub rule: String,
-    /// Human rule name (`unseeded-rng`, ..., `bare-allow`).
+    /// Human rule name (`wall-clock`, ..., `bare-allow`).
     pub name: String,
-    /// Severity label (`error` or `warning`).
-    pub severity: String,
     /// Workspace-relative path.
     pub file: String,
     /// 1-based line number.
@@ -22,13 +17,6 @@ pub struct Finding {
     pub snippet: String,
     /// Why this is a finding and what to do instead.
     pub message: String,
-}
-
-impl Finding {
-    /// True for build-failing findings.
-    pub fn is_error(&self) -> bool {
-        self.severity != Severity::Warning.label()
-    }
 }
 
 /// Everything one analyzer run produced.
@@ -56,15 +44,10 @@ impl Report {
         }
     }
 
-    /// True when the scan is clean (no findings of any severity).
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    /// True when at least one error-severity finding survived: this is what
-    /// makes the binary's exit code nonzero (warnings alone do not).
+    /// True when any finding survived suppression: every rule is an
+    /// error, so this is what makes the binary's exit code nonzero.
     pub fn has_errors(&self) -> bool {
-        self.findings.iter().any(Finding::is_error)
+        !self.findings.is_empty()
     }
 
     /// Human-readable rendering, one finding per line plus a summary.
@@ -72,20 +55,13 @@ impl Report {
         let mut out = String::new();
         for f in &self.findings {
             out.push_str(&format!(
-                "{}:{}: {}[{} {}] {}\n    {}\n",
-                f.file,
-                f.line,
-                if f.is_error() { "" } else { "warning " },
-                f.rule,
-                f.name,
-                f.message,
-                f.snippet
+                "{}:{}: [{} {}] {}\n    {}\n",
+                f.file, f.line, f.rule, f.name, f.message, f.snippet
             ));
         }
-        let errors = self.findings.iter().filter(|f| f.is_error()).count();
-        let warnings = self.findings.len() - errors;
         out.push_str(&format!(
-            "autotune-lint: {errors} error(s), {warnings} warning(s) in {} file(s) scanned\n",
+            "autotune-lint: {} error(s) in {} file(s) scanned\n",
+            self.findings.len(),
             self.files_scanned
         ));
         out
@@ -99,99 +75,6 @@ impl Report {
             format!("{{\"error\": \"serialization failed: {e}\"}}")
         })
     }
-
-    /// SARIF 2.1.0 rendering (the minimal shape GitHub code scanning
-    /// ingests): one run, the full rule catalog in `tool.driver.rules`, one
-    /// `result` per finding with its physical location. Key order is fixed
-    /// (the vendored `serde::Value` map preserves insertion order), so the
-    /// output is snapshot-stable.
-    pub fn sarif(&self) -> String {
-        use serde::Value;
-        fn text(s: &str) -> Value {
-            Value::Text(s.to_string())
-        }
-        fn map(entries: Vec<(&str, Value)>) -> Value {
-            Value::Map(
-                entries
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            )
-        }
-        let rules = Value::Seq(
-            ALL_RULES
-                .iter()
-                .map(|r| {
-                    map(vec![
-                        ("id", text(r.id())),
-                        ("name", text(r.name())),
-                        ("shortDescription", map(vec![("text", text(r.message()))])),
-                        (
-                            "defaultConfiguration",
-                            map(vec![("level", text(r.severity().label()))]),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let results = Value::Seq(
-            self.findings
-                .iter()
-                .map(|f| {
-                    map(vec![
-                        ("ruleId", text(&f.rule)),
-                        ("level", text(&f.severity)),
-                        ("message", map(vec![("text", text(&f.message))])),
-                        (
-                            "locations",
-                            Value::Seq(vec![map(vec![(
-                                "physicalLocation",
-                                map(vec![
-                                    ("artifactLocation", map(vec![("uri", text(&f.file))])),
-                                    (
-                                        "region",
-                                        map(vec![
-                                            ("startLine", Value::Int(i64::from(f.line))),
-                                            ("snippet", map(vec![("text", text(&f.snippet))])),
-                                        ]),
-                                    ),
-                                ]),
-                            )])]),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let doc = map(vec![
-            (
-                "$schema",
-                text("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-            ),
-            ("version", text("2.1.0")),
-            (
-                "runs",
-                Value::Seq(vec![map(vec![
-                    (
-                        "tool",
-                        map(vec![(
-                            "driver",
-                            map(vec![("name", text("autotune-lint")), ("rules", rules)]),
-                        )]),
-                    ),
-                    ("results", results),
-                ])]),
-            ),
-        ]);
-        /// Serializes a pre-built [`Value`] tree as-is.
-        struct Raw(Value);
-        impl serde::Serialize for Raw {
-            fn to_value(&self) -> Value {
-                self.0.clone()
-            }
-        }
-        serde_json::to_string_pretty(&Raw(doc))
-            .unwrap_or_else(|e| format!("{{\"error\": \"serialization failed: {e}\"}}"))
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +85,6 @@ mod tests {
         Finding {
             rule: rule.to_string(),
             name: "unwrap".to_string(),
-            severity: "error".to_string(),
             file: file.to_string(),
             line,
             snippet: "x.unwrap()".to_string(),
@@ -237,7 +119,7 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let r = Report::new(vec![finding("a.rs", 1, "D1")], 1);
+        let r = Report::new(vec![finding("a.rs", 1, "D5")], 1);
         let back: Report = serde_json::from_str(&r.json()).expect("valid JSON");
         assert_eq!(back, r);
     }
@@ -247,37 +129,6 @@ mod tests {
         let r = Report::new(vec![finding("crates/core/src/x.rs", 7, "D5")], 3);
         let text = r.human();
         assert!(text.contains("crates/core/src/x.rs:7: [D5 unwrap]"));
-        assert!(text.contains("1 error(s), 0 warning(s) in 3 file(s) scanned"));
-    }
-
-    #[test]
-    fn warnings_do_not_make_the_report_erroring() {
-        let mut warn = finding("a.rs", 2, "K3");
-        warn.severity = "warning".to_string();
-        let r = Report::new(vec![warn], 1);
-        assert!(!r.is_clean());
-        assert!(!r.has_errors());
-        assert!(r.human().contains("warning [K3"));
-        assert!(r.human().contains("0 error(s), 1 warning(s)"));
-    }
-
-    #[test]
-    fn sarif_has_schema_rules_and_result_locations() {
-        let r = Report::new(vec![finding("crates/core/src/x.rs", 7, "D5")], 3);
-        let sarif = r.sarif();
-        assert!(sarif.contains("\"version\": \"2.1.0\""));
-        assert!(sarif.contains("\"name\": \"autotune-lint\""));
-        // The full rule catalog is present.
-        for rule in ALL_RULES {
-            assert!(
-                sarif.contains(&format!("\"id\": \"{}\"", rule.id())),
-                "missing rule {} in SARIF catalog",
-                rule.id()
-            );
-        }
-        assert!(sarif.contains("\"ruleId\": \"D5\""));
-        assert!(sarif.contains("\"level\": \"error\""));
-        assert!(sarif.contains("\"uri\": \"crates/core/src/x.rs\""));
-        assert!(sarif.contains("\"startLine\": 7"));
+        assert!(text.contains("1 error(s) in 3 file(s) scanned"));
     }
 }

@@ -1,10 +1,11 @@
 //! The rule engine: `#[cfg(test)]` region masking, the token-stream
-//! matchers for rules D1–D5, and the item-tree matchers for the unsafe
-//! audit (U1–U3). K-series knob checks live in [`crate::knobs`] and the
-//! statement-level C-series concurrency checks in [`crate::concurrency`];
-//! both are wired in here. The C1 lock-order graph is per-crate, so the
-//! workspace scan accumulates edges across files and runs cycle
-//! detection globally (single-file scans run it over their own edges).
+//! matchers for rules D2–D5, and the item-tree matchers for the unsafe
+//! audit (U1–U3). The statement-level C-series concurrency checks live in
+//! [`crate::concurrency`] and are wired in here. The C1 lock-order graph
+//! is per-crate, so the scan accumulates edges across files and runs
+//! cycle detection once per crate.
+
+use std::collections::BTreeMap;
 
 use crate::callgraph::CrateIndex;
 use crate::concurrency;
@@ -12,16 +13,13 @@ use crate::config::{
     classify, rule_applies, FileCtx, RuleId, ALLOWED_UNSAFE_FILES, DEFAULT_PROTOCOL,
 };
 use crate::items::{ItemKind, ItemTree};
-use crate::knobs::{self, KnobTable};
 use crate::lexer::{lex, Lexed, LineComment, Token};
 use crate::parser;
-use crate::report::Finding;
+use crate::report::{Finding, Report};
 use crate::suppress;
 
 /// Everything derived from one file before rules run: the lexed stream,
-/// the test mask, the item tree, and parsed suppression directives. The
-/// two-pass workspace scan prepares every file once, extracts the knob
-/// table from the prepared streams, then scans each file against it.
+/// the test mask, the item tree, and parsed suppression directives.
 pub struct Prepared {
     /// Workspace-relative path.
     pub rel: String,
@@ -29,7 +27,8 @@ pub struct Prepared {
     pub ctx: FileCtx,
     /// Token stream + line comments.
     pub lexed: Lexed,
-    /// Per-token test-only mask (parallel to `lexed.tokens`).
+    /// Per-token test-only mask (parallel to `lexed.tokens`): the one
+    /// place that decides what is test code.
     pub mask: Vec<bool>,
     /// Scoped item tree.
     pub tree: ItemTree,
@@ -58,20 +57,11 @@ pub fn prepare(rel_path: &str, src: &str) -> Option<Prepared> {
     })
 }
 
-/// Like [`finding_at`], but with a caller-supplied message (used where a
-/// rule's static message is enriched with the specific knob involved).
-pub fn finding_with_message(p: &Prepared, rule: RuleId, line: u32, message: String) -> Finding {
-    let mut f = finding_at(p, rule, line);
-    f.message = message;
-    f
-}
-
 /// Builds the finding for `rule` at `line` in the prepared file.
-pub fn finding_at(p: &Prepared, rule: RuleId, line: u32) -> Finding {
+fn finding_at(p: &Prepared, rule: RuleId, line: u32) -> Finding {
     Finding {
         rule: rule.id().to_string(),
         name: rule.name().to_string(),
-        severity: rule.severity().label().to_string(),
         file: p.rel.clone(),
         line,
         snippet: p
@@ -83,45 +73,15 @@ pub fn finding_at(p: &Prepared, rule: RuleId, line: u32) -> Finding {
     }
 }
 
-/// Runs every in-scope rule over a prepared file, returning
-/// suppressed-and-unsorted findings. K1/K2 consumer checks need the
-/// workspace `table`; with `None` they are skipped (K2 definition-site
-/// checks are local and always run).
-pub fn scan_prepared(p: &Prepared, table: Option<&KnobTable>) -> Vec<Finding> {
-    let mut index = CrateIndex::default();
-    index.add_file(&p.tree, &p.lexed.tokens, &p.mask, &DEFAULT_PROTOCOL);
-    let (mut findings, edges) = scan_prepared_indexed(p, table, &index);
-    // Single-file C1 pass: cycle-detect over this file's own edges. The
-    // edges were produced after per-file suppression ran, so directives
-    // are honored manually (same pattern as the global K3 pass).
-    let tagged: Vec<(String, concurrency::Edge)> =
-        edges.into_iter().map(|e| (p.rel.clone(), e)).collect();
-    for (_, line) in concurrency::cycle_findings(&tagged) {
-        if p.directives
-            .iter()
-            .any(|d| d.covers(RuleId::LockOrder.id(), line))
-        {
-            continue;
-        }
-        findings.push(finding_at(p, RuleId::LockOrder, line));
-    }
-    findings
-}
-
-/// Like [`scan_prepared`], but against a caller-supplied per-crate call
-/// graph index; returns the per-file findings plus this file's raw C1
-/// lock-order edges for crate-wide cycle detection by the caller.
-pub fn scan_prepared_indexed(
-    p: &Prepared,
-    table: Option<&KnobTable>,
-    index: &CrateIndex,
-) -> (Vec<Finding>, Vec<concurrency::Edge>) {
+/// Runs every in-scope per-file rule over a prepared file against its
+/// crate's call-graph index; returns the suppressed findings plus this
+/// file's raw C1 lock-order edges for the crate-wide cycle pass.
+fn scan_file(p: &Prepared, index: &CrateIndex) -> (Vec<Finding>, Vec<concurrency::Edge>) {
     if p.ctx.is_test_source {
         return (Vec::new(), Vec::new());
     }
     let mut raw: Vec<(RuleId, u32)> = Vec::new();
     let claimed = match_nan_ord(&p.lexed.tokens, &p.mask, &mut raw, &p.ctx);
-    match_unseeded_rng(&p.lexed.tokens, &p.mask, &mut raw, &p.ctx);
     match_wall_clock(&p.lexed.tokens, &p.mask, &mut raw, &p.ctx);
     match_hash_iter(&p.lexed.tokens, &p.mask, &mut raw, &p.ctx);
     match_unwrap(&p.lexed.tokens, &p.mask, &mut raw, &p.ctx, &claimed);
@@ -134,14 +94,6 @@ pub fn scan_prepared_indexed(
     }
     if rule_applies(RuleId::SimdFallback, &p.ctx) {
         match_simd_fallback(p, &mut raw);
-    }
-    if rule_applies(RuleId::KnobDomain, &p.ctx) {
-        knobs::check_definitions(&p.lexed.tokens, &p.mask, &mut raw);
-    }
-    if let Some(table) = table {
-        if rule_applies(RuleId::KnobUnknown, &p.ctx) {
-            knobs::check_consumers(&p.lexed.tokens, &p.mask, table, &mut raw);
-        }
     }
 
     let analysis = concurrency::analyze_file(p, &DEFAULT_PROTOCOL, index);
@@ -157,34 +109,16 @@ pub fn scan_prepared_indexed(
     )
 }
 
-/// Scans one file's source in isolation (no knob table), returning
-/// suppressed findings. The workspace scan uses [`prepare`] +
-/// [`scan_prepared`] directly so the knob table is shared.
-pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    match prepare(rel_path, src) {
-        Some(p) => scan_prepared(&p, None),
-        None => Vec::new(),
-    }
-}
-
-/// The two-pass workspace scan over `(rel_path, source)` pairs: prepare
-/// every file, extract the knob table from the params modules and the
-/// per-crate call-graph indexes, scan each file against them, then run
-/// the global K3 unused-knob and C1 lock-order-cycle passes.
-pub fn scan_sources(files: &[(String, String)]) -> crate::report::Report {
+/// Scans `(rel_path, source)` pairs as one workspace: prepare every file,
+/// build the per-crate call-graph indexes, scan each file against its
+/// crate's index, then run the C1 lock-order-cycle pass per crate.
+pub fn scan_sources<P: AsRef<str>, S: AsRef<str>>(files: &[(P, S)]) -> Report {
     let prepared: Vec<Prepared> = files
         .iter()
-        .filter_map(|(rel, src)| prepare(rel, src))
+        .filter_map(|(rel, src)| prepare(rel.as_ref(), src.as_ref()))
         .collect();
-    let streams = || {
-        prepared
-            .iter()
-            .map(|p| (p.rel.as_str(), p.lexed.tokens.as_slice()))
-    };
-    let table = knobs::extract_table(streams());
 
-    let mut crate_indexes: std::collections::BTreeMap<String, CrateIndex> =
-        std::collections::BTreeMap::new();
+    let mut crate_indexes: BTreeMap<String, CrateIndex> = BTreeMap::new();
     for p in &prepared {
         if p.ctx.is_lib_source && !p.ctx.is_test_source {
             crate_indexes
@@ -196,11 +130,10 @@ pub fn scan_sources(files: &[(String, String)]) -> crate::report::Report {
     let empty_index = CrateIndex::default();
 
     let mut findings = Vec::new();
-    let mut crate_edges: std::collections::BTreeMap<String, Vec<(String, concurrency::Edge)>> =
-        std::collections::BTreeMap::new();
+    let mut crate_edges: BTreeMap<String, Vec<(String, concurrency::Edge)>> = BTreeMap::new();
     for p in &prepared {
         let index = crate_indexes.get(&p.ctx.crate_name).unwrap_or(&empty_index);
-        let (file_findings, edges) = scan_prepared_indexed(p, Some(&table), index);
+        let (file_findings, edges) = scan_file(p, index);
         findings.extend(file_findings);
         if !edges.is_empty() {
             crate_edges
@@ -209,9 +142,9 @@ pub fn scan_sources(files: &[(String, String)]) -> crate::report::Report {
                 .extend(edges.into_iter().map(|e| (p.rel.clone(), e)));
         }
     }
-    // Global C1 pass: cycles in each crate's accumulated lock graph.
-    // Like K3 below, these findings are created after per-file
-    // suppression ran, so directives are honored manually.
+    // C1 pass: cycles in each crate's accumulated lock graph. These
+    // findings are created after per-file suppression ran, so directives
+    // are honored here.
     for edges in crate_edges.values() {
         for (file, line) in concurrency::cycle_findings(edges) {
             let Some(p) = prepared.iter().find(|p| p.rel == file) else {
@@ -226,26 +159,7 @@ pub fn scan_sources(files: &[(String, String)]) -> crate::report::Report {
             findings.push(finding_at(p, RuleId::LockOrder, line));
         }
     }
-    for (file, rule, line, knob) in knobs::unused_knobs(&table, streams()) {
-        let Some(p) = prepared.iter().find(|p| p.rel == file) else {
-            continue;
-        };
-        if !rule_applies(rule, &p.ctx) {
-            continue;
-        }
-        // K3 findings are produced globally, after per-file suppression ran;
-        // honor directives here without re-running the whole pass (which
-        // would duplicate A0 reports).
-        if p.directives.iter().any(|d| d.covers(rule.id(), line)) {
-            continue;
-        }
-        // The finding points at the knob's ParamSpec def site, so name it.
-        let message = format!(
-            "knob `{knob}` (defined here) is never referenced by any tuner, engine, or scenario; wire it up or drop it"
-        );
-        findings.push(finding_with_message(p, rule, line, message));
-    }
-    crate::report::Report::new(findings, files.len())
+    Report::new(findings, files.len())
 }
 
 /// True when the item starting at token `span_start` is inside masked
@@ -261,7 +175,7 @@ fn span_masked(p: &Prepared, span_start: usize) -> bool {
 fn match_safety_comment(p: &Prepared, out: &mut Vec<(RuleId, u32)>) {
     let unsafe_nodes = p.tree.collect(|i| i.is_unsafe);
     for item in unsafe_nodes {
-        if span_masked(p, item.span.0) || item.is_test_only() {
+        if span_masked(p, item.span.0) {
             continue;
         }
         let anchor = if item.kind == ItemKind::UnsafeBlock {
@@ -309,7 +223,7 @@ fn match_unsafe_scope(p: &Prepared, out: &mut Vec<(RuleId, u32)>) {
         return;
     }
     for item in p.tree.collect(|i| i.is_unsafe) {
-        if span_masked(p, item.span.0) || item.is_test_only() {
+        if span_masked(p, item.span.0) {
             continue;
         }
         out.push((RuleId::UnsafeScope, item.unsafe_line));
@@ -494,26 +408,6 @@ fn skip_item(tokens: &[Token], start: usize) -> usize {
     tokens.len()
 }
 
-/// D1: entropy-based RNG construction.
-fn match_unseeded_rng(
-    tokens: &[Token],
-    mask: &[bool],
-    out: &mut Vec<(RuleId, u32)>,
-    ctx: &FileCtx,
-) {
-    if !rule_applies(RuleId::UnseededRng, ctx) {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] {
-            continue;
-        }
-        if t.is_ident("thread_rng") || t.is_ident("from_entropy") || t.is_ident("from_os_rng") {
-            out.push((RuleId::UnseededRng, t.line));
-        }
-    }
-}
-
 /// D2: `Instant::now` / `SystemTime::now` in pure-evaluation crates.
 fn match_wall_clock(tokens: &[Token], mask: &[bool], out: &mut Vec<(RuleId, u32)>, ctx: &FileCtx) {
     if !rule_applies(RuleId::WallClock, ctx) {
@@ -627,7 +521,8 @@ mod tests {
     use crate::lexer::lex;
 
     fn rules_at(path: &str, src: &str) -> Vec<(String, u32)> {
-        scan_source(path, src)
+        scan_sources(&[(path, src)])
+            .findings
             .into_iter()
             .map(|f| (f.rule, f.line))
             .collect()
@@ -698,17 +593,6 @@ mod tests {
         );
         assert!(rules_at("crates/core/src/x.rs", src).is_empty());
         assert!(rules_at("crates/bench/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d1_applies_everywhere_outside_tests() {
-        let src = "fn f() { let mut rng = rand::thread_rng(); }\n";
-        assert_eq!(
-            rules_at("crates/bench/src/bin/tool.rs", src),
-            vec![("D1".to_string(), 1)]
-        );
-        let test_src = "#[cfg(test)]\nmod tests { fn f() { let r = rand::thread_rng(); } }\n";
-        assert!(rules_at("crates/bench/src/bin/tool.rs", test_src).is_empty());
     }
 
     #[test]
@@ -888,13 +772,5 @@ pub fn f(p: *const f64) -> f64 {
 }
 ";
         assert!(rules_at("crates/core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn severity_is_attached_to_findings() {
-        let src = "fn f() { a.unwrap(); }\n";
-        let found = scan_source("crates/core/src/x.rs", src);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].severity, "error");
     }
 }

@@ -73,7 +73,6 @@ pub fn apply(raw: Vec<Finding>, directives: &[Directive], file: &str) -> Vec<Fin
         out.push(Finding {
             rule: RuleId::BareAllow.id().to_string(),
             name: RuleId::BareAllow.name().to_string(),
-            severity: RuleId::BareAllow.severity().label().to_string(),
             file: file.to_string(),
             line: d.line,
             snippet: d.raw.clone(),
@@ -98,7 +97,6 @@ mod tests {
         Finding {
             rule: rule.id().to_string(),
             name: rule.name().to_string(),
-            severity: rule.severity().label().to_string(),
             file: "f.rs".to_string(),
             line,
             snippet: String::new(),

@@ -143,6 +143,11 @@ pub struct AdvanceResponse {
     pub status: String,
     /// Best successful runtime so far.
     pub best_runtime: Option<f64>,
+    /// The driver failure that stopped this request's steps early, such
+    /// as a compaction that failed after its record reached the journal
+    /// (every step counted in `ran` is still durable). `null` when
+    /// nothing failed.
+    pub error: Option<String>,
 }
 
 /// One row of `GET /sessions`.
@@ -199,7 +204,8 @@ struct SessionView {
     surrogate: Option<SurrogateStats>,
     /// Durability ticket of the session's last logged record.
     ticket: u64,
-    /// Last driver failure, reported to waiters that saw no progress.
+    /// Last driver failure: a 500 to waiters that saw no progress, the
+    /// `error` field of a 200 to waiters that did.
     failed: Option<String>,
 }
 
@@ -567,7 +573,13 @@ impl Daemon {
         }
         for entry in self.state.entries() {
             let gate = lock(&entry.gate);
-            let _ = lock(&entry.session).write_snapshot();
+            let compacted = lock(&entry.session).write_snapshot();
+            if let Err(e) = compacted {
+                eprintln!(
+                    "autotune-serve: session {}: final compaction failed: {e}",
+                    entry.meta.id
+                );
+            }
             drop(gate);
             entry.gate_cv.notify_all();
         }
@@ -961,13 +973,15 @@ fn advance_session(
             // Commit point: every observation this response reports must
             // be durable before the client hears about it. Partial
             // progress — the driver stopped short of our watermark — is
-            // still progress and is reported the same way.
+            // still progress and is reported the same way, with the
+            // driver's failure, if any, in `error`.
             let reply = AdvanceResponse {
                 id,
                 ran,
                 evaluations: view.evaluations(),
                 status: view.status.label().to_string(),
                 best_runtime: view.best_runtime,
+                error: view.failed.clone(),
             };
             let ticket = view.ticket;
             drop(gate);

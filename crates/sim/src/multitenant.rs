@@ -10,6 +10,7 @@
 //! Tempo optimizes), so any [`autotune_core::Tuner`] can drive it.
 
 use crate::cluster::NodeSpec;
+use crate::dbms::knobs;
 use crate::dbms::{DbmsSimulator, DbmsWorkload};
 use crate::noise::NoiseModel;
 use autotune_core::{
@@ -137,16 +138,16 @@ impl MultiTenantDbms {
                 };
                 set(
                     &mut cfg,
-                    "shared_buffers_mb",
+                    knobs::SHARED_BUFFERS_MB,
                     (granted_mb * 0.25).clamp(64.0, 65_536.0),
                 );
                 let per_sort = (granted_mb * 0.25
                     / (tenant.workload.concurrency as f64 * 0.5).max(1.0))
                 .clamp(1.0, 4096.0);
-                set(&mut cfg, "work_mem_mb", per_sort);
+                set(&mut cfg, knobs::WORK_MEM_MB, per_sort);
                 set(
                     &mut cfg,
-                    "maintenance_work_mem_mb",
+                    knobs::MAINTENANCE_WORK_MEM_MB,
                     (granted_mb / 16.0).clamp(16.0, 8192.0),
                 );
                 sim.simulate(&cfg).runtime_secs

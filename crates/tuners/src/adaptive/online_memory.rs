@@ -7,6 +7,7 @@ use autotune_core::{
     Configuration, History, Observation, ParamValue, Recommendation, Tuner, TunerFamily,
     TuningContext,
 };
+use autotune_sim::dbms::knobs;
 use rand::rngs::StdRng;
 
 /// Feedback-driven memory controller for the simulated DBMS.
@@ -70,19 +71,19 @@ impl Tuner for OnlineMemoryTuner {
 
         // Priority 1: never swap. Shrink the biggest consumers.
         if get("mem_overcommit") > 0.95 {
-            Self::scale_knob(&ctx.space, &mut config, "shared_buffers_mb", 0.7);
-            Self::scale_knob(&ctx.space, &mut config, "work_mem_mb", 0.7);
+            Self::scale_knob(&ctx.space, &mut config, knobs::SHARED_BUFFERS_MB, 0.7);
+            Self::scale_knob(&ctx.space, &mut config, knobs::WORK_MEM_MB, 0.7);
             self.actions.push("shrink: near overcommit".into());
         } else if get("sort_spills") + get("hash_spills") > 0.0 {
             // Priority 2: stop spilling.
-            Self::scale_knob(&ctx.space, &mut config, "work_mem_mb", 2.0);
+            Self::scale_knob(&ctx.space, &mut config, knobs::WORK_MEM_MB, 2.0);
             self.actions.push("grow work_mem: spills observed".into());
         } else if get("buffer_hit_ratio") < 0.97 {
             // Priority 3: feed the buffer pool.
-            Self::scale_knob(&ctx.space, &mut config, "shared_buffers_mb", 1.5);
+            Self::scale_knob(&ctx.space, &mut config, knobs::SHARED_BUFFERS_MB, 1.5);
             self.actions.push("grow shared_buffers: misses".into());
         } else if get("checkpoint_burst_secs") > last.runtime_secs * 0.01 {
-            Self::scale_knob(&ctx.space, &mut config, "checkpoint_timeout_s", 1.5);
+            Self::scale_knob(&ctx.space, &mut config, knobs::CHECKPOINT_TIMEOUT_S, 1.5);
             self.actions.push("stretch checkpoints: bursts".into());
         }
         self.current = Some(config.clone());

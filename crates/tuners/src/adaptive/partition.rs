@@ -11,6 +11,7 @@ use autotune_core::{
     Configuration, History, Observation, ParamValue, Recommendation, Tuner, TunerFamily,
     TuningContext,
 };
+use autotune_sim::spark::knobs;
 use rand::rngs::StdRng;
 
 /// Online shuffle-partition controller for Spark.
@@ -52,7 +53,7 @@ impl DynamicPartitionTuner {
         config: &mut Configuration,
         factor: f64,
     ) {
-        for knob in ["shuffle_partitions", "default_parallelism"] {
+        for knob in [knobs::SHUFFLE_PARTITIONS, knobs::DEFAULT_PARALLELISM] {
             if let (Some(ParamValue::Int(v)), Some(spec)) =
                 (config.get(knob).cloned(), space.spec(knob))
             {

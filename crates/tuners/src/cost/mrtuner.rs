@@ -14,6 +14,7 @@ use autotune_core::{
     Configuration, History, ParamValue, Recommendation, SystemProfile, Tuner, TunerFamily,
     TuningContext,
 };
+use autotune_sim::hadoop::knobs;
 use rand::rngs::StdRng;
 use serde::Serialize;
 
@@ -89,13 +90,13 @@ impl PtcModel {
     pub fn rates(&self, config: &Configuration) -> PtcRates {
         let p = &self.profile;
         let nodes = p.nodes as f64;
-        let map_slots = config.f64("map_slots_per_node") * nodes;
-        let reduce_slots = config.f64("reduce_slots_per_node") * nodes;
-        let reduce_tasks = config.f64("reduce_tasks").max(1.0);
-        let io_sort_mb = config.f64("io_sort_mb");
-        let compress = config.bool("compress_map_output");
-        let copies = config.f64("shuffle_parallel_copies");
-        let split_mb = config.f64("split_size_mb");
+        let map_slots = config.f64(knobs::MAP_SLOTS) * nodes;
+        let reduce_slots = config.f64(knobs::REDUCE_SLOTS) * nodes;
+        let reduce_tasks = config.f64(knobs::REDUCE_TASKS).max(1.0);
+        let io_sort_mb = config.f64(knobs::IO_SORT_MB);
+        let compress = config.bool(knobs::COMPRESS_MAP_OUTPUT);
+        let copies = config.f64(knobs::SHUFFLE_PARALLEL_COPIES);
+        let split_mb = config.f64(knobs::SPLIT_SIZE_MB);
 
         // Producer: per-slot map throughput in *output* MB/s, discounted
         // by spill passes.
@@ -132,19 +133,19 @@ impl PtcModel {
     pub fn predict(&self, config: &Configuration) -> f64 {
         let p = &self.profile;
         // Feasibility guard identical to the full what-if model.
-        let committed = config.f64("map_slots_per_node") * config.f64("map_heap_mb")
-            + config.f64("reduce_slots_per_node") * config.f64("reduce_heap_mb")
+        let committed = config.f64(knobs::MAP_SLOTS) * config.f64(knobs::MAP_HEAP_MB)
+            + config.f64(knobs::REDUCE_SLOTS) * config.f64(knobs::REDUCE_HEAP_MB)
             + 1024.0;
         if committed > p.memory_per_node_mb * 1.3
-            || config.f64("io_sort_mb") > config.f64("map_heap_mb") * 0.7
+            || config.f64(knobs::IO_SORT_MB) > config.f64(knobs::MAP_HEAP_MB) * 0.7
         {
             return 1e7;
         }
         let shuffle_mb = p.input_mb * self.map_output_ratio;
         let rates = self.rates(config);
         let pipeline = shuffle_mb / rates.bottleneck_mbps().max(1e-9);
-        let head = config.f64("split_size_mb") / p.disk_mbps + 2.0;
-        let tail = shuffle_mb / config.f64("reduce_tasks").max(1.0) / p.disk_mbps;
+        let head = config.f64(knobs::SPLIT_SIZE_MB) / p.disk_mbps + 2.0;
+        let tail = shuffle_mb / config.f64(knobs::REDUCE_TASKS).max(1.0) / p.disk_mbps;
         8.0 + pipeline + head + tail
     }
 
@@ -176,17 +177,17 @@ impl PtcModel {
                         let set_int = |c: &mut Configuration, k: &str, v: f64| {
                             c.set(k, ParamValue::Int(v.round() as i64));
                         };
-                        set_int(&mut c, "map_slots_per_node", map_slots);
-                        set_int(&mut c, "reduce_slots_per_node", red_slots);
-                        set_int(&mut c, "reduce_tasks", reducers.min(512.0));
-                        set_int(&mut c, "io_sort_mb", want_buffer);
-                        set_int(&mut c, "map_heap_mb", heap);
-                        set_int(&mut c, "reduce_heap_mb", heap);
-                        set_int(&mut c, "io_sort_factor", 64.0);
-                        c.set("compress_map_output", ParamValue::Bool(compress));
-                        c.set("compress_codec", ParamValue::Str("snappy".into()));
-                        c.set("slowstart_completed_maps", ParamValue::Float(0.5));
-                        set_int(&mut c, "shuffle_parallel_copies", 20.0);
+                        set_int(&mut c, knobs::MAP_SLOTS, map_slots);
+                        set_int(&mut c, knobs::REDUCE_SLOTS, red_slots);
+                        set_int(&mut c, knobs::REDUCE_TASKS, reducers.min(512.0));
+                        set_int(&mut c, knobs::IO_SORT_MB, want_buffer);
+                        set_int(&mut c, knobs::MAP_HEAP_MB, heap);
+                        set_int(&mut c, knobs::REDUCE_HEAP_MB, heap);
+                        set_int(&mut c, knobs::IO_SORT_FACTOR, 64.0);
+                        c.set(knobs::COMPRESS_MAP_OUTPUT, ParamValue::Bool(compress));
+                        c.set(knobs::COMPRESS_CODEC, ParamValue::Str("snappy".into()));
+                        c.set(knobs::SLOWSTART, ParamValue::Float(0.5));
+                        set_int(&mut c, knobs::SHUFFLE_PARALLEL_COPIES, 20.0);
                         if space.validate_config(&c).is_err() {
                             continue;
                         }

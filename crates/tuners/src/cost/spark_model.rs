@@ -8,6 +8,7 @@ use autotune_core::{
     Configuration, History, Observation, Recommendation, SystemProfile, Tuner, TunerFamily,
     TuningContext,
 };
+use autotune_sim::spark::knobs;
 use rand::rngs::StdRng;
 
 /// Application profile estimated from one profiled Spark run.
@@ -59,14 +60,14 @@ impl SparkCostModel {
     pub fn predict(&self, config: &Configuration) -> f64 {
         let p = &self.profile;
         let a = &self.app;
-        let instances = config.f64("executor_instances");
-        let cores = config.f64("executor_cores");
-        let exec_mem = config.f64("executor_memory_mb");
-        let parts = config.f64("shuffle_partitions").max(1.0);
-        let mem_fraction = config.f64("memory_fraction");
-        let storage_fraction = config.f64("storage_fraction");
-        let serializer = config.str("serializer");
-        let overhead_factor = config.f64("memory_overhead_factor");
+        let instances = config.f64(knobs::EXECUTOR_INSTANCES);
+        let cores = config.f64(knobs::EXECUTOR_CORES);
+        let exec_mem = config.f64(knobs::EXECUTOR_MEMORY_MB);
+        let parts = config.f64(knobs::SHUFFLE_PARTITIONS).max(1.0);
+        let mem_fraction = config.f64(knobs::MEMORY_FRACTION);
+        let storage_fraction = config.f64(knobs::STORAGE_FRACTION);
+        let serializer = config.str(knobs::SERIALIZER);
+        let overhead_factor = config.f64(knobs::MEMORY_OVERHEAD_FACTOR);
 
         let total_mem = p.memory_per_node_mb * p.nodes as f64;
         if instances * exec_mem * (1.0 + overhead_factor) > total_mem {

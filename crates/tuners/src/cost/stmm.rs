@@ -13,6 +13,7 @@ use autotune_core::{
     Configuration, History, ParamValue, Recommendation, SystemProfile, Tuner, TunerFamily,
     TuningContext, WorkloadClass,
 };
+use autotune_sim::dbms::knobs;
 use rand::rngs::StdRng;
 
 /// The memory consumers STMM arbitrates between.
@@ -42,10 +43,10 @@ impl MemoryPool {
     /// The knob this pool maps to.
     pub fn knob(&self) -> &'static str {
         match self {
-            MemoryPool::BufferPool => "shared_buffers_mb",
-            MemoryPool::SortHeap => "work_mem_mb",
-            MemoryPool::Maintenance => "maintenance_work_mem_mb",
-            MemoryPool::WalBuffer => "wal_buffers_mb",
+            MemoryPool::BufferPool => knobs::SHARED_BUFFERS_MB,
+            MemoryPool::SortHeap => knobs::WORK_MEM_MB,
+            MemoryPool::Maintenance => knobs::MAINTENANCE_WORK_MEM_MB,
+            MemoryPool::WalBuffer => knobs::WAL_BUFFERS_MB,
         }
     }
 }

@@ -12,6 +12,7 @@ use autotune_core::{
     ConfigSpace, Configuration, History, Observation, Recommendation, SystemProfile, Tuner,
     TunerFamily, TuningContext,
 };
+use autotune_sim::hadoop::knobs;
 use rand::rngs::StdRng;
 
 /// A MapReduce job profile, estimated from one profiled run.
@@ -59,7 +60,7 @@ impl JobProfile {
         // Reduce side: counters tell us the per-reduce volume directly.
         let reduces = obs
             .config
-            .get("reduce_tasks")
+            .get(knobs::REDUCE_TASKS)
             .and_then(|v| v.as_f64())
             .unwrap_or(1.0)
             .max(1.0);
@@ -102,19 +103,19 @@ impl MrCostModel {
         let j = &self.job;
         let nodes = p.nodes as f64;
 
-        let io_sort_mb = config.f64("io_sort_mb");
-        let io_sort_factor = config.f64("io_sort_factor");
-        let reduce_tasks = config.f64("reduce_tasks").max(1.0);
-        let map_slots = config.f64("map_slots_per_node");
-        let reduce_slots = config.f64("reduce_slots_per_node");
-        let compress = config.bool("compress_map_output");
-        let codec = config.str("compress_codec");
-        let slowstart = config.f64("slowstart_completed_maps");
-        let combiner = config.bool("use_combiner");
-        let split_mb = config.f64("split_size_mb");
-        let copies = config.f64("shuffle_parallel_copies");
-        let map_heap = config.f64("map_heap_mb");
-        let reduce_heap = config.f64("reduce_heap_mb");
+        let io_sort_mb = config.f64(knobs::IO_SORT_MB);
+        let io_sort_factor = config.f64(knobs::IO_SORT_FACTOR);
+        let reduce_tasks = config.f64(knobs::REDUCE_TASKS).max(1.0);
+        let map_slots = config.f64(knobs::MAP_SLOTS);
+        let reduce_slots = config.f64(knobs::REDUCE_SLOTS);
+        let compress = config.bool(knobs::COMPRESS_MAP_OUTPUT);
+        let codec = config.str(knobs::COMPRESS_CODEC);
+        let slowstart = config.f64(knobs::SLOWSTART);
+        let combiner = config.bool(knobs::USE_COMBINER);
+        let split_mb = config.f64(knobs::SPLIT_SIZE_MB);
+        let copies = config.f64(knobs::SHUFFLE_PARALLEL_COPIES);
+        let map_heap = config.f64(knobs::MAP_HEAP_MB);
+        let reduce_heap = config.f64(knobs::REDUCE_HEAP_MB);
 
         // Infeasible settings get the same penalty shape as reality.
         let committed = map_slots * map_heap + reduce_slots * reduce_heap + 1024.0;

@@ -17,6 +17,7 @@ use autotune_core::{
 };
 use autotune_math::linreg::{mape, nnls, LinearFit};
 use autotune_math::matrix::Matrix;
+use autotune_sim::spark::knobs;
 use rand::rngs::StdRng;
 
 /// One training sample: data scale, machine count, measured runtime.
@@ -158,7 +159,7 @@ impl Tuner for ErnestTuner {
         if step < self.probe_machines.len() {
             let mut c = base;
             c.set(
-                "executor_instances",
+                knobs::EXECUTOR_INSTANCES,
                 ParamValue::Int(self.probe_machines[step]),
             );
             return c;
@@ -180,7 +181,7 @@ impl Tuner for ErnestTuner {
         };
         let max_m = ctx
             .space
-            .spec("executor_instances")
+            .spec(knobs::EXECUTOR_INSTANCES)
             .and_then(|s| match s.domain {
                 autotune_core::ParamDomain::Int { max, .. } => Some(max as usize),
                 _ => None,
@@ -188,7 +189,7 @@ impl Tuner for ErnestTuner {
             .unwrap_or(32);
         let best = model.best_machines(max_m);
         let mut c = ctx.space.default_config();
-        c.set("executor_instances", ParamValue::Int(best as i64));
+        c.set(knobs::EXECUTOR_INSTANCES, ParamValue::Int(best as i64));
         c
     }
 

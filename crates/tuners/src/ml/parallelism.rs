@@ -17,10 +17,15 @@ use autotune_core::{
 };
 use autotune_math::linreg::{ridge, LinearFit};
 use autotune_math::matrix::Matrix;
+use autotune_sim::spark::knobs;
 use rand::rngs::StdRng;
 
 /// The parallelism knobs the model predicts (log2 targets).
-const TARGET_KNOBS: [&str; 3] = ["executor_instances", "executor_cores", "shuffle_partitions"];
+const TARGET_KNOBS: [&str; 3] = [
+    knobs::EXECUTOR_INSTANCES,
+    knobs::EXECUTOR_CORES,
+    knobs::SHUFFLE_PARTITIONS,
+];
 
 /// One training example: app features + the parallelism settings that won.
 #[derive(Debug, Clone)]

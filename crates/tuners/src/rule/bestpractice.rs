@@ -10,6 +10,7 @@
 
 use super::engine::{Condition, Rule, RuleBook, RuleValue};
 use autotune_core::{ParamValue, SystemKind, WorkloadClass};
+use autotune_sim::{dbms::knobs as dbms, hadoop::knobs as hadoop, spark::knobs as spark};
 
 /// Rule book for the simulated DBMS.
 pub fn dbms_rulebook() -> RuleBook {
@@ -18,70 +19,70 @@ pub fn dbms_rulebook() -> RuleBook {
         .with(Rule::new(
             "shared-buffers-25pct",
             vec![SystemIs(SystemKind::Dbms)],
-            "shared_buffers_mb",
+            dbms::SHARED_BUFFERS_MB,
             RuleValue::MemFractionMb(0.25),
             "PostgreSQL wiki: shared_buffers = 25% of RAM",
         ))
         .with(Rule::new(
             "work-mem-oltp",
             vec![SystemIs(SystemKind::Dbms), WorkloadIs(WorkloadClass::Oltp)],
-            "work_mem_mb",
+            dbms::WORK_MEM_MB,
             RuleValue::MemFractionMb(1.0 / 512.0),
             "many concurrent sessions: keep per-sort memory small",
         ))
         .with(Rule::new(
             "work-mem-olap",
             vec![SystemIs(SystemKind::Dbms), WorkloadIs(WorkloadClass::Olap)],
-            "work_mem_mb",
+            dbms::WORK_MEM_MB,
             RuleValue::MemFractionMb(1.0 / 16.0),
             "few analytical sessions: large sorts should stay in memory",
         ))
         .with(Rule::new(
             "maintenance-mem",
             vec![SystemIs(SystemKind::Dbms)],
-            "maintenance_work_mem_mb",
+            dbms::MAINTENANCE_WORK_MEM_MB,
             RuleValue::MemFractionMb(1.0 / 16.0),
             "vacuum and index builds want generous memory",
         ))
         .with(Rule::new(
             "wal-buffers-64mb",
             vec![SystemIs(SystemKind::Dbms)],
-            "wal_buffers_mb",
+            dbms::WAL_BUFFERS_MB,
             RuleValue::Literal(ParamValue::Int(64)),
             "cap WAL buffer at 64 MB (guidance: 3% of shared_buffers, capped)",
         ))
         .with(Rule::new(
             "checkpoint-15min",
             vec![SystemIs(SystemKind::Dbms)],
-            "checkpoint_timeout_s",
+            dbms::CHECKPOINT_TIMEOUT_S,
             RuleValue::Literal(ParamValue::Int(900)),
             "spread checkpoints: 15 minutes instead of 5",
         ))
         .with(Rule::new(
             "parallel-workers-olap",
             vec![SystemIs(SystemKind::Dbms), WorkloadIs(WorkloadClass::Olap)],
-            "max_parallel_workers",
+            dbms::MAX_PARALLEL_WORKERS,
             RuleValue::CoresTimes(1.0),
             "analytical scans should use every core",
         ))
         .with(Rule::new(
             "ssd-random-page-cost",
             vec![SystemIs(SystemKind::Dbms), DiskFasterThan(400.0)],
-            "random_page_cost",
+            dbms::RANDOM_PAGE_COST,
             RuleValue::Literal(ParamValue::Float(1.1)),
             "SSDs: random reads cost nearly the same as sequential",
         ))
         .with(Rule::new(
             "ssd-io-concurrency",
             vec![SystemIs(SystemKind::Dbms), DiskFasterThan(400.0)],
-            "effective_io_concurrency",
+            dbms::EFFECTIVE_IO_CONCURRENCY,
             RuleValue::Literal(ParamValue::Int(200)),
             "SSDs sustain deep async I/O queues",
         ))
         .with(Rule::new(
             "stats-target-olap",
             vec![SystemIs(SystemKind::Dbms), WorkloadIs(WorkloadClass::Olap)],
-            "default_statistics_target",
+            dbms::STATS_TARGET,
             RuleValue::Literal(ParamValue::Int(250)),
             "complex joins need detailed statistics",
         ))
@@ -94,77 +95,77 @@ pub fn hadoop_rulebook() -> RuleBook {
         .with(Rule::new(
             "reducers-near-slots",
             vec![SystemIs(SystemKind::Hadoop)],
-            "reduce_tasks",
+            hadoop::REDUCE_TASKS,
             RuleValue::TotalCoresTimes(0.5),
             "guidance: reducers ≈ 0.95-1.75 × reduce slots",
         ))
         .with(Rule::new(
             "map-slots-half-cores",
             vec![SystemIs(SystemKind::Hadoop)],
-            "map_slots_per_node",
+            hadoop::MAP_SLOTS,
             RuleValue::CoresTimes(0.5),
             "split cores between map and reduce slots",
         ))
         .with(Rule::new(
             "reduce-slots-quarter-cores",
             vec![SystemIs(SystemKind::Hadoop)],
-            "reduce_slots_per_node",
+            hadoop::REDUCE_SLOTS,
             RuleValue::CoresTimes(0.25),
             "split cores between map and reduce slots",
         ))
         .with(Rule::new(
             "big-sort-buffer",
             vec![SystemIs(SystemKind::Hadoop)],
-            "io_sort_mb",
+            hadoop::IO_SORT_MB,
             RuleValue::Literal(ParamValue::Int(512)),
             "avoid multi-spill maps on large inputs",
         ))
         .with(Rule::new(
             "sort-factor-64",
             vec![SystemIs(SystemKind::Hadoop)],
-            "io_sort_factor",
+            hadoop::IO_SORT_FACTOR,
             RuleValue::Literal(ParamValue::Int(64)),
             "merge wider to avoid extra passes",
         ))
         .with(Rule::new(
             "map-heap-fits-buffer",
             vec![SystemIs(SystemKind::Hadoop)],
-            "map_heap_mb",
+            hadoop::MAP_HEAP_MB,
             RuleValue::Literal(ParamValue::Int(2048)),
             "heap must hold the sort buffer comfortably",
         ))
         .with(Rule::new(
             "compress-intermediate",
             vec![SystemIs(SystemKind::Hadoop)],
-            "compress_map_output",
+            hadoop::COMPRESS_MAP_OUTPUT,
             RuleValue::Literal(ParamValue::Bool(true)),
             "always compress map output on shuffle-heavy clusters",
         ))
         .with(Rule::new(
             "snappy-codec",
             vec![SystemIs(SystemKind::Hadoop)],
-            "compress_codec",
+            hadoop::COMPRESS_CODEC,
             RuleValue::Literal(ParamValue::Str("snappy".into())),
             "snappy: good ratio at negligible CPU",
         ))
         .with(Rule::new(
             "combiner-on",
             vec![SystemIs(SystemKind::Hadoop)],
-            "use_combiner",
+            hadoop::USE_COMBINER,
             RuleValue::Literal(ParamValue::Bool(true)),
             "rule of thumb — blind spot: useless for sort-type jobs",
         ))
         .with(Rule::new(
             "slowstart-overlap",
             vec![SystemIs(SystemKind::Hadoop)],
-            "slowstart_completed_maps",
+            hadoop::SLOWSTART,
             RuleValue::Literal(ParamValue::Float(0.5)),
             "overlap shuffle with the second half of the map phase",
         ))
         .with(Rule::new(
             "more-parallel-copies",
             vec![SystemIs(SystemKind::Hadoop), MinNodes(4)],
-            "shuffle_parallel_copies",
+            hadoop::SHUFFLE_PARALLEL_COPIES,
             RuleValue::Literal(ParamValue::Int(20)),
             "more fetch threads on larger clusters",
         ))
@@ -177,42 +178,42 @@ pub fn spark_rulebook() -> RuleBook {
         .with(Rule::new(
             "one-executor-per-node",
             vec![SystemIs(SystemKind::Spark)],
-            "executor_instances",
+            spark::EXECUTOR_INSTANCES,
             RuleValue::NodesTimes(1.0),
             "one fat executor per node as a starting point",
         ))
         .with(Rule::new(
             "five-cores-per-executor",
             vec![SystemIs(SystemKind::Spark)],
-            "executor_cores",
+            spark::EXECUTOR_CORES,
             RuleValue::CoresTimes(0.625),
             "~5 cores per executor balances HDFS throughput and GC",
         ))
         .with(Rule::new(
             "executor-memory-most-of-node",
             vec![SystemIs(SystemKind::Spark)],
-            "executor_memory_mb",
+            spark::EXECUTOR_MEMORY_MB,
             RuleValue::MemFractionMb(0.6),
             "leave headroom for OS and overhead",
         ))
         .with(Rule::new(
             "partitions-2x-cores",
             vec![SystemIs(SystemKind::Spark)],
-            "shuffle_partitions",
+            spark::SHUFFLE_PARTITIONS,
             RuleValue::TotalCoresTimes(2.0),
             "official guide: 2-3 tasks per core",
         ))
         .with(Rule::new(
             "parallelism-2x-cores",
             vec![SystemIs(SystemKind::Spark)],
-            "default_parallelism",
+            spark::DEFAULT_PARALLELISM,
             RuleValue::TotalCoresTimes(2.0),
             "official guide: 2-3 tasks per core",
         ))
         .with(Rule::new(
             "kryo",
             vec![SystemIs(SystemKind::Spark)],
-            "serializer",
+            spark::SERIALIZER,
             RuleValue::Literal(ParamValue::Str("kryo".into())),
             "kryo is strictly better once registered",
         ))
@@ -222,7 +223,7 @@ pub fn spark_rulebook() -> RuleBook {
                 SystemIs(SystemKind::Spark),
                 WorkloadIs(WorkloadClass::Iterative),
             ],
-            "storage_fraction",
+            spark::STORAGE_FRACTION,
             RuleValue::Literal(ParamValue::Float(0.7)),
             "iterative jobs live or die by caching",
         ))
@@ -232,14 +233,14 @@ pub fn spark_rulebook() -> RuleBook {
                 SystemIs(SystemKind::Spark),
                 WorkloadIs(WorkloadClass::Batch),
             ],
-            "storage_fraction",
+            spark::STORAGE_FRACTION,
             RuleValue::Literal(ParamValue::Float(0.2)),
             "batch queries need execution memory, not cache",
         ))
         .with(Rule::new(
             "broadcast-64mb",
             vec![SystemIs(SystemKind::Spark)],
-            "broadcast_threshold_mb",
+            spark::BROADCAST_THRESHOLD_MB,
             RuleValue::Literal(ParamValue::Int(64)),
             "broadcast dimension tables aggressively",
         ))

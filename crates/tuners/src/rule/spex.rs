@@ -13,6 +13,7 @@ use autotune_core::{
     ConfigSpace, Configuration, History, ParamValue, SystemProfile, Tuner, TunerFamily,
     TuningContext,
 };
+use autotune_sim::{dbms::knobs as dbms, hadoop::knobs as hadoop, spark::knobs as spark};
 use rand::rngs::StdRng;
 
 /// A cross-parameter constraint.
@@ -261,53 +262,56 @@ impl ConstraintSet {
         // DBMS memory books: the per-session pools are charged once per
         // concurrently active operation — roughly half the sessions sort
         // at once, a quarter touch temp tables.
-        if has("shared_buffers_mb") && has("work_mem_mb") {
+        if has(dbms::SHARED_BUFFERS_MB) && has(dbms::WORK_MEM_MB) {
             set = set.with(Constraint::MemorySum {
                 terms: vec![
-                    ("shared_buffers_mb".into(), 1.0),
-                    ("work_mem_mb".into(), (budget.sessions * 0.5).max(1.0)),
-                    ("maintenance_work_mem_mb".into(), 1.0),
-                    ("wal_buffers_mb".into(), 1.0),
-                    ("temp_buffers_mb".into(), (budget.sessions * 0.25).max(1.0)),
+                    (dbms::SHARED_BUFFERS_MB.into(), 1.0),
+                    (dbms::WORK_MEM_MB.into(), (budget.sessions * 0.5).max(1.0)),
+                    (dbms::MAINTENANCE_WORK_MEM_MB.into(), 1.0),
+                    (dbms::WAL_BUFFERS_MB.into(), 1.0),
+                    (
+                        dbms::TEMP_BUFFERS_MB.into(),
+                        (budget.sessions * 0.25).max(1.0),
+                    ),
                 ],
                 limit_fraction: 0.9,
                 why: "DBMS memory pools must fit in RAM".into(),
             });
         }
         // Hadoop heap books.
-        if has("io_sort_mb") && has("map_heap_mb") {
+        if has(hadoop::IO_SORT_MB) && has(hadoop::MAP_HEAP_MB) {
             set = set.with(Constraint::AtMostFactorOf {
-                knob: "io_sort_mb".into(),
-                of: "map_heap_mb".into(),
+                knob: hadoop::IO_SORT_MB.into(),
+                of: hadoop::MAP_HEAP_MB.into(),
                 factor: 0.6,
                 why: "sort buffer must fit inside the map JVM heap".into(),
             });
         }
-        if has("map_slots_per_node") && has("map_heap_mb") {
+        if has(hadoop::MAP_SLOTS) && has(hadoop::MAP_HEAP_MB) {
             set = set.with(Constraint::ProductUnderMemory {
-                a: "map_slots_per_node".into(),
-                b: "map_heap_mb".into(),
+                a: hadoop::MAP_SLOTS.into(),
+                b: hadoop::MAP_HEAP_MB.into(),
                 limit_fraction: 0.6,
                 why: "map slots × heap must fit in node memory".into(),
             });
         }
-        if has("reduce_slots_per_node") && has("reduce_heap_mb") {
+        if has(hadoop::REDUCE_SLOTS) && has(hadoop::REDUCE_HEAP_MB) {
             set = set.with(Constraint::ProductUnderMemory {
-                a: "reduce_slots_per_node".into(),
-                b: "reduce_heap_mb".into(),
+                a: hadoop::REDUCE_SLOTS.into(),
+                b: hadoop::REDUCE_HEAP_MB.into(),
                 limit_fraction: 0.4,
                 why: "reduce slots × heap must fit in node memory".into(),
             });
         }
         // Spark allocation books.
-        if has("executor_instances") && has("executor_memory_mb") {
+        if has(spark::EXECUTOR_INSTANCES) && has(spark::EXECUTOR_MEMORY_MB) {
             // The cluster manager charges executor memory multiplied by
             // (1 + overhead factor). The safety budget (repair engine)
             // assumes the largest overhead the space allows so no repaired
             // config can overcommit; the prior budget assumes the default
             // overhead, which is what a recommended config actually runs.
             let overhead = space
-                .spec("memory_overhead_factor")
+                .spec(spark::MEMORY_OVERHEAD_FACTOR)
                 .and_then(|s| match s.domain {
                     autotune_core::ParamDomain::Float { min: _, max, .. } => {
                         if budget.worst_case_overhead {
@@ -320,18 +324,18 @@ impl ConstraintSet {
                 })
                 .unwrap_or(0.0);
             set = set.with(Constraint::ProductUnderMemory {
-                a: "executor_instances".into(),
-                b: "executor_memory_mb".into(),
+                a: spark::EXECUTOR_INSTANCES.into(),
+                b: spark::EXECUTOR_MEMORY_MB.into(),
                 limit_fraction: 0.95 * budget.nodes / (1.0 + overhead),
                 why: "executors × (memory + overhead) must fit in the cluster".into(),
             });
         }
-        if has("broadcast_threshold_mb") && has("executor_memory_mb") {
+        if has(spark::BROADCAST_THRESHOLD_MB) && has(spark::EXECUTOR_MEMORY_MB) {
             // Broadcast tables are pinned (deserialized, ~2x) in every
             // executor heap; only a sliver of the heap is safe to promise.
             set = set.with(Constraint::AtMostFactorOf {
-                knob: "broadcast_threshold_mb".into(),
-                of: "executor_memory_mb".into(),
+                knob: spark::BROADCAST_THRESHOLD_MB.into(),
+                of: spark::EXECUTOR_MEMORY_MB.into(),
                 factor: 0.1,
                 why: "broadcast tables must fit in a sliver of each executor heap".into(),
             });

@@ -13,6 +13,7 @@ use autotune_core::{
     Configuration, History, Observation, ParamValue, Recommendation, Tuner, TunerFamily,
     TuningContext,
 };
+use autotune_sim::dbms::knobs;
 use rand::rngs::StdRng;
 
 /// A knob adjustment attached to a finding.
@@ -87,11 +88,11 @@ pub fn diagnose_dbms(obs: &Observation) -> Vec<Finding> {
             impact_secs: obs.runtime_secs * 0.8,
             adjustments: vec![
                 Adjustment::Scale {
-                    knob: "shared_buffers_mb".into(),
+                    knob: knobs::SHARED_BUFFERS_MB.into(),
                     factor: 0.5,
                 },
                 Adjustment::Scale {
-                    knob: "work_mem_mb".into(),
+                    knob: knobs::WORK_MEM_MB.into(),
                     factor: 0.5,
                 },
             ],
@@ -104,7 +105,7 @@ pub fn diagnose_dbms(obs: &Observation) -> Vec<Finding> {
             component: "buffer pool".into(),
             impact_secs: rand_secs * (1.0 - get("buffer_hit_ratio")),
             adjustments: vec![Adjustment::Scale {
-                knob: "shared_buffers_mb".into(),
+                knob: knobs::SHARED_BUFFERS_MB.into(),
                 factor: 2.0,
             }],
             diagnosis: format!(
@@ -119,7 +120,7 @@ pub fn diagnose_dbms(obs: &Observation) -> Vec<Finding> {
             component: "sort/hash memory".into(),
             impact_secs: get("temp_files_mb") / 200.0, // I/O time of temp traffic
             adjustments: vec![Adjustment::Scale {
-                knob: "work_mem_mb".into(),
+                knob: knobs::WORK_MEM_MB.into(),
                 factor: 4.0,
             }],
             diagnosis: format!("{spills:.0} operators spilled to disk; grow work_mem"),
@@ -132,11 +133,11 @@ pub fn diagnose_dbms(obs: &Observation) -> Vec<Finding> {
             impact_secs: burst,
             adjustments: vec![
                 Adjustment::Scale {
-                    knob: "checkpoint_timeout_s".into(),
+                    knob: knobs::CHECKPOINT_TIMEOUT_S.into(),
                     factor: 2.0,
                 },
                 Adjustment::Scale {
-                    knob: "bgwriter_delay_ms".into(),
+                    knob: knobs::BGWRITER_DELAY_MS.into(),
                     factor: 0.5,
                 },
             ],
@@ -149,7 +150,7 @@ pub fn diagnose_dbms(obs: &Observation) -> Vec<Finding> {
             component: "locking".into(),
             impact_secs: locks,
             adjustments: vec![Adjustment::Scale {
-                knob: "deadlock_timeout_ms".into(),
+                knob: knobs::DEADLOCK_TIMEOUT_MS.into(),
                 factor: 2.0,
             }],
             diagnosis: "sessions wait on locks; raise deadlock detection timeout".into(),
@@ -160,7 +161,7 @@ pub fn diagnose_dbms(obs: &Observation) -> Vec<Finding> {
             component: "query planner".into(),
             impact_secs: obs.runtime_secs * (1.0 - get("plan_quality")) * 0.5,
             adjustments: vec![Adjustment::Set {
-                knob: "default_statistics_target".into(),
+                knob: knobs::STATS_TARGET.into(),
                 value: ParamValue::Int(250),
             }],
             diagnosis: "plans deviate from optimal; collect richer statistics".into(),

@@ -1,5 +1,5 @@
-//! The workspace passes its own determinism, unsafe-audit, knob-registry
-//! and concurrency lint: no error-severity finding survives suppression.
+//! The workspace passes its own determinism, unsafe-audit and concurrency
+//! lint: no finding survives suppression (every rule is an error).
 
 use autotune_lint::{find_workspace_root, scan_workspace};
 use std::path::Path;

@@ -593,9 +593,11 @@ fn a_full_journal_fails_sticky_and_recovery_keeps_the_acknowledged_prefix() {
 /// name pointed at `/dev/full`, so every later compaction fails with
 /// ENOSPC while the group journal keeps working. Each observation must
 /// then be either acknowledged (a 200 that counts it), durable and
-/// recovered, or answered with an error and never recovered: a restart
-/// with the real log back in place recovers exactly the acknowledged
-/// prefix, and the journal has kept every record no landed frame covers.
+/// recovered, or answered with an error and never recovered; an advance
+/// whose steps ran into a failed compaction says so, with a 500 or with
+/// `error` set on its 200. A restart with the real log back in place
+/// recovers exactly the acknowledged prefix, and the journal has kept
+/// every record no landed frame covers.
 #[test]
 fn a_full_snapshot_log_recovers_exactly_the_acknowledged_prefix() {
     const ACKED: usize = 5;
@@ -638,6 +640,13 @@ fn a_full_snapshot_log_recovers_exactly_the_acknowledged_prefix() {
                 let reply: AdvanceResponse = serde_json::from_str(&reply).expect("advance");
                 assert!(reply.evaluations >= acked, "{reply:?}");
                 acked = reply.evaluations;
+                // The history holds the probe plus every evaluation. The
+                // step that makes it due for compaction, and every later
+                // one (each retries the compaction), writes into the full
+                // log: those answers must carry the failure.
+                let failed_compaction = acked + 1 >= 2 * SNAPSHOT_EVERY;
+                assert_eq!(reply.error.is_some(), failed_compaction, "{reply:?}");
+                errors += usize::from(failed_compaction);
             }
             500 => errors += 1,
             _ => panic!("unexpected answer {status}: {reply}"),
